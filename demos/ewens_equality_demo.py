@@ -8,7 +8,7 @@ Run:  python demos/ewens_equality_demo.py
 import numpy as np
 
 from sievesim.ewens import sample_cycles_crp, sample_cycles_feller
-from sievesim.harness import ExperimentSpec, ks_two_sample, run_equality
+from sievesim.harness import ExperimentSpec, ks_two_sample, run_experiment
 from sievesim.sampling import RngStream
 
 theta, n, reps = 1.0, 1000, 2000
@@ -23,6 +23,6 @@ print(f"  two-sample KS between the constructions: {ks_two_sample(crp, fel):.4f}
 
 spec = ExperimentSpec(target="EQ", theta=theta, n_values=(n,), replicates=reps,
                       grid=(1.0,), seed=5)
-row = run_equality(spec).rows[0]
+row = run_experiment(spec).rows[0]
 print(f"\ncycle count vs occupied-box count, {reps}+{reps} replicates:")
 print(f"  two-sample KS = {row['value']:.4f}  (calibrated gate {row['threshold']})")

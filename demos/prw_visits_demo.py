@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from sievesim.harness import ExperimentSpec, run_prw_flt
+from sievesim.harness import ExperimentSpec, run_experiment
 from sievesim.prw import StepLaw, simulate_path, verify_lln_uniform
 from sievesim.sampling import RngStream
 
@@ -34,6 +34,6 @@ for target, kw in (("B1", dict(xi="exp", xi_param=1.0)),
     n = 10**6 if target == "B4" else 10**5
     spec = ExperimentSpec(target=target, n_values=(n,), replicates=2000,
                           grid=(1.0,), seed=9, eta="exp", eta_param=1.0, **kw)
-    row = run_prw_flt(spec).rows[0]
+    row = run_experiment(spec).rows[0]
     print(f"  {target} ({kw['xi']} steps, n = 1e{round(math.log10(n))}): "
           f"KS = {row['value']:.4f}")

@@ -117,7 +117,7 @@ def _cmd_oracle(args) -> int:
     text = Path(args.spec).read_text()
     env = SieveEnvironment.from_json(text)
     path = path_from_sticks(env.sticks)
-    horizon = float(env._s[-1])
+    horizon = path.horizon
     rng = RngStream(args.seed if args.seed is not None else 0, 0)
     xs = np.exp(rng.gen.uniform(0.0, horizon * 0.999, size=50))
     from .occupancy import rho

@@ -24,6 +24,7 @@ from .limits import (
     normal_cdf,
     normalizer_c,
     sample_inverse_ratio,
+    sample_inverse_reversal,
 )
 from .occupancy import (
     DeterministicScheme,
@@ -55,11 +56,6 @@ __all__ = [
     "ks_one_sample",
     "ks_two_sample",
     "run_experiment",
-    "run_sieve_flt",
-    "run_ratio_flt",
-    "run_prw_flt",
-    "run_esf_flt",
-    "run_equality",
     "calibration_guard",
 ]
 
@@ -68,10 +64,19 @@ class ConfigurationError(ValueError):
     """An experiment spec asks for something its law cannot satisfy."""
 
 
-_REFERENCE_STREAM_BASE = 1 << 40  # keeps limit-law draws off replicate streams
-
 TARGETS = ("A1", "A2", "A3", "T22", "P21", "B1", "B2", "B3", "B4",
            "P31", "P32", "P33", "P41", "EQ", "ESF_FLT")
+_SIEVE = ("A1", "A2", "A3", "T22")
+_WALK = ("B1", "B2", "B3", "B4")
+
+# Stream layout and its limits: README, Reproducibility.  Replicate r of the
+# i-th n draws from stream i * replicates + r (+ 2^20 for the sieve half of
+# ESF_FLT and EQ); reference draws take _GRID_STREAMS streams per n.
+_SIEVE_STREAM_BASE = 1 << 20
+_REFERENCE_STREAM_BASE = 1 << 40
+_GRID_STREAMS = 64
+_REFERENCE_BLOCK = {("A3", False): 0, ("T22", False): 0, ("T22", True): 4096,
+                    ("A3", True): 8192, ("B3", False): 16384, ("B4", False): 16384}
 
 # Calibrated defaults; every one of these is a finite-n pilot value, not a
 # theory constant.  Spec files may override any key.
@@ -162,6 +167,14 @@ class ExperimentSpec:
             raise ConfigurationError("A3 requires a stick with tail index in (1, 2)")
         if self.target == "T22" and not 0.0 < self.alpha < 1.0:
             raise ConfigurationError("T22 requires a stick with tail index in (0, 1)")
+        if (self.target in ("A3", "T22", "B3", "B4") and len(self.n_values) > 1
+                and len(self.grid) > _GRID_STREAMS):
+            raise ConfigurationError(f"{self.target} with several n values takes at most "
+                                     f"{_GRID_STREAMS} grid points (reference streams per n)")
+        if (self.target in ("ESF_FLT", "EQ")
+                and self.replicates * len(self.n_values) > _SIEVE_STREAM_BASE):
+            raise ConfigurationError(f"{self.target} needs replicates * len(n_values) <= 2^20 "
+                                     "(the sieve half's streams start at 2^20)")
 
     def stick_law(self) -> StickLaw:
         if self.stick == "beta":
@@ -272,6 +285,7 @@ class _SieveTask:
     seed: int
     stream_base: int
     min_mass: float
+    sup: bool = False  # also compute the exact sup_t |K_n(t)/K_n - t| (P21)
 
 
 def _sieve_replicate(task: _SieveTask, rep: int):
@@ -280,7 +294,8 @@ def _sieve_replicate(task: _SieveTask, rep: int):
     env = build_environment(task.law, task.min_mass, rng)
     occ = occupy_sieve(env, task.n, rng, regimes)
     kp = k_process(occ, task.grid)
-    return kp.values.tolist(), kp.k_total, regimes
+    sup = _ratio_sup_deviation(occ.count_values(), task.n) if task.sup else None
+    return kp.values.tolist(), kp.k_total, regimes, sup
 
 
 @dataclass(frozen=True)
@@ -319,57 +334,86 @@ def _ewens_replicate(task: _EwensTask, rep: int):
 # ---------------------------------------------------------------------------
 
 
-def _sieve_scale(spec: ExperimentSpec, law: StickLaw, logn: float) -> float:
-    """Denominator (scale) of the sieve process statistic per target."""
-    if spec.target == "A1":
-        mu, s2 = law.mean_abs_log(), law.var_abs_log()
-        if not (math.isfinite(mu) and math.isfinite(s2)):
-            raise ConfigurationError("A1 requires finite variance of |log W|")
-        return math.sqrt(s2 * logn / mu**3)
-    if spec.target == "A2":
-        mu = law.mean_abs_log()
+def _scale(spec: ExperimentSpec, n, formula, *args) -> float:
+    """formula(*args), checked before an n's replicates are drawn: it is not
+    finite and positive when there is nothing to normalise (log n = 0 at
+    n = 1, a constant step, a law without the moments its regime needs)."""
+    try:
+        scale = formula(*args)
+    except (ValueError, ArithmeticError):
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ConfigurationError(f"{spec.target} at n = {n}: the normalising scale "
+                                 f"{scale} is not finite and positive")
+    return scale
+
+
+def _process_scale(regime: int, mean: float, var: float, x: float, alpha: float) -> float:
+    """Scale of a centred count process in one of the four regimes that the
+    sieve (A1..T22: x = log n, moments of |log W|) and the walk (B1..B4:
+    x = n, moments of xi) share: finite variance, tail index 2, stable
+    alpha in (1, 2) and inverse subordinator alpha in (0, 1)."""
+    if regime == 0:
+        return math.sqrt(var * x / mean**3)
+    if regime == 1:
         # tail index 2 with ell(x) = 2 log x (the minimal law with slowly
         # varying truncated second moment)
-        return mu**-1.5 * normalizer_c(logn, 2.0, ("log", 2.0))
-    if spec.target == "A3":
-        mu = law.mean_abs_log()
-        a = spec.alpha
-        return mu ** (-(a + 1.0) / a) * normalizer_c(logn, a, ("const", 1.0))
-    if spec.target == "T22":
-        return logn**spec.alpha  # ell == 1 on the supported laws
-    raise ConfigurationError(f"not a sieve target: {spec.target}")
+        return mean**-1.5 * normalizer_c(x, 2.0, ("log", 2.0))
+    if regime == 2:
+        return mean ** (-(alpha + 1.0) / alpha) * normalizer_c(x, alpha, ("const", 1.0))
+    return x**alpha  # ell == 1 on the supported laws
 
 
-def _reference_draws(spec: ExperimentSpec, t: float, size: int, offset: int) -> np.ndarray:
-    """Limit-law reference sample for two-sample targets at grid time t."""
-    rng = RngStream(spec.seed, _REFERENCE_STREAM_BASE + offset)
-    if spec.target in ("A3", "B3"):
-        a = spec.alpha if spec.target == "A3" else spec.xi_param
-        return t ** (1.0 / a) * sample_spectrally_negative_stable(a, rng, size)
-    if spec.target == "T22":
-        if t >= 1.0:
-            return np.asarray(sample_inverse_subordinator_marginal(spec.alpha, 1.0, rng, size))
-        from .limits import sample_inverse_reversal
-
-        return sample_inverse_reversal(spec.alpha, t, rng, size)
-    if spec.target == "B4":
-        a = spec.xi_param
-        return np.asarray(sample_inverse_subordinator_marginal(a, float(t), rng, size))
-    raise ConfigurationError(f"no two-sample reference for target {spec.target}")
+def _bridge_scale(target: str, law: StickLaw, logn: float, alpha: float) -> float:
+    """Scale of the box-count ratio K_n(t)/K_n around its bridge centering."""
+    mu = law.mean_abs_log()
+    if target == "A1":
+        return 1.0 / math.sqrt(mu * logn / law.var_abs_log())
+    if target == "A2":
+        return normalizer_c(logn, 2.0, ("log", 2.0)) / (math.sqrt(mu) * logn)
+    return normalizer_c(logn, alpha, ("const", 1.0)) / (mu ** (1.0 / alpha) * logn)
 
 
-def _gaussian_row(n, t, normalized, threshold):
-    stat = ks_one_sample(normalized, lambda x: normal_cdf(x / math.sqrt(t)))
-    return {"n": n, "t": t, "stat": "ks_normal", "value": stat,
-            "threshold": threshold, "passed": bool(stat < threshold),
-            "mean": float(np.mean(normalized)), "var": float(np.var(normalized))}
+def _reference(spec: ExperimentSpec, ratio: bool, i_n: int, j: int, t: float,
+               size: int) -> np.ndarray:
+    """Limit-law sample for grid point j of the i_n-th n of a two-sample target.
+
+    The draws come from stream 2^40 + block + 64 i_n + j, where the block
+    keeps the process (sieve, walk) and ratio (T22, A3) statistics apart.
+    """
+    target = spec.target
+    rng = RngStream(spec.seed, _REFERENCE_STREAM_BASE + _REFERENCE_BLOCK[target, ratio]
+                    + i_n * _GRID_STREAMS + j)
+    if target in ("A3", "B3"):
+        a = spec.alpha if target == "A3" else spec.xi_param
+        s1 = sample_spectrally_negative_stable(a, rng, size)
+        if not ratio:
+            return t ** (1.0 / a) * s1
+        # stable bridge S(t) - t S(1), with S(1) - S(t) drawn independently
+        s2 = sample_spectrally_negative_stable(a, rng, size)
+        return t ** (1.0 / a) * s1 - t * (t ** (1.0 / a) * s1 + (1.0 - t) ** (1.0 / a) * s2)
+    if target == "B4":
+        return np.asarray(sample_inverse_subordinator_marginal(spec.xi_param, float(t), rng, size))
+    if ratio:
+        return sample_inverse_ratio(spec.alpha, t, rng, size)
+    if t >= 1.0:
+        return np.asarray(sample_inverse_subordinator_marginal(spec.alpha, 1.0, rng, size))
+    return sample_inverse_reversal(spec.alpha, t, rng, size)
 
 
-def _two_sample_row(n, t, normalized, ref, threshold, name="ks_two_sample"):
-    stat = ks_two_sample(normalized, ref)
-    return {"n": n, "t": t, "stat": name, "value": stat,
-            "threshold": threshold, "passed": bool(stat < threshold),
-            "mean": float(np.mean(normalized)), "var": float(np.var(normalized))}
+def _row(n, t, stat, value, threshold=None, **extra) -> dict:
+    """One report row; a row without a threshold reports and passes no verdict."""
+    return {"n": n, "t": t, "stat": stat, "value": value, "threshold": threshold,
+            "passed": None if threshold is None else bool(value < threshold), **extra}
+
+
+def _ks_row(n, t, stat, sample, threshold, reference=None, sd=None) -> dict:
+    """KS verdict row: sample against the reference draws or, without them,
+    against the centred normal law with standard deviation sd."""
+    value = (ks_two_sample(sample, reference) if reference is not None
+             else ks_one_sample(sample, lambda x: normal_cdf(x / sd)))
+    return _row(n, t, stat, value, threshold,
+                mean=float(np.mean(sample)), var=float(np.var(sample)))
 
 
 def _covariance_rows(n, grid, normalized_by_t, tol):
@@ -389,62 +433,6 @@ def _covariance_rows(n, grid, normalized_by_t, tol):
                          "threshold": tol,
                          "passed": bool(abs(cov - expected_cov) < tol)})
     return rows
-
-
-# ---------------------------------------------------------------------------
-# runners
-# ---------------------------------------------------------------------------
-
-
-def run_sieve_flt(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
-    """Process-level FLT experiments for the sieve (targets A1, A2, A3, T22)."""
-    if spec.target not in ("A1", "A2", "A3", "T22"):
-        raise ConfigurationError(f"run_sieve_flt cannot handle {spec.target}")
-    law = spec.stick_law()
-    report = ExperimentReport(spec)
-    regimes_seen = {}
-    t_start = time.time()
-    for i_n, nf in enumerate(spec.n_values):
-        n = int(nf)
-        logn = math.log(n)
-        task = _SieveTask(law, n, tuple(spec.grid), spec.seed,
-                          i_n * spec.replicates, spec.min_mass)
-        results = _run_replicates(partial(_sieve_replicate, task), spec.replicates, jobs)
-        for _, _, regs in results:
-            for k, v in regs.items():
-                regimes_seen[k] = regimes_seen.get(k, 0) + v
-        values = np.asarray([r[0] for r in results], dtype=float)
-        scale = _sieve_scale(spec, law, logn)
-        normalized_by_t = {}
-        for j, t in enumerate(spec.grid):
-            raw = values[:, j]
-            if spec.target == "T22":
-                norm = Normalization(0.0, scale)
-            elif spec.centering == "linear":
-                norm = Normalization(t * logn / law.mean_abs_log(), scale)
-            else:
-                u, _ = centering_u_v(law, n, t)
-                norm = Normalization(u, scale)
-            normalized = norm.apply(raw)
-            normalized_by_t[t] = normalized
-            report.add_raw(n, t, raw, normalized)
-            if t <= 0.0:
-                report.rows.append({"n": n, "t": t, "stat": "report_only",
-                                    "value": float(np.mean(normalized)),
-                                    "threshold": None, "passed": None})
-                continue
-            thr = spec.threshold("ks")
-            if spec.target in ("A1", "A2"):
-                report.rows.append(_gaussian_row(n, t, normalized, thr))
-            else:
-                ref = _reference_draws(spec, t, len(normalized), offset=i_n * 64 + j)
-                report.rows.append(_two_sample_row(n, t, normalized, ref, thr))
-        if spec.target in ("A1", "A2"):
-            report.rows.extend(_covariance_rows(n, spec.grid, normalized_by_t,
-                                                spec.threshold("cov_tol")))
-    report.metadata = {"seed": spec.seed, "runtime_s": time.time() - t_start,
-                       "binomial_regimes": regimes_seen, "version": __version__}
-    return report
 
 
 def _ratio_sup_deviation(count_values: np.ndarray, n: int) -> float:
@@ -470,295 +458,217 @@ def _ratio_sup_deviation(count_values: np.ndarray, n: int) -> float:
     return best
 
 
-def run_ratio_flt(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
-    """Ratio-level experiments: bridge FLTs (A1..T22) and uniformity (P21)."""
-    if spec.target not in ("A1", "A2", "A3", "T22", "P21"):
-        raise ConfigurationError(f"run_ratio_flt cannot handle {spec.target}")
-    law = spec.stick_law()
-    report = ExperimentReport(spec)
-    t_start = time.time()
-    p21_medians = []
-    for i_n, nf in enumerate(spec.n_values):
+# ---------------------------------------------------------------------------
+# per-n steps: each draws one n's replicate columns and appends its rows
+# ---------------------------------------------------------------------------
+
+
+def _process_step(spec, law, i_n, nf, draw, report):
+    """Centred, scaled count process against its limit: the sieve's K_n(t)
+    (A1, A2, A3, T22) or the walk's N(nt) (B1, B2, B3, B4)."""
+    walk = spec.target in _WALK
+    regime = (_WALK if walk else _SIEVE).index(spec.target)
+    grid = tuple(spec.grid)
+    base = i_n * spec.replicates
+    if walk:
+        n = x = float(nf)
+        mean, var, alpha = law.mean_xi(), law.var_xi(), spec.xi_param
+        task = _PrwTask(law, n, grid, spec.seed, base)
+    else:
         n = int(nf)
-        logn = math.log(n)
-        task = _SieveTask(law, n, tuple(spec.grid), spec.seed,
-                          i_n * spec.replicates, spec.min_mass)
-        worker = _p21_replicate if spec.target == "P21" else _sieve_replicate
-        results = _run_replicates(partial(worker, task), spec.replicates, jobs)
-        values = np.asarray([r[0] for r in results], dtype=float)
-        totals = np.asarray([r[1] for r in results], dtype=float)
-        if np.any(totals == 0):
-            raise ConfigurationError("ratio statistics need n >= 1 so K_n >= 1")
-        if spec.target == "P21":
-            sups = np.asarray([res[2]["__sup__"] for res in results])
-            med = float(np.median(sups))
-            p21_medians.append(med)
-            report.add_raw(n, 1.0, sups, sups)
-            report.rows.append({"n": n, "t": None, "stat": "p21_median_sup",
-                                "value": med, "threshold": None, "passed": None})
-            continue
-        # bridge statistics
-        u1, v1 = centering_u_v(law, n, 1.0) if spec.target != "T22" else (None, None)
-        scale = None
-        if spec.target == "A1":
-            mu, s2 = law.mean_abs_log(), law.var_abs_log()
-            scale = 1.0 / math.sqrt(mu * logn / s2)
-        elif spec.target == "A2":
-            mu = law.mean_abs_log()
-            scale = normalizer_c(logn, 2.0, ("log", 2.0)) / (math.sqrt(mu) * logn)
-        elif spec.target == "A3":
-            mu = law.mean_abs_log()
-            scale = normalizer_c(logn, spec.alpha, ("const", 1.0)) / (mu ** (1.0 / spec.alpha) * logn)
-        for j, t in enumerate(spec.grid):
-            ratio = values[:, j] / totals
-            if spec.target == "T22":
-                report.add_raw(n, t, ratio, ratio)
-                if t <= 0.0 or t >= 1.0:
-                    report.rows.append({"n": n, "t": t, "stat": "report_only",
-                                        "value": float(np.mean(ratio)),
-                                        "threshold": None, "passed": None})
-                    continue
-                rng_ref = RngStream(spec.seed, _REFERENCE_STREAM_BASE + 4096 + i_n * 64 + j)
-                ref = sample_inverse_ratio(spec.alpha, t, rng_ref, len(ratio))
-                report.rows.append(_two_sample_row(n, t, ratio, ref,
-                                                   spec.threshold("ratio_ks"),
-                                                   name="ks_ratio"))
-                continue
-            u_t, v_t = centering_u_v(law, n, t)
-            centering = t - (v_t - t * v1) / u1
-            normalized = (ratio - centering) / scale
-            report.add_raw(n, t, ratio, normalized)
-            if t <= 0.0 or t >= 1.0:
-                report.rows.append({"n": n, "t": t, "stat": "report_only",
-                                    "value": float(np.mean(normalized)),
-                                    "threshold": None, "passed": None,
-                                    "max_abs": float(np.max(np.abs(normalized)))})
-                continue
-            thr = spec.threshold("ratio_ks")
-            if spec.target in ("A1", "A2"):
-                sd = math.sqrt(t * (1.0 - t))
-                stat = ks_one_sample(normalized, lambda x: normal_cdf(x / sd))
-                report.rows.append({"n": n, "t": t, "stat": "ks_bridge", "value": stat,
-                                    "threshold": thr, "passed": bool(stat < thr),
-                                    "mean": float(np.mean(normalized)),
-                                    "var": float(np.var(normalized))})
-            else:
-                rng_ref = RngStream(spec.seed, _REFERENCE_STREAM_BASE + 8192 + i_n * 64 + j)
-                s1 = sample_spectrally_negative_stable(spec.alpha, rng_ref, len(normalized))
-                s2_ = sample_spectrally_negative_stable(spec.alpha, rng_ref, len(normalized))
-                bridge = t ** (1.0 / spec.alpha) * s1 - t * (t ** (1.0 / spec.alpha) * s1
-                                                             + (1.0 - t) ** (1.0 / spec.alpha) * s2_)
-                report.rows.append(_two_sample_row(n, t, normalized, bridge, thr,
-                                                   name="ks_stable_bridge"))
-    if spec.target == "P21":
-        decreasing = all(b < a for a, b in zip(p21_medians, p21_medians[1:]))
-        final_ok = p21_medians[-1] < spec.threshold("p21_final")
-        report.rows.append({"n": None, "t": None, "stat": "p21_trend",
-                            "value": p21_medians, "threshold": spec.threshold("p21_final"),
-                            "passed": bool(decreasing and final_ok)})
-    report.metadata = {"seed": spec.seed, "runtime_s": time.time() - t_start,
-                       "version": __version__}
-    return report
-
-
-def _p21_replicate(task: _SieveTask, rep: int):
-    rng = RngStream(task.seed, task.stream_base + rep)
-    env = build_environment(task.law, task.min_mass, rng)
-    occ = occupy_sieve(env, task.n, rng)
-    kp = k_process(occ, task.grid)
-    sup = _ratio_sup_deviation(occ.count_values(), task.n)
-    return kp.values.tolist(), kp.k_total, {"__sup__": sup}
-
-
-def run_prw_flt(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
-    """FLT experiments for perturbed-random-walk visit counts (B1..B4)."""
-    if spec.target not in ("B1", "B2", "B3", "B4"):
-        raise ConfigurationError(f"run_prw_flt cannot handle {spec.target}")
-    law = spec.step_law()
-    m = law.mean_xi()
-    report = ExperimentReport(spec)
-    t_start = time.time()
-    for i_n, nf in enumerate(spec.n_values):
-        n = float(nf)
-        task = _PrwTask(law, n, tuple(spec.grid), spec.seed, i_n * spec.replicates)
-        results = _run_replicates(partial(_prw_replicate, task), spec.replicates, jobs)
-        values = np.asarray(results, dtype=float)
-        if spec.target == "B1":
-            s2 = law.var_xi()
-            if not (math.isfinite(m) and math.isfinite(s2)):
-                raise ConfigurationError("B1 requires finite variance steps")
-            scale = math.sqrt(s2 * n / m**3)
-        elif spec.target == "B2":
-            scale = m**-1.5 * normalizer_c(n, 2.0, ("log", 2.0))
-        elif spec.target == "B3":
-            a = spec.xi_param
-            scale = m ** (-(a + 1.0) / a) * normalizer_c(n, a, ("const", 1.0))
+        x = math.log(n)
+        mean, var, alpha = law.mean_abs_log(), law.var_abs_log(), spec.alpha
+        task = _SieveTask(law, n, grid, spec.seed, base, spec.min_mass)
+    scale = _scale(spec, n, _process_scale, regime, mean, var, x, alpha)
+    values, _ = draw(task)
+    normalized_by_t = {}
+    for j, t in enumerate(spec.grid):
+        raw = values[:, j]
+        if regime == 3:
+            center = 0.0
+        elif walk:
+            center = centering_prw(law.eta, n, t, mean)
+        elif spec.centering == "linear":
+            center = t * x / mean
         else:
-            scale = n**spec.xi_param  # B4: ell == 1, statistic ell(n) N(nt)/n^alpha
-        normalized_by_t = {}
-        for j, t in enumerate(spec.grid):
-            raw = values[:, j]
-            if spec.target == "B4":
-                norm = Normalization(0.0, scale)
-            else:
-                norm = Normalization(centering_prw((spec.eta, spec.eta_param), n, t, m), scale)
-            normalized = norm.apply(raw)
-            normalized_by_t[t] = normalized
-            report.add_raw(n, t, raw, normalized)
-            if t <= 0.0:
-                report.rows.append({"n": n, "t": t, "stat": "report_only",
-                                    "value": float(np.mean(normalized)),
-                                    "threshold": None, "passed": None})
-                continue
-            thr = spec.threshold("ks")
-            if spec.target in ("B1", "B2"):
-                report.rows.append(_gaussian_row(n, t, normalized, thr))
-            else:
-                ref = _reference_draws(spec, t, len(normalized), offset=16384 + i_n * 64 + j)
-                report.rows.append(_two_sample_row(n, t, normalized, ref, thr))
-        if spec.target in ("B1", "B2"):
-            report.rows.extend(_covariance_rows(n, spec.grid, normalized_by_t,
-                                                spec.threshold("cov_tol")))
-    report.metadata = {"seed": spec.seed, "runtime_s": time.time() - t_start,
-                       "version": __version__}
-    return report
+            center, _ = centering_u_v(law, n, t)
+        normalized = Normalization(center, scale).apply(raw)
+        normalized_by_t[t] = normalized
+        report.add_raw(n, t, raw, normalized)
+        if t <= 0.0:
+            report.rows.append(_row(n, t, "report_only", float(np.mean(normalized))))
+        elif regime < 2:
+            report.rows.append(_ks_row(n, t, "ks_normal", normalized, spec.threshold("ks"),
+                                       sd=math.sqrt(t)))
+        else:
+            ref = _reference(spec, False, i_n, j, t, len(normalized))
+            report.rows.append(_ks_row(n, t, "ks_two_sample", normalized,
+                                       spec.threshold("ks"), reference=ref))
+    if regime < 2:
+        report.rows.extend(_covariance_rows(n, spec.grid, normalized_by_t,
+                                            spec.threshold("cov_tol")))
 
 
-def run_esf_flt(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
-    """Ewens cycle-process FLT, plus the distributional equality against the
-    beta-stick sieve at the same n (raw two-sample KS per grid point)."""
-    if spec.target != "ESF_FLT":
-        raise ConfigurationError(f"run_esf_flt cannot handle {spec.target}")
-    theta = spec.theta
-    report = ExperimentReport(spec)
-    t_start = time.time()
-    for i_n, nf in enumerate(spec.n_values):
-        n = int(nf)
-        logn = math.log(n)
-        task = _EwensTask(n, theta, tuple(spec.grid), spec.seed,
-                          i_n * spec.replicates, "feller")
-        results = _run_replicates(partial(_ewens_replicate, task), spec.replicates, jobs)
-        values = np.asarray(results, dtype=float)
-        sieve_task = _SieveTask(StickLaw.beta(theta), n, tuple(spec.grid), spec.seed,
-                                (1 << 20) + i_n * spec.replicates, spec.min_mass)
-        sieve_results = _run_replicates(partial(_sieve_replicate, sieve_task),
-                                        spec.replicates, jobs)
-        sieve_values = np.asarray([r[0] for r in sieve_results], dtype=float)
-        scale = math.sqrt(theta * logn)
-        for j, t in enumerate(spec.grid):
-            raw = values[:, j]
-            norm = Normalization(theta * t * logn, scale)
-            normalized = norm.apply(raw)
-            report.add_raw(n, t, raw, normalized)
-            eq_stat = ks_two_sample(raw, sieve_values[:, j])
-            eq_thr = spec.threshold("eq_ks")
-            report.rows.append({"n": n, "t": t, "stat": "ks_sieve_equality",
-                                "value": eq_stat, "threshold": eq_thr,
-                                "passed": bool(eq_stat < eq_thr)})
-            if t <= 0.0:
-                report.rows.append({"n": n, "t": t, "stat": "report_only",
-                                    "value": float(np.mean(raw)),
-                                    "threshold": None, "passed": None})
-                continue
-            report.rows.append(_gaussian_row(n, t, normalized, spec.threshold("ks")))
-    report.metadata = {"seed": spec.seed, "runtime_s": time.time() - t_start,
-                       "version": __version__}
-    return report
-
-
-def run_equality(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
-    """Two-sample comparison of sieve box counts against CRP cycle counts."""
-    if spec.target != "EQ":
-        raise ConfigurationError(f"run_equality cannot handle {spec.target}")
-    report = ExperimentReport(spec)
-    t_start = time.time()
-    for i_n, nf in enumerate(spec.n_values):
-        n = int(nf)
-        crp_task = _EwensTask(n, spec.theta, tuple(spec.grid), spec.seed,
-                              i_n * spec.replicates, "crp")
-        crp_vals = np.asarray(_run_replicates(partial(_ewens_replicate, crp_task),
-                                              spec.replicates, jobs), dtype=float)
-        sieve_task = _SieveTask(StickLaw.beta(spec.theta), n, tuple(spec.grid), spec.seed,
-                                (1 << 20) + i_n * spec.replicates, spec.min_mass)
-        sieve_vals = np.asarray([r[0] for r in _run_replicates(
-            partial(_sieve_replicate, sieve_task), spec.replicates, jobs)], dtype=float)
-        for j, t in enumerate(spec.grid):
-            stat = ks_two_sample(crp_vals[:, j], sieve_vals[:, j])
-            thr = spec.threshold("eq_ks")
-            report.add_raw(n, t, crp_vals[:, j], sieve_vals[:, j])
-            report.rows.append({"n": n, "t": t, "stat": "ks_equality", "value": stat,
-                                "threshold": thr, "passed": bool(stat < thr)})
-    report.metadata = {"seed": spec.seed, "runtime_s": time.time() - t_start,
-                       "version": __version__}
-    return report
-
-
-# ---------------------------------------------------------------------------
-# trend-and-bound targets and dispatch
-# ---------------------------------------------------------------------------
-
-
-def _wrap_prw_report(spec, prw_report) -> ExperimentReport:
-    report = ExperimentReport(spec)
-    for row in prw_report.table:
-        report.rows.append({**row, "stat": prw_report.name,
-                            "passed": None if "ok" not in row else row["ok"]})
-    report.rows.append({"stat": f"{prw_report.name}_verdict", "value": None,
-                        "threshold": None, "passed": bool(prw_report.passed)})
-    report.metadata = {"seed": spec.seed, "version": __version__}
-    return report
-
-
-def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
-    """Dispatch an experiment spec to its runner."""
+def _ratio_step(spec, law, i_n, nf, draw, report):
+    """Box-count ratio K_n(t)/K_n: bridge limits (A1, A2, A3, T22 in ratio
+    mode) and the median sup-distance from uniformity (P21)."""
     target = spec.target
-    if target in ("A1", "A2", "A3", "T22"):
-        runner = run_ratio_flt if spec.mode == "ratio" else run_sieve_flt
-        return runner(spec, jobs)
+    n = int(nf)
+    logn = math.log(n)
+    if target in ("A1", "A2", "A3"):
+        scale = _scale(spec, n, _bridge_scale, target, law, logn, spec.alpha)
+        u1, v1 = centering_u_v(law, n, 1.0)
+    values, results = draw(_SieveTask(law, n, tuple(spec.grid), spec.seed,
+                                      i_n * spec.replicates, spec.min_mass, target == "P21"))
+    totals = np.asarray([r[1] for r in results], dtype=float)  # K_n >= 1 as n >= 1
     if target == "P21":
-        return run_ratio_flt(spec, jobs)
-    if target in ("B1", "B2", "B3", "B4"):
-        return run_prw_flt(spec, jobs)
-    if target == "ESF_FLT":
-        return run_esf_flt(spec, jobs)
-    if target == "EQ":
-        return run_equality(spec, jobs)
+        sups = np.asarray([r[3] for r in results])
+        report.add_raw(n, 1.0, sups, sups)
+        report.rows.append(_row(n, None, "p21_median_sup", float(np.median(sups))))
+        return
+    for j, t in enumerate(spec.grid):
+        ratio = values[:, j] / totals
+        if target == "T22":
+            normalized = ratio
+        else:
+            u_t, v_t = centering_u_v(law, n, t)
+            normalized = (ratio - (t - (v_t - t * v1) / u1)) / scale
+        report.add_raw(n, t, ratio, normalized)
+        if t <= 0.0 or t >= 1.0:
+            extra = {} if target == "T22" else {"max_abs": float(np.max(np.abs(normalized)))}
+            report.rows.append(_row(n, t, "report_only", float(np.mean(normalized)), **extra))
+        elif target in ("A1", "A2"):
+            report.rows.append(_ks_row(n, t, "ks_bridge", normalized,
+                                       spec.threshold("ratio_ks"), sd=math.sqrt(t * (1.0 - t))))
+        else:
+            ref = _reference(spec, True, i_n, j, t, len(normalized))
+            stat = "ks_ratio" if target == "T22" else "ks_stable_bridge"
+            report.rows.append(_ks_row(n, t, stat, normalized, spec.threshold("ratio_ks"),
+                                       reference=ref))
+
+
+def _permutation_step(spec, law, i_n, nf, draw, report):
+    """Ewens cycle counts against the beta(theta) sieve's box counts at the
+    same n: raw two-sample KS per grid point (EQ, CRP sampler), and for
+    ESF_FLT (Feller coupling) the cycle process against its Gaussian limit."""
+    esf = spec.target == "ESF_FLT"
+    n = int(nf)
+    if esf:
+        logn = math.log(n)
+        scale = _scale(spec, n, math.sqrt, spec.theta * logn)
+    grid, base = tuple(spec.grid), i_n * spec.replicates
+    cycles, _ = draw(_EwensTask(n, spec.theta, grid, spec.seed, base, "feller" if esf else "crp"))
+    boxes, _ = draw(_SieveTask(law, n, grid, spec.seed, _SIEVE_STREAM_BASE + base, spec.min_mass))
+    for j, t in enumerate(spec.grid):
+        raw = cycles[:, j]
+        equality = ks_two_sample(raw, boxes[:, j])
+        if not esf:
+            report.add_raw(n, t, raw, boxes[:, j])
+            report.rows.append(_row(n, t, "ks_equality", equality, spec.threshold("eq_ks")))
+            continue
+        normalized = Normalization(spec.theta * t * logn, scale).apply(raw)
+        report.add_raw(n, t, raw, normalized)
+        report.rows.append(_row(n, t, "ks_sieve_equality", equality, spec.threshold("eq_ks")))
+        if t <= 0.0:
+            report.rows.append(_row(n, t, "report_only", float(np.mean(raw))))
+        else:
+            report.rows.append(_ks_row(n, t, "ks_normal", normalized, spec.threshold("ks"),
+                                       sd=math.sqrt(t)))
+
+
+# ---------------------------------------------------------------------------
+# trend-and-bound targets
+# ---------------------------------------------------------------------------
+
+
+def _bound_rows(spec: ExperimentSpec) -> list:
+    """Rows of the targets that check a trend or a bound over all n at once
+    (P31, P32, P33 on the walk, P41 on a geometric scheme), from stream 0."""
     rng = RngStream(spec.seed, 0)
-    if target == "P31":
-        if not math.isfinite(spec.step_law().mean_xi()):
-            raise ConfigurationError("P31 requires a step law with finite mean")
-        rep = verify_lln_uniform(spec.step_law(), [int(n) for n in spec.n_values],
-                                 spec.replicates, spec.grid, rng)
-        return _wrap_prw_report(spec, rep)
-    if target == "P32":
-        rep = verify_window_growth(spec.step_law(), [int(n) for n in spec.n_values],
-                                   spec.b, spec.c, spec.replicates, rng)
-        return _wrap_prw_report(spec, rep)
-    if target == "P33":
-        rep = verify_visit_increment_bound(spec.step_law(), list(spec.x_values),
-                                           list(spec.y_values), spec.replicates, rng)
-        return _wrap_prw_report(spec, rep)
+    target = spec.target
     if target == "P41":
         scheme = DeterministicScheme.geometric(spec.q)
-        report = ExperimentReport(spec)
-        t0 = time.time()
         x0 = bound_constant_x0()
-        report.rows.append({"stat": "x0_equation", "value": x0,
-                            "threshold": 1e-10,
-                            "passed": bool(abs(x0 - x0**0.75 - 1.0) < 1e-10)})
+        rows = [{"stat": "x0_equation", "value": x0, "threshold": 1e-10,
+                 "passed": bool(abs(x0 - x0**0.75 - 1.0) < 1e-10)}]
         for nf in spec.n_values:
             n = int(nf)
             eps = approximation_bound_rhs(scheme, n)
             mean, se = approximation_bound_lhs_estimate(scheme, n, spec.replicates,
                                                         spec.grid, rng)
             # the bound is asymptotic; hard-fail only on a clear violation
-            report.rows.append({"n": n, "stat": "approx_bound", "lhs": mean,
-                                "stderr": se, "value": mean, "threshold": eps,
-                                "passed": bool(mean <= eps + 3.0 * se)})
-        report.metadata = {"seed": spec.seed, "runtime_s": time.time() - t0,
-                           "version": __version__}
-        return report
-    raise ConfigurationError(f"no runner for target {target!r}")
+            rows.append({"n": n, "stat": "approx_bound", "lhs": mean,
+                         "stderr": se, "value": mean, "threshold": eps,
+                         "passed": bool(mean <= eps + 3.0 * se)})
+        return rows
+    law, n_values = spec.step_law(), [int(n) for n in spec.n_values]
+    if target == "P31":
+        if not math.isfinite(law.mean_xi()):
+            raise ConfigurationError("P31 requires a step law with finite mean")
+        check = verify_lln_uniform(law, n_values, spec.replicates, spec.grid, rng)
+    elif target == "P32":
+        check = verify_window_growth(law, n_values, spec.b, spec.c, spec.replicates, rng)
+    else:
+        check = verify_visit_increment_bound(law, list(spec.x_values),
+                                             list(spec.y_values), spec.replicates, rng)
+    rows = [{**row, "stat": check.name, "passed": row.get("ok")} for row in check.table]
+    rows.append({"stat": f"{check.name}_verdict", "value": None,
+                 "threshold": None, "passed": bool(check.passed)})
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# the experiment core
+# ---------------------------------------------------------------------------
+
+
+def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
+    """Run the experiment a spec describes and return its report.
+
+    One pass over n_values: for each n the target's step checks its scale,
+    draws that n's replicate columns through `draw` (the only place
+    replicates run, serially or on `jobs` worker processes) and appends raw
+    values and verdict rows.  The trend-and-bound targets run in one call.
+    """
+    target = spec.target
+    report = ExperimentReport(spec)
+    regimes = {}
+    t_start = time.time()
+
+    def draw(task):
+        """One n's replicate columns, and each replicate's full result."""
+        worker = {_SieveTask: _sieve_replicate, _PrwTask: _prw_replicate,
+                  _EwensTask: _ewens_replicate}[type(task)]
+        results = _run_replicates(partial(worker, task), spec.replicates, jobs)
+        if worker is not _sieve_replicate:
+            return np.asarray(results, dtype=float), results
+        for _, _, regs, _ in results:
+            for k, v in regs.items():
+                regimes[k] = regimes.get(k, 0) + v
+        return np.asarray([r[0] for r in results], dtype=float), results
+
+    if target in ("P31", "P32", "P33", "P41"):
+        report.rows = _bound_rows(spec)
+    else:
+        if target in _WALK:
+            law, step = spec.step_law(), _process_step
+        elif target in ("ESF_FLT", "EQ"):
+            law, step = StickLaw.beta(spec.theta), _permutation_step
+        else:
+            law = spec.stick_law()
+            step = _ratio_step if target == "P21" or spec.mode == "ratio" else _process_step
+        for i_n, nf in enumerate(spec.n_values):
+            step(spec, law, i_n, nf, draw, report)
+        if target == "P21":
+            medians = [row["value"] for row in report.rows]
+            final = spec.threshold("p21_final")
+            report.rows.append({"n": None, "t": None, "stat": "p21_trend", "value": medians,
+                                "threshold": final,
+                                "passed": bool(all(b < a for a, b in zip(medians, medians[1:]))
+                                               and medians[-1] < final)})
+    report.metadata = {"seed": spec.seed, "runtime_s": time.time() - t_start,
+                       "binomial_regimes": regimes, "version": __version__}
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .prw import PrwPath
+from .prw import PrwPath, path_from_sticks
 from .sampling import RngStream, StickLaw, sample_binomial
 
 __all__ = [
@@ -185,8 +185,7 @@ class SieveEnvironment:
     """Realised stick-breaking environment.
 
     Keeps the realised sticks W_k, the cut points V_k, the box probabilities
-    p*_k = V_{k-1} - V_k, and the associated walk arrays (xi, eta, partial
-    sums) built with the exact same floating-point recurrence as
+    p*_k = V_{k-1} - V_k, and the associated walk, built from the sticks by
     prw.path_from_sticks, so the visit-count identity holds bitwise on shared
     realisations.  Extension is lazy; a deserialised environment is frozen
     (no law/stream attached) and raises if more sticks are needed.
@@ -199,14 +198,13 @@ class SieveEnvironment:
         self._rebuild()
 
     def _rebuild(self):
+        # cumprod and cumsum run sequentially, so recomputing from all sticks
+        # after an extension is bitwise equal to continuing the recurrences
         w = self.sticks
         self.cutpoints = np.cumprod(w)
         self.box_probs = np.concatenate([[1.0], self.cutpoints[:-1]]) - self.cutpoints \
             if len(w) else np.empty(0)
-        self._xi = -np.log(w)
-        self._eta = -np.log1p(-w)
-        self._s = np.concatenate([[0.0], np.cumsum(self._xi)])
-        self._t = self._s[:-1] + self._eta
+        self._path = path_from_sticks(w)
 
     @property
     def num_boxes(self) -> int:
@@ -215,23 +213,8 @@ class SieveEnvironment:
     def _extend(self, count: int = _EXTENSION_BLOCK):
         if self.law is None or self.rng is None:
             raise RuntimeError("frozen environment exhausted; no law attached to extend")
-        w_new = self.law.sample(self.rng, count)
-        v_last = self.cutpoints[-1] if len(self.cutpoints) else 1.0
-        s_last = self._s[-1]
-        xi_new = -np.log(w_new)
-        eta_new = -np.log1p(-w_new)
-        # continue the sequential recurrences so a fresh full recompute is bitwise equal
-        v_new = np.cumprod(np.concatenate([[v_last], w_new]))[1:]
-        s_new = np.cumsum(np.concatenate([[s_last], xi_new]))[1:]
-        t_new = np.concatenate([[s_last], s_new[:-1]]) + eta_new
-        p_new = np.concatenate([[v_last], v_new[:-1]]) - v_new
-        self.sticks = np.concatenate([self.sticks, w_new])
-        self.cutpoints = np.concatenate([self.cutpoints, v_new])
-        self.box_probs = np.concatenate([self.box_probs, p_new])
-        self._xi = np.concatenate([self._xi, xi_new])
-        self._eta = np.concatenate([self._eta, eta_new])
-        self._s = np.concatenate([self._s, s_new])
-        self._t = np.concatenate([self._t, t_new])
+        self.sticks = np.concatenate([self.sticks, self.law.sample(self.rng, count)])
+        self._rebuild()
 
     def ensure_boxes(self, k: int):
         while self.num_boxes < k:
@@ -239,12 +222,12 @@ class SieveEnvironment:
 
     def ensure_log_depth(self, depth: float):
         """Extend until the walk has passed `depth` (V_K < exp(-depth))."""
-        while self._s[-1] <= depth:
+        while self._path.horizon <= depth:
             self._extend()
 
     def prw_path(self) -> PrwPath:
-        """The walk associated with this environment, sharing its arrays."""
-        return PrwPath(self._s.copy(), self._t.copy(), horizon=float(self._s[-1]))
+        """The walk associated with this environment (S_K is its horizon)."""
+        return self._path
 
     def to_json(self) -> str:
         return json.dumps({"sticks": list(map(float, self.sticks)),
@@ -422,7 +405,7 @@ def rho(source, x: float) -> int:
         if depth < 0.0:
             return 0
         source.ensure_log_depth(depth)
-        return int(np.searchsorted(np.sort(source._t), depth, side="right"))
+        return source.prw_path().count_visits(depth)
     raise TypeError("source must be a DeterministicScheme or SieveEnvironment")
 
 

@@ -16,9 +16,7 @@ import numpy as np
 __all__ = [
     "RngStream",
     "StickLaw",
-    "StableSpec",
     "lanczos_gamma",
-    "sample_stick",
     "binomial_regime",
     "sample_binomial",
     "sample_standard_positive_stable",
@@ -284,11 +282,6 @@ def _gauss_legendre_panels(fn, breaks, panels_per_piece=24, order=24):
     return total
 
 
-def sample_stick(law: StickLaw, rng: RngStream, size=None):
-    """One draw (or a vector of draws) of the stick-breaking factor W."""
-    return law.sample(rng, size)
-
-
 # ---------------------------------------------------------------------------
 # binomial sampling
 # ---------------------------------------------------------------------------
@@ -344,27 +337,18 @@ def sample_binomial(n: int, p: float, rng: RngStream, regime_counter: dict | Non
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StableSpec:
-    """Parameter holder for the two stable variants used as limit inputs."""
-
-    alpha: float
-    variant: str  # "subordinator" (alpha in (0,1)) | "spectrally_negative" (alpha in (1,2))
-
-    def __post_init__(self):
-        if self.variant == "subordinator":
-            if not 0.0 < self.alpha < 1.0:
-                raise ValueError("subordinator variant requires alpha in (0, 1)")
-        elif self.variant == "spectrally_negative":
-            if not 1.0 < self.alpha < 2.0:
-                raise ValueError("spectrally negative variant requires alpha in (1, 2)")
-        else:
-            raise ValueError(f"unknown stable variant: {self.variant!r}")
-
-    def sample(self, rng: RngStream, size=None):
-        if self.variant == "subordinator":
-            return sample_positive_stable(self.alpha, rng, size)
-        return sample_spectrally_negative_stable(self.alpha, rng, size)
+def _chambers_mallows_stuck(alpha: float, beta: float, rng: RngStream, size):
+    """Strictly stable draw with index alpha != 1, skewness beta and unit
+    scale: E exp(iuX) = exp(-|u|**alpha (1 - i beta sign(u) tan(pi alpha/2))).
+    Draws the uniform angle, then the exponential."""
+    tan_a = math.tan(0.5 * math.pi * alpha)
+    b = math.atan(beta * tan_a) / alpha
+    s = (1.0 + (beta * tan_a) ** 2) ** (0.5 / alpha)
+    v = rng.gen.uniform(-0.5 * math.pi, 0.5 * math.pi, size)
+    w = rng.gen.exponential(1.0, size)
+    frac = (1.0 - alpha) / alpha
+    return s * np.sin(alpha * (v + b)) / np.cos(v) ** (1.0 / alpha) \
+        * (np.cos(v - alpha * (v + b)) / w) ** frac
 
 
 def sample_standard_positive_stable(alpha: float, rng: RngStream, size=None, method: str = "kanter"):
@@ -384,16 +368,9 @@ def sample_standard_positive_stable(alpha: float, rng: RngStream, size=None, met
         den = np.sin(u) ** (1.0 / alpha)
         d = (num / den) * e ** (-frac)
     elif method == "cms":
-        v = rng.gen.uniform(-0.5 * math.pi, 0.5 * math.pi, size)
-        w = rng.gen.exponential(1.0, size)
-        tan_a = math.tan(0.5 * math.pi * alpha)
-        b = math.atan(tan_a) / alpha
-        s = (1.0 + tan_a * tan_a) ** (0.5 / alpha)
-        frac = (1.0 - alpha) / alpha
-        x = s * np.sin(alpha * (v + b)) / np.cos(v) ** (1.0 / alpha) \
-            * (np.cos(v - alpha * (v + b)) / w) ** frac
         # rescale from Laplace exponent z^alpha / cos(pi alpha / 2)
-        d = x * math.cos(0.5 * math.pi * alpha) ** (1.0 / alpha)
+        d = _chambers_mallows_stuck(alpha, 1.0, rng, size) \
+            * math.cos(0.5 * math.pi * alpha) ** (1.0 / alpha)
     else:
         raise ValueError(f"unknown method: {method!r}")
     return float(d) if size is None else d
@@ -415,15 +392,7 @@ def sample_spectrally_negative_stable(alpha: float, rng: RngStream, size=None):
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (1, 2)")
-    beta = -1.0
-    tan_a = math.tan(0.5 * math.pi * alpha)
-    b = math.atan(beta * tan_a) / alpha
-    s = (1.0 + (beta * tan_a) ** 2) ** (0.5 / alpha)
-    v = rng.gen.uniform(-0.5 * math.pi, 0.5 * math.pi, size)
-    w = rng.gen.exponential(1.0, size)
-    frac = (1.0 - alpha) / alpha
-    x = s * np.sin(alpha * (v + b)) / np.cos(v) ** (1.0 / alpha) \
-        * (np.cos(v - alpha * (v + b)) / w) ** frac
+    x = _chambers_mallows_stuck(alpha, -1.0, rng, size)
     sigma = (lanczos_gamma(1.0 - alpha) * math.cos(0.5 * math.pi * alpha)) ** (1.0 / alpha)
     out = sigma * x
     return float(out) if size is None else out

@@ -26,11 +26,7 @@ from sievesim.harness import (
     calibration_guard,
     ks_one_sample,
     ks_two_sample,
-    run_equality,
     run_experiment,
-    run_prw_flt,
-    run_ratio_flt,
-    run_sieve_flt,
 )
 from sievesim.limits import normal_cdf, sample_inverse_ratio
 from sievesim.occupancy import (
@@ -127,7 +123,7 @@ def test_c1d_cycle_distribution_normalizes():
 def test_c2_equality_of_sieve_and_cycle_counts(theta):
     spec = ExperimentSpec(target="EQ", theta=theta, n_values=(1000,), replicates=5000,
                           grid=(1.0,), seed=SEED)
-    rep = run_equality(spec)
+    rep = run_experiment(spec)
     stat = rep.rows[0]["value"]
     assert report(f"c2 equality (theta={theta})", stat < 0.04,
                   f"two-sample KS = {stat:.4f} at 5000+5000 replicates (< 0.04)")
@@ -151,7 +147,7 @@ def test_c3_gaussian_limits():
            f"KS = {ewens_ks[0]:.4f} -> {ewens_ks[1]:.4f} (decreasing, final < 0.12)")
     spec = ExperimentSpec(target="A1", n_values=(10**8, 10**12, 10**16), replicates=4000,
                           grid=(1.0,), seed=SEED, centering="linear")
-    rep = run_sieve_flt(spec)
+    rep = run_experiment(spec)
     sieve_ks = [r["value"] for r in rep.rows if r["stat"] == "ks_normal"]
     ok_s = sieve_ks[-1] < 0.08 and sieve_ks[0] > sieve_ks[1] > sieve_ks[2]
     report("c3 box-count clt", ok_s,
@@ -168,7 +164,7 @@ def test_c3_gaussian_limits():
 def test_c4_visit_count_limits():
     spec = ExperimentSpec(target="B1", n_values=(10**5,), replicates=10**4,
                           grid=(0.5, 1.0), seed=SEED)
-    rep = run_prw_flt(spec)
+    rep = run_experiment(spec)
     ks_rows = {r["t"]: r["value"] for r in rep.rows if r["stat"] == "ks_normal"}
     cov_row = [r for r in rep.rows if r["stat"] == "cov"][0]
     ok_b1 = all(v < 0.02 for v in ks_rows.values())
@@ -178,12 +174,12 @@ def test_c4_visit_count_limits():
 
     spec3 = ExperimentSpec(target="B3", xi="pareto", xi_param=1.5, n_values=(10**5,),
                            replicates=10**4, grid=(1.0,), seed=SEED)
-    ks3 = run_prw_flt(spec3).rows[0]["value"]
+    ks3 = run_experiment(spec3).rows[0]["value"]
     report("c4 stable limit", ks3 < 0.04, f"two-sample KS = {ks3:.4f} (< 0.04)")
 
     spec4 = ExperimentSpec(target="B4", xi="pareto", xi_param=0.5, n_values=(10**6,),
                            replicates=10**4, grid=(1.0,), seed=SEED)
-    ks4 = run_prw_flt(spec4).rows[0]["value"]
+    ks4 = run_experiment(spec4).rows[0]["value"]
     report("c4 inverse-subordinator limit", ks4 < 0.03,
            f"two-sample KS = {ks4:.4f} (< 0.03)")
     assert ok_b1 and ok_corr and ks3 < 0.04 and ks4 < 0.03
@@ -197,7 +193,7 @@ def test_c4_visit_count_limits():
 def test_c5_uniformity_trends():
     spec = ExperimentSpec(target="P21", n_values=(10**4, 10**8, 10**12, 10**16),
                           replicates=500, grid=(1.0,), seed=SEED)
-    rep = run_ratio_flt(spec)
+    rep = run_experiment(spec)
     medians = [r["value"] for r in rep.rows if r["stat"] == "p21_median_sup"]
     ok_p21 = all(b < a for a, b in zip(medians, medians[1:])) and medians[-1] < 0.2
     report("c5 box-ratio uniformity", ok_p21,

@@ -94,6 +94,17 @@ def test_malformed_spec_exits_2(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path)]) == 2  # --spec required
 
 
+@pytest.mark.parametrize("spec_text", [
+    "target = A1\nn_values = 1\nreplicates = 5\n",           # log n = 0
+    "target = B1\nxi = const\nn_values = 100\nreplicates = 5\n",  # zero variance
+], ids=["A1_log_n_zero", "B1_constant_step"])
+def test_degenerate_scale_exits_2(tmp_path, capsys, spec_text):
+    spec_path = write(tmp_path, "degenerate.cfg", spec_text)
+    assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_oracle_verb(tmp_path, capsys):
     env = build_environment(StickLaw.beta(1.0), 2**-40, RngStream(17, 0))
     env_path = write(tmp_path, "env.json", env.to_json())

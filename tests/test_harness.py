@@ -7,18 +7,16 @@ from scipy.stats import ks_2samp
 
 from sievesim.harness import (
     ConfigurationError,
+    TARGETS,
     ExperimentSpec,
     Normalization,
     calibration_guard,
     ks_one_sample,
     ks_two_sample,
-    run_esf_flt,
     run_experiment,
-    run_prw_flt,
-    run_ratio_flt,
-    run_sieve_flt,
 )
-from sievesim.limits import normal_cdf
+from sievesim.limits import centering_prw, normal_cdf
+from sievesim.sampling import StickLaw
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +83,8 @@ def test_normalization_roundtrip_guard():
 def test_reports_are_bit_reproducible():
     spec = ExperimentSpec(target="A1", n_values=(10**6,), replicates=50,
                           grid=(0.5, 1.0), seed=11)
-    rep1 = run_sieve_flt(spec)
-    rep2 = run_sieve_flt(spec)
+    rep1 = run_experiment(spec)
+    rep2 = run_experiment(spec)
     assert list(rep1.csv_lines(timestamp=False)) == list(rep2.csv_lines(timestamp=False))
     j1, j2 = json.loads(rep1.to_json()), json.loads(rep2.to_json())
     j1["metadata"].pop("runtime_s"), j2["metadata"].pop("runtime_s")
@@ -96,14 +94,14 @@ def test_reports_are_bit_reproducible():
 def test_parallel_equals_serial():
     spec = ExperimentSpec(target="B1", n_values=(500.0,), replicates=40,
                           grid=(0.5, 1.0), seed=3)
-    rep1 = run_prw_flt(spec, jobs=1)
-    rep2 = run_prw_flt(spec, jobs=2)
+    rep1 = run_experiment(spec, jobs=1)
+    rep2 = run_experiment(spec, jobs=2)
     assert list(rep1.csv_lines(False)) == list(rep2.csv_lines(False))
 
 
 def test_csv_format():
     spec = ExperimentSpec(target="B1", n_values=(200.0,), replicates=5, grid=(1.0,), seed=4)
-    rep = run_prw_flt(spec)
+    rep = run_experiment(spec)
     lines = list(rep.csv_lines(timestamp=True))
     assert lines[0].startswith("#")
     assert lines[1] == "target,n,t,replicate,raw,normalized"
@@ -121,7 +119,7 @@ def test_csv_format():
 def test_sieve_runner_degenerate_grid_point():
     spec = ExperimentSpec(target="A1", n_values=(10**4,), replicates=30,
                           grid=(0.0, 1.0), seed=5)
-    rep = run_sieve_flt(spec)
+    rep = run_experiment(spec)
     row0 = [r for r in rep.rows if r.get("t") == 0.0][0]
     assert row0["stat"] == "report_only" and row0["passed"] is None
     assert any(r["stat"] == "ks_normal" for r in rep.rows)
@@ -131,7 +129,7 @@ def test_sieve_runner_degenerate_grid_point():
 def test_ratio_runner_endpoint_identities():
     spec = ExperimentSpec(target="A1", mode="ratio", n_values=(10**6,),
                           replicates=40, grid=(0.0, 0.5, 1.0), seed=6)
-    rep = run_ratio_flt(spec)
+    rep = run_experiment(spec)
     t1 = np.array([row[5] for row in rep.raw if row[2] == 1.0])
     assert np.all(t1 == 0.0)  # ratio 1 and centering 1 cancel exactly
     mid = [r for r in rep.rows if r.get("t") == 0.5][0]
@@ -141,7 +139,7 @@ def test_ratio_runner_endpoint_identities():
 def test_esf_runner_reports_equality_and_degenerate_t0():
     spec = ExperimentSpec(target="ESF_FLT", n_values=(2000,), replicates=60,
                           grid=(0.0, 1.0), seed=7, theta=1.0)
-    rep = run_esf_flt(spec)
+    rep = run_experiment(spec)
     stats = {r["stat"] for r in rep.rows}
     assert "ks_sieve_equality" in stats and "report_only" in stats
 
@@ -150,7 +148,7 @@ def test_t22_runner_smoke():
     spec = ExperimentSpec(target="T22", stick="exppareto", alpha=0.5,
                           n_values=(10**8,), replicates=50, grid=(1.0,), seed=8,
                           thresholds={"ks": 1.0})
-    rep = run_sieve_flt(spec)
+    rep = run_experiment(spec)
     assert rep.rows[0]["stat"] == "ks_two_sample"
 
 
@@ -184,9 +182,13 @@ def test_dispatcher_covers_every_target():
         ExperimentSpec(target="ESF_FLT", n_values=(1000,), replicates=40, grid=(1.0,),
                        seed=9, thresholds=small["thresholds"]),
     ]
+    metadata_keys = set()
     for spec in specs:
         rep = run_experiment(spec)
         assert rep.rows, spec.target
+        metadata_keys.add(tuple(sorted(rep.metadata)))
+    assert {spec.target for spec in specs} == set(TARGETS)
+    assert metadata_keys == {("binomial_regimes", "runtime_s", "seed", "version")}
 
 
 def test_ratio_t22_smoke():
@@ -200,7 +202,7 @@ def test_ratio_t22_smoke():
 def test_b1_covariance_structure_reported():
     spec = ExperimentSpec(target="B1", n_values=(2000.0,), replicates=600,
                           grid=(0.5, 1.0), seed=12)
-    rep = run_prw_flt(spec)
+    rep = run_experiment(spec)
     cov_rows = [r for r in rep.rows if r["stat"] == "cov"]
     assert len(cov_rows) == 1
     assert abs(cov_rows[0]["expected_corr"] - math.sqrt(0.5)) < 1e-12
@@ -208,13 +210,49 @@ def test_b1_covariance_structure_reported():
 
 def test_configuration_errors():
     with pytest.raises(ConfigurationError):
-        run_prw_flt(ExperimentSpec(target="B1", xi="pareto", xi_param=1.5,
-                                   n_values=(100.0,), replicates=5, grid=(1.0,)))
-    with pytest.raises(ConfigurationError):
-        run_sieve_flt(ExperimentSpec(target="B1", n_values=(100.0,), replicates=5))
+        run_experiment(ExperimentSpec(target="B1", xi="pareto", xi_param=1.5,
+                                      n_values=(100.0,), replicates=5, grid=(1.0,)))
     with pytest.raises(ConfigurationError):
         run_experiment(ExperimentSpec(target="P31", xi="pareto", xi_param=0.5,
                                       n_values=(100.0,), replicates=5, grid=(1.0,)))
+
+
+@pytest.mark.parametrize("stick_eta", [dict(eta="log1mstick", theta=1.0),
+                                       dict(dependence="sharedstick", theta=3.0)])
+def test_walk_centering_uses_the_step_laws_eta(stick_eta):
+    # eta = |log(1 - W)| comes from the stick law, not from (eta, eta_param)
+    n, theta = 1000.0, stick_eta["theta"]
+    spec = ExperimentSpec(target="B1", xi="logstick", n_values=(n,), replicates=20,
+                          grid=(0.5, 1.0), seed=13, thresholds={"ks": 1.0, "cov_tol": 10.0},
+                          **stick_eta)
+    rep = run_experiment(spec)
+    law = StickLaw.beta(theta)
+    m, s2 = law.mean_abs_log(), law.var_abs_log()
+    scale = math.sqrt(s2 * n / m**3)
+    for t in (0.5, 1.0):
+        center = centering_prw(("log1mstick", law), n, t, m)
+        raw = np.array([r[4] for r in rep.raw if r[2] == t])
+        normalized = np.array([r[5] for r in rep.raw if r[2] == t])
+        assert np.allclose(raw - normalized * scale, center, rtol=0.0, atol=1e-9 * n)
+
+
+def test_stream_ranges_are_checked_at_their_limits():
+    # reference streams: 64 per n, so several n values allow 64 grid points
+    grid64 = tuple(np.linspace(0.0, 1.0, 64))
+    grid65 = tuple(np.linspace(0.0, 1.0, 65))
+    for target, kw in (("A3", {"alpha": 1.5}), ("T22", {}), ("B3", {"xi_param": 1.5}),
+                       ("B4", {"xi_param": 0.5})):
+        ExperimentSpec(target=target, n_values=(1e4, 1e5), grid=grid64, **kw)
+        ExperimentSpec(target=target, n_values=(1e4,), grid=grid65, **kw)
+        with pytest.raises(ConfigurationError):
+            ExperimentSpec(target=target, n_values=(1e4, 1e5), grid=grid65, **kw)
+    # the sieve half of ESF_FLT and EQ starts at stream 2^20
+    for target in ("ESF_FLT", "EQ"):
+        ExperimentSpec(target=target, n_values=(100, 200), replicates=1 << 19)
+        with pytest.raises(ConfigurationError):
+            ExperimentSpec(target=target, n_values=(100, 200), replicates=(1 << 19) + 1)
+        with pytest.raises(ConfigurationError):
+            ExperimentSpec(target=target, n_values=(100,), replicates=(1 << 20) + 1)
 
 
 def test_calibration_guard_light():

@@ -86,8 +86,8 @@ def test_environment_extension_is_bitwise_consistent():
     env = build_environment(StickLaw.beta(1.0), 2**-10, RngStream(4, 0))
     rho(env, 1e9)  # forces lazy extension well past the initial depth
     fresh = path_from_sticks(env.sticks)
-    assert np.array_equal(fresh.s_values, env._s)
-    assert np.array_equal(fresh.t_values, env._t)
+    assert np.array_equal(fresh.s_values, env.prw_path().s_values)
+    assert np.array_equal(fresh.t_values, env.prw_path().t_values)
 
 
 def test_frozen_environment_raises_on_extension():

@@ -9,7 +9,6 @@ from conftest import exact_binomial_pmf
 from sievesim.harness import ks_one_sample, ks_two_sample
 from sievesim.sampling import (
     RngStream,
-    StableSpec,
     StickLaw,
     binomial_regime,
     lanczos_gamma,
@@ -257,15 +256,6 @@ def test_spectrally_negative_matches_reference_library():
     ref = levy_stable.rvs(1.5, -1.0, scale=sigma, size=10**5,
                           random_state=np.random.default_rng(18))
     assert ks_two_sample(s, ref) < 0.01
-
-
-def test_stable_spec_validation():
-    with pytest.raises(ValueError):
-        StableSpec(alpha=1.5, variant="subordinator")
-    with pytest.raises(ValueError):
-        StableSpec(alpha=0.5, variant="spectrally_negative")
-    spec = StableSpec(alpha=0.5, variant="subordinator")
-    assert spec.sample(RngStream(1, 0)) > 0.0
 
 
 # ---------------------------------------------------------------------------
