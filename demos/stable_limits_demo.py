@@ -44,6 +44,6 @@ print(f"\ninverse subordinator at t=1: closed-form sampler vs discretised path")
 print(f"  means {marg.mean():.4f} / {paths.mean():.4f}, two-sample KS = "
       f"{ks_two_sample(marg, paths):.4f}")
 
-rat = sample_inverse_ratio(0.5, 0.5, rng, 3000, step=1e-3)
+rat = sample_inverse_ratio(0.5, 0.5, rng, 3000)
 print(f"\ntime-reversal ratio at t=0.5: P(ratio = 0) = {np.mean(rat == 0):.3f} "
       f"(exact arcsine atom = 0.5)")

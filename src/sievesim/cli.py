@@ -196,9 +196,9 @@ def _selftest_checks():
         lambda: ks_two_sample([0.0], [1.0]) == 1.0)
     add("inverse subordinator path starts at zero",
         lambda: sampling.sample_inverse_subordinator_path(0.5, [0.0], 1e-3, rng)[0] == 0.0)
-    add("inverse ratio inside unit interval",
-        lambda: bool(np.all((lambda v: (v >= 0) & (v <= 1))(
-            limits.sample_inverse_ratio(0.5, 0.5, rng, 200, step=1e-3)))))
+    add("inverse ratio atom at alpha = t = 1/2 is 1/2",
+        lambda: abs(float(np.mean(limits.sample_inverse_ratio(0.5, 0.5, RngStream(5, 0), 10**5)
+                                  == 0.0)) - 0.5) < 0.01)
     return checks
 
 

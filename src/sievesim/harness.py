@@ -78,6 +78,13 @@ _GRID_STREAMS = 64
 _REFERENCE_BLOCK = {("A3", False): 0, ("T22", False): 0, ("T22", True): 4096,
                     ("A3", True): 8192, ("B3", False): 16384, ("B4", False): 16384}
 
+_CHOICES = {"mode": ("process", "ratio"), "stick": ("beta", "exppareto"),
+            "xi": ("exp", "pareto", "const", "logstick"), "eta": ("exp", "const", "log1mstick"),
+            "dependence": ("independent", "sharedstick"), "centering": ("u", "linear")}
+# the tail index a two-sample target's reference law takes: field, open range
+_TAIL_INDEX = {"A3": ("alpha", 1.0, 2.0), "T22": ("alpha", 0.0, 1.0),
+               "B3": ("xi_param", 1.0, 2.0), "B4": ("xi_param", 0.0, 1.0)}
+
 # Calibrated defaults; every one of these is a finite-n pilot value, not a
 # theory constant.  Spec files may override any key.
 DEFAULT_THRESHOLDS = {
@@ -163,10 +170,17 @@ class ExperimentSpec:
             raise ConfigurationError("replicates must be >= 1")
         if any(not 0.0 <= t <= 1.0 for t in self.grid):
             raise ConfigurationError("grid values must lie in [0, 1]")
-        if self.target == "A3" and self.stick == "exppareto" and not 1.0 < self.alpha < 2.0:
-            raise ConfigurationError("A3 requires a stick with tail index in (1, 2)")
-        if self.target == "T22" and not 0.0 < self.alpha < 1.0:
-            raise ConfigurationError("T22 requires a stick with tail index in (0, 1)")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigurationError(f"{name} must be one of {', '.join(allowed)}, "
+                                         f"not {getattr(self, name)!r}")
+        if self.target in _TAIL_INDEX:
+            name, lo, hi = _TAIL_INDEX[self.target]
+            if not lo < getattr(self, name) < hi:
+                raise ConfigurationError(f"{self.target} requires {name} in ({lo:g}, {hi:g}), "
+                                         "the tail index of its reference law")
+        if self.target not in _WALK + ("P33",) and any(n < 1 for n in self.n_values):
+            raise ConfigurationError(f"{self.target} rounds n to an integer: n_values must be >= 1")
         if (self.target in ("A3", "T22", "B3", "B4") and len(self.n_values) > 1
                 and len(self.grid) > _GRID_STREAMS):
             raise ConfigurationError(f"{self.target} with several n values takes at most "
@@ -177,11 +191,7 @@ class ExperimentSpec:
                                      "(the sieve half's streams start at 2^20)")
 
     def stick_law(self) -> StickLaw:
-        if self.stick == "beta":
-            return StickLaw.beta(self.theta)
-        if self.stick == "exppareto":
-            return StickLaw.exp_pareto(self.alpha)
-        raise ConfigurationError(f"unknown stick kind {self.stick!r}")
+        return StickLaw.beta(self.theta) if self.stick == "beta" else StickLaw.exp_pareto(self.alpha)
 
     def step_law(self) -> StepLaw:
         if self.dependence == "sharedstick":
@@ -393,11 +403,9 @@ def _reference(spec: ExperimentSpec, ratio: bool, i_n: int, j: int, t: float,
         s2 = sample_spectrally_negative_stable(a, rng, size)
         return t ** (1.0 / a) * s1 - t * (t ** (1.0 / a) * s1 + (1.0 - t) ** (1.0 / a) * s2)
     if target == "B4":
-        return np.asarray(sample_inverse_subordinator_marginal(spec.xi_param, float(t), rng, size))
+        return sample_inverse_subordinator_marginal(spec.xi_param, float(t), rng, size)
     if ratio:
         return sample_inverse_ratio(spec.alpha, t, rng, size)
-    if t >= 1.0:
-        return np.asarray(sample_inverse_subordinator_marginal(spec.alpha, 1.0, rng, size))
     return sample_inverse_reversal(spec.alpha, t, rng, size)
 
 
@@ -631,6 +639,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
     values and verdict rows.  The trend-and-bound targets run in one call.
     """
     target = spec.target
+    if not spec.n_values and target != "P33":
+        raise ConfigurationError(f"{target} needs n_values")
     report = ExperimentReport(spec)
     regimes = {}
     t_start = time.time()
@@ -706,7 +716,7 @@ def calibration_guard(seed: int = 0) -> list:
     w3 = sample_inverse_subordinator_marginal(0.5, 1.0, rng, 4000)
     w4 = sample_inverse_subordinator_marginal(0.5, 1.0, rng, 4000)
     add("mittag_leffler_two_sample_4000_at_0.05", ks_two_sample(w3, w4), 0.05)
-    r1 = sample_inverse_ratio(0.5, 0.5, rng, 4000, step=2e-4)
-    r2 = sample_inverse_ratio(0.5, 0.5, rng, 4000, step=2e-4)
+    r1 = sample_inverse_ratio(0.5, 0.5, rng, 4000)
+    r2 = sample_inverse_ratio(0.5, 0.5, rng, 4000)
     add("inverse_ratio_two_sample_4000_at_0.06", ks_two_sample(r1, r2), 0.06)
     return checks

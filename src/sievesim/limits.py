@@ -1,10 +1,9 @@
-"""Reference samplers and closed-form quantities for the limit objects:
-Brownian and bridge marginals, spectrally negative stable marginals, inverse
-stable subordinator time reversals and ratios, the normalizer c(x), and the
-deterministic centerings for both the sieve and the walk."""
+"""Reference samplers and closed-form quantities for the limit objects: exact
+inverse stable subordinator time reversals and ratios, the normal CDF, the
+normalizer c(x), and the deterministic centerings for both the sieve and the
+walk."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
@@ -12,16 +11,13 @@ from scipy.special import erfc
 from .sampling import (
     RngStream,
     StickLaw,
+    _kanter,
+    _open_unit,
     lanczos_gamma,
-    sample_inverse_subordinator_marginal,
-    sample_spectrally_negative_stable,
     sample_standard_positive_stable,
 )
 
 __all__ = [
-    "LimitLaw",
-    "sample_limit",
-    "sample_limit_many",
     "normal_cdf",
     "normalizer_c",
     "centering_u_v",
@@ -31,135 +27,62 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LimitLaw:
-    """Marginal limit law selector.
+def _passage_pair(alpha: float, level: float, rng: RngStream, size: int):
+    """Exact (W^<-(level), W^<-(1)) for 0 <= level <= 1, from one path of the
+    subordinator W with Laplace exponent Gamma(1-alpha) z**alpha.
 
-    kinds: brownian(t), bridge(t), stable(alpha in (1,2), t),
-    inverse_reversal(alpha in (0,1), t), inverse_ratio(alpha in (0,1), t).
+    W's Levy tail is y**(-alpha).  By the compensation formula (Bertoin, LNM
+    1717) the undershoot u at level is level * Beta(alpha, 1-alpha), the jump
+    over it is (level - u) * V**(-1/alpha), and given u the passage time is
+    u**alpha K(U*)**(-alpha) G**(1-alpha) / Gamma(1-alpha), with K Kanter's
+    function, G ~ Gamma(2-alpha) and U* on (0, pi) of density proportional
+    to K**(-alpha).  Level 1 is passed at the same time when the jump
+    crosses it, otherwise after the passage of the remaining gap by a fresh
+    path (strong Markov property).  At level 0 this is the exact marginal.
     """
-
-    kind: str
-    t: float
-    alpha: float | None = None
-
-    def __post_init__(self):
-        if self.kind in ("brownian", "bridge"):
-            if not 0.0 <= self.t <= 1.0:
-                raise ValueError("t must lie in [0, 1]")
-        elif self.kind == "stable":
-            if self.alpha is None or not 1.0 < self.alpha < 2.0:
-                raise ValueError("stable marginal requires alpha in (1, 2)")
-            if self.t < 0.0:
-                raise ValueError("t must be >= 0")
-        elif self.kind in ("inverse_reversal", "inverse_ratio"):
-            if self.alpha is None or not 0.0 < self.alpha < 1.0:
-                raise ValueError("inverse subordinator laws require alpha in (0, 1)")
-            if not 0.0 <= self.t <= 1.0:
-                raise ValueError("t must lie in [0, 1]")
-        else:
-            raise ValueError(f"unknown limit law kind: {self.kind!r}")
-
-
-_DEFAULT_MESH = 1e-4
-
-
-def _inverse_passage_pair(alpha: float, level_lo: float, rng: RngStream,
-                          size: int, step: float = _DEFAULT_MESH):
-    """First-passage lattice points (before passage) of levels (level_lo, 1).
-
-    Simulates `size` independent discretised subordinator paths; returns two
-    arrays (inverse at level_lo as a left limit, inverse at 1).  The left
-    limit uses the lattice point strictly below the first passage, which on a
-    mesh coincides with the inverse itself; the atoms at equal levels are
-    preserved because both values come from one path.
-    """
-    inc_scale = step ** (1.0 / alpha) * lanczos_gamma(1.0 - alpha) ** (1.0 / alpha)
-    out_lo = np.empty(size)
-    out_hi = np.empty(size)
-    chunk = 512
-    g = lanczos_gamma(1.0 - alpha) * lanczos_gamma(1.0 + alpha)
-    block = int(min(1 << 16, max(2048, 1.4 / (g * step))))
-    done = 0
-    while done < size:
-        m = min(chunk, size - done)
-        total = np.zeros(m)
-        lo_idx = np.full(m, -1, dtype=np.int64)
-        hi_idx = np.full(m, -1, dtype=np.int64)
-        offset = 0
-        while np.any(hi_idx < 0):
-            d = sample_standard_positive_stable(alpha, rng, size=(m, block))
-            seg = total[:, None] + np.cumsum(inc_scale * d, axis=1)
-            total = seg[:, -1].copy()
-            for level, idx in ((level_lo, lo_idx), (1.0, hi_idx)):
-                need = idx < 0
-                if not np.any(need):
-                    continue
-                passed = seg[need] > level
-                hit = passed.any(axis=1)
-                first = np.argmax(passed, axis=1)
-                rows = np.flatnonzero(need)[hit]
-                idx[rows] = offset + first[hit]
-            offset += block
-        out_lo[done:done + m] = lo_idx * step  # lattice point before passage
-        out_hi[done:done + m] = hi_idx * step
-        done += m
-    return out_lo, out_hi
+    gamma = lanczos_gamma(1.0 - alpha)
+    lo, gap = np.zeros(size), np.ones(size)
+    if level > 0.0:
+        under = level * rng.gen.beta(alpha, 1.0 - alpha, size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            jump = (level - under) * _open_unit(rng.gen, size) ** (-1.0 / alpha)
+        # K(U*) by rejection from the uniform angle, accepted with
+        # (K(0+)/K(U))**alpha; K >= K(0+), so a smaller value is underflow
+        k0 = alpha * (1.0 - alpha) ** ((1.0 - alpha) / alpha)
+        k = np.empty(size)
+        todo = np.arange(size)
+        while todo.size:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ku = np.maximum(_kanter(alpha, rng.gen.uniform(0.0, math.pi, todo.size)), k0)
+                keep = rng.gen.random(todo.size) < (k0 / ku) ** alpha
+            k[todo[keep]] = ku[keep]
+            todo = todo[~keep]
+        g = rng.gen.standard_gamma(2.0 - alpha, size)
+        lo = (under / k) ** alpha * g ** (1.0 - alpha) / gamma
+        gap = 1.0 - under - jump
+    hi = lo.copy()
+    rest = gap > 0.0
+    d = sample_standard_positive_stable(alpha, rng, int(np.count_nonzero(rest)))
+    hi[rest] += gap[rest] ** alpha / (gamma * d**alpha)
+    return lo, hi
 
 
-def sample_inverse_reversal(alpha: float, t: float, rng: RngStream, size=None,
-                            step: float = _DEFAULT_MESH):
-    """Draws of W^<-(1) - W^<-((1-t)-) from single subordinator paths."""
-    m = 1 if size is None else int(size)
-    if t >= 1.0:
-        lo = np.zeros(m)
-        _, hi = _inverse_passage_pair(alpha, 0.0, rng, m, step)
-    else:
-        lo, hi = _inverse_passage_pair(alpha, 1.0 - t, rng, m, step)
+def sample_inverse_reversal(alpha: float, t: float, rng: RngStream, size=None):
+    """Exact draws of W^<-(1) - W^<-((1-t)-) from single subordinator paths;
+    at t = 1 these are the draws of sample_inverse_subordinator_marginal."""
+    lo, hi = _passage_pair(alpha, 1.0 - min(t, 1.0), rng, 1 if size is None else int(size))
     out = hi - lo
     return float(out[0]) if size is None else out
 
 
-def sample_inverse_ratio(alpha: float, t: float, rng: RngStream, size=None,
-                         step: float = _DEFAULT_MESH):
-    """Draws of 1 - W^<-((1-t)-) / W^<-(1) from single subordinator paths."""
-    m = 1 if size is None else int(size)
-    if t >= 1.0:
-        out = np.ones(m)
-        return float(out[0]) if size is None else out
-    lo, hi = _inverse_passage_pair(alpha, 1.0 - t, rng, m, step)
-    # a single jump spanning both levels lands both passages in one lattice
-    # cell; the ratio degenerates to 1 - s*/s* = 0 there
-    with np.errstate(invalid="ignore"):
-        out = np.where(hi > 0.0, 1.0 - lo / np.where(hi > 0.0, hi, 1.0), 0.0)
+def sample_inverse_ratio(alpha: float, t: float, rng: RngStream, size=None):
+    """Exact draws of 1 - W^<-((1-t)-) / W^<-(1) from single subordinator
+    paths.  A jump that crosses both levels gives the atom at 0, of mass
+    I_{1-t}(alpha, 1-alpha) (the regularised incomplete beta function)."""
+    lo, hi = _passage_pair(alpha, 1.0 - min(t, 1.0), rng, 1 if size is None else int(size))
+    # hi == lo where the jump crosses both levels: the atom at 0
+    out = 1.0 - np.divide(lo, hi, out=np.ones_like(hi), where=hi > lo)
     return float(out[0]) if size is None else out
-
-
-def sample_limit(law: LimitLaw, rng: RngStream):
-    """One draw of the selected limit marginal."""
-    return sample_limit_many(law, rng, size=1)[0]
-
-
-def sample_limit_many(law: LimitLaw, rng: RngStream, size: int) -> np.ndarray:
-    """Vector of independent draws of the selected limit marginal."""
-    t = law.t
-    if law.kind == "brownian":
-        return math.sqrt(t) * rng.gen.standard_normal(size)
-    if law.kind == "bridge":
-        return math.sqrt(t * (1.0 - t)) * rng.gen.standard_normal(size)
-    if law.kind == "stable":
-        # self-similarity: S_alpha(t) = t**(1/alpha) S_alpha(1), by construction
-        return t ** (1.0 / law.alpha) * sample_spectrally_negative_stable(law.alpha, rng, size)
-    if law.kind == "inverse_reversal":
-        if t == 0.0:
-            return np.zeros(size)
-        if t == 1.0:
-            # left limit at 0 is 0, so the reversal is W^<-(1) itself
-            return np.asarray(sample_inverse_subordinator_marginal(law.alpha, 1.0, rng, size))
-        return sample_inverse_reversal(law.alpha, t, rng, size)
-    if t == 0.0:
-        return np.zeros(size)
-    return sample_inverse_ratio(law.alpha, t, rng, size)
 
 
 def normal_cdf(x):

@@ -351,22 +351,27 @@ def _chambers_mallows_stuck(alpha: float, beta: float, rng: RngStream, size):
         * (np.cos(v - alpha * (v + b)) / w) ** frac
 
 
+def _kanter(alpha: float, u):
+    """Kanter's function K(u) = sin(a u) sin((1-a) u)**((1-a)/a) / sin(u)**(1/a),
+    increasing on (0, pi) from K(0+) = a (1-a)**((1-a)/a) to infinity."""
+    num = np.sin(alpha * u) * np.sin((1.0 - alpha) * u) ** ((1.0 - alpha) / alpha)
+    return num / np.sin(u) ** (1.0 / alpha)
+
+
 def sample_standard_positive_stable(alpha: float, rng: RngStream, size=None, method: str = "kanter"):
     """Standard positive stable draw D with E exp(-z D) = exp(-z**alpha).
 
     Two independent constructions are provided so they can cross-check each
-    other: Kanter's representation (default) and the general
-    Chambers-Mallows-Stuck formula specialised to total positive skew.
+    other: Kanter's representation D = K(U) E**(-(1-alpha)/alpha) (default)
+    and the general Chambers-Mallows-Stuck formula specialised to total
+    positive skew.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if method == "kanter":
         u = rng.gen.uniform(0.0, math.pi, size)
         e = rng.gen.exponential(1.0, size)
-        frac = (1.0 - alpha) / alpha
-        num = np.sin(alpha * u) * np.sin((1.0 - alpha) * u) ** frac
-        den = np.sin(u) ** (1.0 / alpha)
-        d = (num / den) * e ** (-frac)
+        d = _kanter(alpha, u) * e ** (-((1.0 - alpha) / alpha))
     elif method == "cms":
         # rescale from Laplace exponent z^alpha / cos(pi alpha / 2)
         d = _chambers_mallows_stuck(alpha, 1.0, rng, size) \
@@ -424,12 +429,12 @@ def sample_inverse_subordinator_marginal(alpha: float, t: float, rng: RngStream,
     if t <= 0.0:
         raise ValueError("t must be > 0")
     d = sample_standard_positive_stable(alpha, rng, size)
-    return t**alpha / (lanczos_gamma(1.0 - alpha) * np.asarray(d) ** alpha) if size is not None \
-        else t**alpha / (lanczos_gamma(1.0 - alpha) * d**alpha)
+    return t**alpha / (lanczos_gamma(1.0 - alpha) * d**alpha)
 
 
 def sample_inverse_subordinator_path(alpha: float, grid, step: float, rng: RngStream):
-    """Inverse subordinator evaluated along grid, from one discretised path.
+    """Inverse subordinator along grid from one discretised path: the lattice
+    oracle that the exact inverse-subordinator samplers are checked against.
 
     The subordinator is simulated on an s-lattice of mesh ``step`` with i.i.d.
     increments step**(1/alpha) * Gamma(1-alpha)**(1/alpha) * D per cell.  For

@@ -105,6 +105,31 @@ def test_degenerate_scale_exits_2(tmp_path, capsys, spec_text):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec_text", [
+    "target = A3\nstick = beta\nn_values = 1e4\n",       # stable index alpha = 0.5
+    "target = B3\nxi = exp\nn_values = 100\n",           # stable index xi_param = 1
+    "target = B4\nxi = pareto\nn_values = 100\n",        # inverse index xi_param = 1
+    "target = A1\nn_values = 0.5\n",
+    "target = P21\n",
+    "target = A1\n",
+    "target = A1\nmode = rati\nn_values = 1e4\n",
+    "target = A1\ncentering = lin\nn_values = 1e4\n",
+    "target = B1\ndependence = shared\nn_values = 100\n",
+    "target = B1\nxi = foo\nn_values = 100\n",
+], ids=["A3_beta_stick", "B3_exp_steps", "B4_index_1", "A1_n_below_1", "P21_no_n",
+        "A1_no_n", "mode_typo", "centering_typo", "dependence_typo", "xi_unknown"])
+def test_bad_spec_exits_2_before_any_replicate(tmp_path, capsys, monkeypatch, spec_text):
+    def no_replicates(*args):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr("sievesim.harness._run_replicates", no_replicates)
+    spec_path = write(tmp_path, "bad.cfg", spec_text + "replicates = 5\n")
+    assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
 def test_oracle_verb(tmp_path, capsys):
     env = build_environment(StickLaw.beta(1.0), 2**-40, RngStream(17, 0))
     env_path = write(tmp_path, "env.json", env.to_json())

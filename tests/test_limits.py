@@ -1,21 +1,21 @@
 import math
+import time
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import betainc
 
-from sievesim.harness import ks_two_sample
+from sievesim.harness import ExperimentSpec, _reference, ks_two_sample
 from sievesim.limits import (
-    LimitLaw,
+    _passage_pair,
     centering_prw,
     centering_u_v,
     normal_cdf,
     normalizer_c,
     sample_inverse_ratio,
     sample_inverse_reversal,
-    sample_limit,
-    sample_limit_many,
 )
 from sievesim.sampling import (
     RngStream,
@@ -24,23 +24,6 @@ from sievesim.sampling import (
     sample_inverse_subordinator_path,
     sample_spectrally_negative_stable,
 )
-
-
-def test_limit_law_validation():
-    with pytest.raises(ValueError):
-        LimitLaw("stable", t=1.0, alpha=0.5)
-    with pytest.raises(ValueError):
-        LimitLaw("inverse_reversal", t=1.0, alpha=1.5)
-    with pytest.raises(ValueError):
-        LimitLaw("brownian", t=2.0)
-    with pytest.raises(ValueError):
-        LimitLaw("nope", t=0.5)
-
-
-def test_brownian_marginal_at_zero_time():
-    assert sample_limit(LimitLaw("brownian", t=0.0), RngStream(1, 0)) == 0.0
-    vals = sample_limit_many(LimitLaw("brownian", t=0.25), RngStream(1, 1), 10**5)
-    assert abs(float(np.var(vals)) - 0.25) < 0.01
 
 
 def test_reversal_at_t1_matches_marginal():
@@ -53,7 +36,7 @@ def test_reversal_at_t1_matches_marginal():
 
 
 def test_ratio_bounds_and_atom():
-    rat = sample_inverse_ratio(0.5, 0.5, RngStream(3, 0), 4000, step=2e-4)
+    rat = sample_inverse_ratio(0.5, 0.5, RngStream(3, 0), 4000)
     assert np.all((rat >= 0.0) & (rat <= 1.0))
     # one jump straddling both levels leaves no inner passage point: the
     # exact atom at 0 is (2/pi) arcsin(sqrt(1/2)) = 1/2 for alpha = 1/2
@@ -168,15 +151,59 @@ def test_centering_prw_forms():
 
 def test_stable_marginal_self_similarity():
     # code-path identity plus a sanity KS between the two routes
-    law = LimitLaw("stable", t=0.3, alpha=1.5)
-    a = sample_limit_many(law, RngStream(6, 0), 10**4)
+    a = _reference(ExperimentSpec(target="A3", alpha=1.5, seed=6), False, 0, 0, 0.3, 10**4)
     b = 0.3 ** (1.0 / 1.5) * sample_spectrally_negative_stable(1.5, RngStream(6, 1), 10**4)
     assert ks_two_sample(a, b) < 0.02
 
 
 def test_ratio_law_edge_times():
-    assert np.all(sample_limit_many(LimitLaw("inverse_ratio", t=0.0, alpha=0.5),
-                                    RngStream(7, 0), 100) == 0.0)
-    assert np.all(sample_limit_many(LimitLaw("inverse_ratio", t=1.0, alpha=0.5),
-                                    RngStream(7, 1), 100) == 1.0)
-    assert sample_limit(LimitLaw("inverse_reversal", t=0.0, alpha=0.5), RngStream(7, 2)) == 0.0
+    assert np.all(sample_inverse_ratio(0.5, 0.0, RngStream(7, 0), 100) == 0.0)
+    assert np.all(sample_inverse_ratio(0.5, 1.0, RngStream(7, 1), 100) == 1.0)
+    assert sample_inverse_reversal(0.5, 0.0, RngStream(7, 2)) == 0.0
+
+
+def _ks_critical(n, m):
+    """Two-sample KS critical value at level 1% (Smirnov's asymptotic form)."""
+    return math.sqrt(-0.5 * math.log(0.005) * (n + m) / (n * m))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_exact_passage_matches_independent_constructions(alpha):
+    # each passage time against the closed-form marginal at its level, the
+    # reversal and the ratio against one lattice path per draw, and the atom
+    # against the undershoot law: one jump crosses 1 - t and 1 exactly when the
+    # undershoot at level 1 lies below 1 - t, P = I_{1-t}(alpha, 1 - alpha)
+    n, m = 20000, 2000
+    step = 1e-4 if alpha == 0.8 else 1e-3
+    paths = np.array([sample_inverse_subordinator_path(alpha, [0.3, 0.7, 1.0], step,
+                                                       RngStream(40, i)) for i in range(m)])
+    for k, t in enumerate((0.3, 0.7)):
+        lo, hi = _passage_pair(alpha, 1.0 - t, RngStream(41, k), n)
+        marg_lo = sample_inverse_subordinator_marginal(alpha, 1.0 - t, RngStream(42, k), n)
+        marg_hi = sample_inverse_subordinator_marginal(alpha, 1.0, RngStream(43, k), n)
+        assert ks_two_sample(lo, marg_lo) < _ks_critical(n, n)
+        assert ks_two_sample(hi, marg_hi) < _ks_critical(n, n)
+        lat_lo, lat_hi = paths[:, 1 - k], paths[:, 2]
+        lat_ratio = 1.0 - np.divide(lat_lo, lat_hi, out=np.ones(m), where=lat_hi > lat_lo)
+        rev = sample_inverse_reversal(alpha, t, RngStream(44, k), n)
+        ratio = sample_inverse_ratio(alpha, t, RngStream(45, k), n)
+        assert ks_two_sample(rev, lat_hi - lat_lo) < _ks_critical(n, m)
+        assert ks_two_sample(ratio, lat_ratio) < _ks_critical(n, m)
+        atom = betainc(alpha, 1.0 - alpha, 1.0 - t)
+        assert abs(np.mean(ratio == 0.0) - atom) < 4.0 * math.sqrt(atom * (1.0 - atom) / n)
+
+
+def test_exact_passage_at_extreme_indices():
+    for alpha in (0.05, 0.95, 0.99):
+        for t in (0.3, 0.7):
+            lo, hi = _passage_pair(alpha, 1.0 - t, RngStream(46, 0), 10**4)
+            assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
+            rev = sample_inverse_reversal(alpha, t, RngStream(46, 1), 10**4)
+            ratio = sample_inverse_ratio(alpha, t, RngStream(46, 2), 10**4)
+            assert np.all(np.isfinite(rev)) and np.all(rev >= 0.0)
+            assert np.all(np.isfinite(ratio)) and np.all((ratio >= 0.0) & (ratio <= 1.0))
+    # a lattice walk's cell increments step**(1/alpha) underflow to 0 at
+    # alpha = 0.01, so it never passes level 1; the exact draws do not walk
+    start = time.perf_counter()
+    ratio = sample_inverse_ratio(0.01, 0.5, RngStream(46, 3), 10**4)
+    assert ratio.shape == (10**4,) and time.perf_counter() - start < 10.0
