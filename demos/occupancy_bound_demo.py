@@ -4,24 +4,16 @@ box-counting function: Monte Carlo left side against the computable envelope.
 Run:  python demos/occupancy_bound_demo.py
 """
 
-from sievesim.occupancy import (
-    DeterministicScheme,
-    approximation_bound_lhs_estimate,
-    approximation_bound_rhs,
-    bound_constant_x0,
-)
-from sievesim.sampling import RngStream
+from sievesim.harness import ExperimentSpec, run_experiment
 
-print(f"window constant x0 (root of x - x^0.75 = 1): {bound_constant_x0():.12f}\n")
+spec = ExperimentSpec(target="P41", n_values=(10**3, 10**4, 10**5, 10**6), replicates=300,
+                      seed=2, q=0.5)
+x0_row, *rows = run_experiment(spec).rows
+print(f"window constant x0 (root of x - x^0.75 = 1): {x0_row['value']:.12f}\n")
 
-g = DeterministicScheme.geometric(0.5)
-rng = RngStream(2, 0)
-grid = (0.25, 0.5, 0.75, 1.0)
 print("geometric(1/2) boxes: E sup_t |K_n(t) - reversed-count(t)| vs envelope")
 print(f"{'n':>10} {'lhs estimate':>16} {'envelope':>10}")
-for n in (10**3, 10**4, 10**5, 10**6):
-    mean, se = approximation_bound_lhs_estimate(g, n, 300, grid, rng)
-    eps = approximation_bound_rhs(g, n)
-    print(f"{n:>10} {mean:>10.3f} +- {se:.3f} {eps:>10.2f}")
+for row in rows:
+    print(f"{row['n']:>10} {row['lhs']:>10.3f} +- {row['stderr']:.3f} {row['threshold']:>10.2f}")
 print("\nthe envelope is loose by design; what matters is that it grows like")
 print("the counting function near the boundary while the left side stays flat")

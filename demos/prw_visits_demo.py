@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from sievesim.harness import ExperimentSpec, run_experiment
-from sievesim.prw import StepLaw, simulate_path, verify_lln_uniform
+from sievesim.prw import StepLaw, simulate_path
 from sievesim.sampling import RngStream
 
 rng = RngStream(1, 0)
@@ -21,9 +21,10 @@ for x in (2.0, 5.0, 10.0, 20.0):
     print(f"  N({x:>4}) = {path.count_visits(x):2d}   nu({x:>4}) = {path.count_renewals(x):2d}"
           f"   (visits never exceed renewals)")
 
-rep = verify_lln_uniform(law, [100, 1000, 10**4], 300, [0.25, 0.5, 0.75, 1.0], rng)
+rep = run_experiment(ExperimentSpec(target="P31", n_values=(100, 1000, 10**4), replicates=300,
+                                    grid=(0.25, 0.5, 0.75, 1.0), seed=1))
 print("\nuniform LLN: median sup_t |m(N(n) - N(n(1-t)-))/n - t|")
-for row in rep.table:
+for row in rep.rows[:-1]:
     print(f"  n = {int(row['n']):>6}: median = {row['median']:.4f}")
 
 print("\nvisit-count limits (KS against the limit marginal; the acceptance")

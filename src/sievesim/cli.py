@@ -7,6 +7,7 @@ spec-file error.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -15,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .harness import ConfigurationError, ExperimentSpec, ks_two_sample, run_experiment
-from .occupancy import SieveEnvironment
-from .prw import path_from_sticks
+from .occupancy import SieveEnvironment, rho
 from .sampling import RngStream
 
 __all__ = ["main", "parse_spec_file", "SpecFileError"]
@@ -31,7 +31,7 @@ class SpecFileError(Exception):
 
 _LIST_KEYS = {"n_values", "grid", "x_values", "y_values"}
 _INT_KEYS = {"replicates", "seed"}
-_FLOAT_KEYS = {"theta", "alpha", "xi_param", "eta_param", "q", "b", "c", "min_mass"}
+_FLOAT_KEYS = {"theta", "alpha", "xi_param", "eta_param", "q", "b", "c"}
 _STR_KEYS = {"target", "mode", "stick", "xi", "eta", "dependence", "centering"}
 
 
@@ -85,15 +85,14 @@ def parse_spec_file(path) -> ExperimentSpec:
 def _cmd_run(args, emit_only: bool = False) -> int:
     spec = parse_spec_file(args.spec)
     if args.seed is not None:
-        spec = ExperimentSpec(**{**_spec_dict(spec), "seed": args.seed})
-    report = run_experiment(spec, jobs=args.jobs)
+        spec = dataclasses.replace(spec, seed=args.seed)
+    try:
+        report = run_experiment(spec, jobs=args.jobs)
+    except ConfigurationError as exc:
+        raise SpecFileError(args.spec, 0, str(exc)) from None
     stem = Path(args.spec).stem
     if emit_only:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / f"{stem}.csv"
-        csv_path.write_text("\n".join(report.csv_lines(not args.no_timestamp)) + "\n")
-        print(f"wrote {csv_path}")
+        print(f"wrote {report.write_csv(args.out, stem, timestamp=not args.no_timestamp)}")
         return 0
     csv_path, json_path = report.write(args.out, stem, timestamp=not args.no_timestamp)
     print(f"wrote {csv_path} and {json_path}")
@@ -105,23 +104,15 @@ def _cmd_run(args, emit_only: bool = False) -> int:
     return 0 if not failed else 1
 
 
-def _spec_dict(spec: ExperimentSpec) -> dict:
-    from dataclasses import asdict
-
-    return asdict(spec)
-
-
 def _cmd_oracle(args) -> int:
     """Replay a stored environment and confirm the counting identity
     rho*(x) = N(log x) at 50 points."""
     text = Path(args.spec).read_text()
     env = SieveEnvironment.from_json(text)
-    path = path_from_sticks(env.sticks)
+    path = env.prw_path()
     horizon = path.horizon
     rng = RngStream(args.seed if args.seed is not None else 0, 0)
     xs = np.exp(rng.gen.uniform(0.0, horizon * 0.999, size=50))
-    from .occupancy import rho
-
     bad = []
     for x in xs:
         lhs = rho(env, float(x))

@@ -9,6 +9,7 @@ calibrated in every report rather than presented as theory constants.
 
 import json
 import math
+import pathlib
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -28,20 +29,14 @@ from .limits import (
 )
 from .occupancy import (
     DeterministicScheme,
-    approximation_bound_lhs_estimate,
     approximation_bound_rhs,
+    approximation_sup,
     bound_constant_x0,
     build_environment,
     k_process,
     occupy_sieve,
 )
-from .prw import (
-    StepLaw,
-    verify_lln_uniform,
-    verify_visit_increment_bound,
-    verify_window_growth,
-    visit_process,
-)
+from .prw import StepLaw, lln_sup_deviation, max_window_count, simulate_path, visit_process
 from .sampling import (
     RngStream,
     StickLaw,
@@ -70,11 +65,13 @@ _SIEVE = ("A1", "A2", "A3", "T22")
 _WALK = ("B1", "B2", "B3", "B4")
 
 # Stream layout and its limits: README, Reproducibility.  Replicate r of the
-# i-th n draws from stream i * replicates + r (+ 2^20 for the sieve half of
-# ESF_FLT and EQ); reference draws take _GRID_STREAMS streams per n.
+# i-th n (of the i-th y for P33) draws from stream i * replicates + r (+ 2^20
+# for the sieve half of ESF_FLT and EQ); reference draws take _GRID_STREAMS
+# streams per n.
 _SIEVE_STREAM_BASE = 1 << 20
 _REFERENCE_STREAM_BASE = 1 << 40
 _GRID_STREAMS = 64
+_MIN_MASS = 2.0**-80  # the sieve environment resolves every box above this mass
 _REFERENCE_BLOCK = {("A3", False): 0, ("T22", False): 0, ("T22", True): 4096,
                     ("A3", True): 8192, ("B3", False): 16384, ("B4", False): 16384}
 
@@ -158,7 +155,6 @@ class ExperimentSpec:
     c: float = 0.5                 # power normalisation (P32)
     x_values: tuple = ()
     y_values: tuple = ()
-    min_mass: float = 2.0**-80
     centering: str = "u"           # "u" (integral form) | "linear" (mu^-1 t log n,
                                    # valid whenever E|log(1-W)| < inf kills v_n)
     thresholds: dict = field(default_factory=dict, hash=False)
@@ -181,6 +177,14 @@ class ExperimentSpec:
                                          "the tail index of its reference law")
         if self.target not in _WALK + ("P33",) and any(n < 1 for n in self.n_values):
             raise ConfigurationError(f"{self.target} rounds n to an integer: n_values must be >= 1")
+        if self.target == "P31" and not math.isfinite(self.step_law().mean_xi()):
+            raise ConfigurationError("P31 requires a step law with finite mean")
+        if self.target == "P32" and not (self.b > 0.0 and self.c > 0.0):
+            raise ConfigurationError("P32 requires b > 0 and c > 0")
+        if self.target == "P33" and not (self.x_values and self.y_values and self.replicates >= 2):
+            raise ConfigurationError("P33 needs x_values, y_values and replicates >= 2")
+        if self.target == "P41" and (self.replicates < 100 or any(n < 3 for n in self.n_values)):
+            raise ConfigurationError("P41 needs replicates >= 100 and n_values >= 3")
         if (self.target in ("A3", "T22", "B3", "B4") and len(self.n_values) > 1
                 and len(self.grid) > _GRID_STREAMS):
             raise ConfigurationError(f"{self.target} with several n values takes at most "
@@ -245,14 +249,16 @@ class ExperimentReport:
         for target, n, t, r, rv, nv in self.raw:
             yield f"{target},{n!r},{t!r},{r},{rv!r},{nv!r}"
 
-    def write(self, out_dir, stem: str, timestamp: bool = True):
-        import pathlib
-
+    def write_csv(self, out_dir, stem: str, timestamp: bool = True):
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         csv_path = out / f"{stem}.csv"
         csv_path.write_text("\n".join(self.csv_lines(timestamp)) + "\n")
-        json_path = out / f"{stem}.json"
+        return csv_path
+
+    def write(self, out_dir, stem: str, timestamp: bool = True):
+        csv_path = self.write_csv(out_dir, stem, timestamp)
+        json_path = csv_path.with_suffix(".json")
         json_path.write_text(self.to_json() + "\n")
         return csv_path, json_path
 
@@ -294,32 +300,17 @@ class _SieveTask:
     grid: tuple
     seed: int
     stream_base: int
-    min_mass: float
     sup: bool = False  # also compute the exact sup_t |K_n(t)/K_n - t| (P21)
 
 
 def _sieve_replicate(task: _SieveTask, rep: int):
     rng = RngStream(task.seed, task.stream_base + rep)
     regimes = {}
-    env = build_environment(task.law, task.min_mass, rng)
+    env = build_environment(task.law, _MIN_MASS, rng)
     occ = occupy_sieve(env, task.n, rng, regimes)
     kp = k_process(occ, task.grid)
     sup = _ratio_sup_deviation(occ.count_values(), task.n) if task.sup else None
     return kp.values.tolist(), kp.k_total, regimes, sup
-
-
-@dataclass(frozen=True)
-class _PrwTask:
-    law: StepLaw
-    n: float
-    grid: tuple
-    seed: int
-    stream_base: int
-
-
-def _prw_replicate(task: _PrwTask, rep: int):
-    rng = RngStream(task.seed, task.stream_base + rep)
-    return visit_process(task.law, task.n, task.grid, rng).tolist()
 
 
 @dataclass(frozen=True)
@@ -337,6 +328,34 @@ def _ewens_replicate(task: _EwensTask, rep: int):
     draw = sample_cycles_feller if task.sampler == "feller" else sample_cycles_crp
     counts = draw(task.n, task.theta, rng)
     return c_process(counts, task.grid).tolist()
+
+
+@dataclass(frozen=True)
+class _StatTask:
+    """A per-replicate statistic of a fresh stream, stat(rng): the walk's
+    visit process (B1..B4) or a trend-and-bound target's statistic."""
+    stat: partial
+    seed: int
+    stream_base: int
+
+
+def _stat_replicate(task: _StatTask, rep: int):
+    return task.stat(RngStream(task.seed, task.stream_base + rep))
+
+
+def _lln_stat(law: StepLaw, n: float, grid: tuple, rng: RngStream) -> float:
+    return lln_sup_deviation(simulate_path(law, n, rng), n, grid, law.mean_xi())
+
+
+def _window_stat(law: StepLaw, n: float, b: float, c: float, rng: RngStream) -> float:
+    return n ** (-c) * max_window_count(simulate_path(law, n + b, rng), b, n)
+
+
+def _increment_stat(law: StepLaw, x_values: tuple, y: float, rng: RngStream) -> list:
+    """N(x+y) - N(x) for each x on one path, then nu(y) on a fresh path."""
+    path = simulate_path(law, max(x_values) + y, rng)
+    increments = [path.count_visits(x + y) - path.count_visits(x) for x in x_values]
+    return increments + [simulate_path(law, y, rng).count_renewals(y)]
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +500,12 @@ def _process_step(spec, law, i_n, nf, draw, report):
     if walk:
         n = x = float(nf)
         mean, var, alpha = law.mean_xi(), law.var_xi(), spec.xi_param
-        task = _PrwTask(law, n, grid, spec.seed, base)
+        task = _StatTask(partial(visit_process, law, n, grid), spec.seed, base)
     else:
         n = int(nf)
         x = math.log(n)
         mean, var, alpha = law.mean_abs_log(), law.var_abs_log(), spec.alpha
-        task = _SieveTask(law, n, grid, spec.seed, base, spec.min_mass)
+        task = _SieveTask(law, n, grid, spec.seed, base)
     scale = _scale(spec, n, _process_scale, regime, mean, var, x, alpha)
     values, _ = draw(task)
     normalized_by_t = {}
@@ -527,7 +546,7 @@ def _ratio_step(spec, law, i_n, nf, draw, report):
         scale = _scale(spec, n, _bridge_scale, target, law, logn, spec.alpha)
         u1, v1 = centering_u_v(law, n, 1.0)
     values, results = draw(_SieveTask(law, n, tuple(spec.grid), spec.seed,
-                                      i_n * spec.replicates, spec.min_mass, target == "P21"))
+                                      i_n * spec.replicates, target == "P21"))
     totals = np.asarray([r[1] for r in results], dtype=float)  # K_n >= 1 as n >= 1
     if target == "P21":
         sups = np.asarray([r[3] for r in results])
@@ -566,7 +585,7 @@ def _permutation_step(spec, law, i_n, nf, draw, report):
         scale = _scale(spec, n, math.sqrt, spec.theta * logn)
     grid, base = tuple(spec.grid), i_n * spec.replicates
     cycles, _ = draw(_EwensTask(n, spec.theta, grid, spec.seed, base, "feller" if esf else "crp"))
-    boxes, _ = draw(_SieveTask(law, n, grid, spec.seed, _SIEVE_STREAM_BASE + base, spec.min_mass))
+    boxes, _ = draw(_SieveTask(law, n, grid, spec.seed, _SIEVE_STREAM_BASE + base))
     for j, t in enumerate(spec.grid):
         raw = cycles[:, j]
         equality = ks_two_sample(raw, boxes[:, j])
@@ -584,45 +603,66 @@ def _permutation_step(spec, law, i_n, nf, draw, report):
                                        sd=math.sqrt(t)))
 
 
-# ---------------------------------------------------------------------------
-# trend-and-bound targets
-# ---------------------------------------------------------------------------
+def _mean_se(values) -> tuple:
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
-def _bound_rows(spec: ExperimentSpec) -> list:
-    """Rows of the targets that check a trend or a bound over all n at once
-    (P31, P32, P33 on the walk, P41 on a geometric scheme), from stream 0."""
-    rng = RngStream(spec.seed, 0)
-    target = spec.target
-    if target == "P41":
-        scheme = DeterministicScheme.geometric(spec.q)
-        x0 = bound_constant_x0()
-        rows = [{"stat": "x0_equation", "value": x0, "threshold": 1e-10,
-                 "passed": bool(abs(x0 - x0**0.75 - 1.0) < 1e-10)}]
-        for nf in spec.n_values:
-            n = int(nf)
-            eps = approximation_bound_rhs(scheme, n)
-            mean, se = approximation_bound_lhs_estimate(scheme, n, spec.replicates,
-                                                        spec.grid, rng)
-            # the bound is asymptotic; hard-fail only on a clear violation
-            rows.append({"n": n, "stat": "approx_bound", "lhs": mean,
-                         "stderr": se, "value": mean, "threshold": eps,
-                         "passed": bool(mean <= eps + 3.0 * se)})
-        return rows
-    law, n_values = spec.step_law(), [int(n) for n in spec.n_values]
-    if target == "P31":
-        if not math.isfinite(law.mean_xi()):
-            raise ConfigurationError("P31 requires a step law with finite mean")
-        check = verify_lln_uniform(law, n_values, spec.replicates, spec.grid, rng)
-    elif target == "P32":
-        check = verify_window_growth(law, n_values, spec.b, spec.c, spec.replicates, rng)
+def _bound_step(spec, law, i_n, nf, draw, report):
+    """One n's per-replicate statistic of a trend-and-bound target: the
+    walk's uniform-LLN deviation (P31) or scaled maximal window count (P32),
+    summarised for the trend over n, or the geometric scheme's approximation
+    sup against its envelope (P41)."""
+    n = int(nf)
+    if spec.target == "P41":
+        stat = partial(approximation_sup, law, n)
     else:
-        check = verify_visit_increment_bound(law, list(spec.x_values),
-                                             list(spec.y_values), spec.replicates, rng)
-    rows = [{**row, "stat": check.name, "passed": row.get("ok")} for row in check.table]
-    rows.append({"stat": f"{check.name}_verdict", "value": None,
-                 "threshold": None, "passed": bool(check.passed)})
-    return rows
+        n = float(n)
+        stat = (partial(_lln_stat, law, n, tuple(spec.grid)) if spec.target == "P31"
+                else partial(_window_stat, law, n, spec.b, spec.c))
+    stats, _ = draw(_StatTask(stat, spec.seed, i_n * spec.replicates))
+    report.add_raw(n, 1.0, stats, stats)
+    if spec.target == "P31":
+        report.rows.append({"n": n, "median": float(np.median(stats)),
+                            "mean": float(np.mean(stats)), "stat": "lln_uniform", "passed": None})
+    elif spec.target == "P32":
+        report.rows.append({"n": n, "q95": float(np.quantile(stats, 0.95)),
+                            "median": float(np.median(stats)), "stat": "window_growth",
+                            "passed": None})
+    else:
+        mean, se = _mean_se(stats)
+        eps = approximation_bound_rhs(law, n)
+        # the bound is asymptotic; hard-fail only on a clear violation
+        report.rows.append({"n": n, "stat": "approx_bound", "lhs": mean, "stderr": se,
+                            "value": mean, "threshold": eps,
+                            "passed": bool(mean <= eps + 3.0 * se)})
+
+
+def _increment_step(spec, law, i_y, y, draw, report):
+    """E(N(x+y) - N(x)) <= E nu(y) + 3 combined stderr at one y, each x (P33)."""
+    y = float(y)
+    stats, _ = draw(_StatTask(partial(_increment_stat, law, tuple(spec.x_values), y),
+                              spec.seed, i_y * spec.replicates))
+    renewals = stats[:, -1]
+    u, u_se = _mean_se(renewals)
+    for j, x in enumerate(spec.x_values):
+        report.add_raw(y, float(x), stats[:, j], renewals)
+        lhs, lhs_se = _mean_se(stats[:, j])
+        se = math.hypot(lhs_se, u_se)
+        ok = lhs <= u + 3.0 * se
+        report.rows.append({"x": float(x), "y": y, "lhs": lhs, "u": u, "stderr": se, "ok": ok,
+                            "stat": "visit_increment_bound", "passed": ok})
+
+
+def _trend_row(stat, values, strict=True, final=None) -> dict:
+    """Verdict on per-n summaries: decreasing along n, strictly or (strict =
+    False) weakly with the last value below the first, and below final."""
+    pairs = list(zip(values, values[1:]))
+    passed = (all(b < a for a, b in pairs) if strict
+              else all(b <= a for a, b in pairs) and values[-1] < values[0])
+    if final is not None:
+        passed = passed and values[-1] < final
+    return {"n": None, "t": None, "stat": stat, "value": values, "threshold": final,
+            "passed": bool(passed)}
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +676,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
     One pass over n_values: for each n the target's step checks its scale,
     draws that n's replicate columns through `draw` (the only place
     replicates run, serially or on `jobs` worker processes) and appends raw
-    values and verdict rows.  The trend-and-bound targets run in one call.
+    values and verdict rows; P33 steps through y_values instead.  Trend
+    verdicts over all n close the report.
     """
     target = spec.target
     if not spec.n_values and target != "P33":
@@ -647,8 +688,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
 
     def draw(task):
         """One n's replicate columns, and each replicate's full result."""
-        worker = {_SieveTask: _sieve_replicate, _PrwTask: _prw_replicate,
-                  _EwensTask: _ewens_replicate}[type(task)]
+        worker = {_SieveTask: _sieve_replicate, _EwensTask: _ewens_replicate,
+                  _StatTask: _stat_replicate}[type(task)]
         results = _run_replicates(partial(worker, task), spec.replicates, jobs)
         if worker is not _sieve_replicate:
             return np.asarray(results, dtype=float), results
@@ -657,25 +698,34 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
                 regimes[k] = regimes.get(k, 0) + v
         return np.asarray([r[0] for r in results], dtype=float), results
 
-    if target in ("P31", "P32", "P33", "P41"):
-        report.rows = _bound_rows(spec)
+    n_values = spec.n_values
+    if target == "P41":
+        law, step = DeterministicScheme.geometric(spec.q), _bound_step
+        x0 = bound_constant_x0()
+        report.rows.append({"stat": "x0_equation", "value": x0, "threshold": 1e-10,
+                            "passed": bool(abs(x0 - x0**0.75 - 1.0) < 1e-10)})
+    elif target == "P33":
+        law, step, n_values = spec.step_law(), _increment_step, spec.y_values
+    elif target in _WALK + ("P31", "P32"):
+        law, step = spec.step_law(), _bound_step if target in ("P31", "P32") else _process_step
+    elif target in ("ESF_FLT", "EQ"):
+        law, step = StickLaw.beta(spec.theta), _permutation_step
     else:
-        if target in _WALK:
-            law, step = spec.step_law(), _process_step
-        elif target in ("ESF_FLT", "EQ"):
-            law, step = StickLaw.beta(spec.theta), _permutation_step
-        else:
-            law = spec.stick_law()
-            step = _ratio_step if target == "P21" or spec.mode == "ratio" else _process_step
-        for i_n, nf in enumerate(spec.n_values):
-            step(spec, law, i_n, nf, draw, report)
-        if target == "P21":
-            medians = [row["value"] for row in report.rows]
-            final = spec.threshold("p21_final")
-            report.rows.append({"n": None, "t": None, "stat": "p21_trend", "value": medians,
-                                "threshold": final,
-                                "passed": bool(all(b < a for a, b in zip(medians, medians[1:]))
-                                               and medians[-1] < final)})
+        law = spec.stick_law()
+        step = _ratio_step if target == "P21" or spec.mode == "ratio" else _process_step
+    for i_n, nf in enumerate(n_values):
+        step(spec, law, i_n, nf, draw, report)
+    if target == "P21":
+        report.rows.append(_trend_row("p21_trend", [row["value"] for row in report.rows],
+                                      final=spec.threshold("p21_final")))
+    elif target == "P31":
+        report.rows.append(_trend_row("lln_uniform_verdict", [row["median"] for row in report.rows]))
+    elif target == "P32":
+        report.rows.append(_trend_row("window_growth_verdict", [row["q95"] for row in report.rows],
+                                      strict=False))
+    elif target == "P33":
+        report.rows.append({"stat": "visit_increment_bound_verdict", "value": None,
+                            "threshold": None, "passed": all(row["ok"] for row in report.rows)})
     report.metadata = {"seed": spec.seed, "runtime_s": time.time() - t_start,
                        "binomial_regimes": regimes, "version": __version__}
     return report

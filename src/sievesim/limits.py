@@ -13,7 +13,6 @@ from .sampling import (
     StickLaw,
     _kanter,
     _open_unit,
-    lanczos_gamma,
     sample_standard_positive_stable,
 )
 
@@ -40,7 +39,7 @@ def _passage_pair(alpha: float, level: float, rng: RngStream, size: int):
     crosses it, otherwise after the passage of the remaining gap by a fresh
     path (strong Markov property).  At level 0 this is the exact marginal.
     """
-    gamma = lanczos_gamma(1.0 - alpha)
+    gamma = math.gamma(1.0 - alpha)
     lo, gap = np.zeros(size), np.ones(size)
     if level > 0.0:
         under = level * rng.gen.beta(alpha, 1.0 - alpha, size)

@@ -29,7 +29,7 @@ __all__ = [
     "reversed_rho_increment",
     "bound_constant_x0",
     "approximation_bound_rhs",
-    "approximation_bound_lhs_estimate",
+    "approximation_sup",
     "expected_occupancy_oracle",
 ]
 
@@ -540,28 +540,19 @@ def _sup_abs_difference(count_values: np.ndarray, g_locations: np.ndarray, n: in
     return best
 
 
-def approximation_bound_lhs_estimate(scheme: DeterministicScheme, n: int, replicates: int,
-                                     grid, rng: RngStream):
-    """Monte Carlo estimate of E sup_t |K_n(t) - (rho(n) - rho(n^(1-t)-))|.
+def approximation_sup(scheme: DeterministicScheme, n: int, rng: RngStream) -> int:
+    """sup_t |K_n(t) - (rho(n) - rho(n^(1-t)-))| for one occupancy of the scheme.
 
-    The sup per replicate is exact: both arguments are step functions, so it
-    is attained on the union of their jump locations (grid points add
-    nothing, but the walk includes them implicitly by evaluating every
-    plateau).  Returns (mean, stderr).
+    Exact: both arguments are step functions, so the sup is attained on the
+    union of their jump locations.  Its mean over replicates estimates the
+    left side of the bound that approximation_bound_rhs envelopes.
     """
-    if replicates < 100:
-        raise ValueError("need at least 100 replicates")
-    n = int(n)
     logn = math.log(n)
     # g jumps once per box with 1/n < p_k <= 1, at t = 1 + log(p_k)/log(n)
     k_lo = scheme.last_index_gt(Fraction(1) / Fraction(n))
     g_locs = np.array([1.0 + math.log(scheme.prob(k)) / logn for k in range(1, k_lo + 1)])
-    g_locs = np.clip(g_locs, 0.0, 1.0)
-    sups = np.empty(replicates)
-    for r in range(replicates):
-        occ = occupy_scheme(scheme, n, rng)
-        sups[r] = _sup_abs_difference(occ.count_values(), g_locs, n)
-    return float(np.mean(sups)), float(np.std(sups, ddof=1) / math.sqrt(replicates))
+    occ = occupy_scheme(scheme, n, rng)
+    return _sup_abs_difference(occ.count_values(), np.clip(g_locs, 0.0, 1.0), n)
 
 
 # ---------------------------------------------------------------------------

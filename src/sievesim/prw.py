@@ -1,6 +1,6 @@
 """Perturbed random walks T_k = S_{k-1} + eta_k, their visit counts N(x), the
-renewal counts nu(t), and Monte Carlo checks of the uniform law of large
-numbers, window-growth and increment-bound properties."""
+renewal counts nu(t), and the per-path statistics of the uniform law of
+large numbers and window-growth checks."""
 
 import json
 import math
@@ -18,9 +18,8 @@ __all__ = [
     "count_visits",
     "count_renewals",
     "visit_process",
-    "verify_lln_uniform",
-    "verify_window_growth",
-    "verify_visit_increment_bound",
+    "lln_sup_deviation",
+    "max_window_count",
 ]
 
 
@@ -243,54 +242,29 @@ def visit_process(law: StepLaw, n: float, grid, rng: RngStream) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo property checks
+# per-path statistics of the uniform LLN and window-growth checks
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PrwReport:
-    """Summary of one replicated check; `table` rows are plain dicts."""
-
-    name: str
-    table: list
-    passed: bool
-
-
-def verify_lln_uniform(law: StepLaw, n_values, replicates: int, grid, rng: RngStream) -> PrwReport:
-    """Distribution of sup_t |m (N(n) - N(n(1-t)-)) / n - t| across replicates.
-
-    Requires E xi < infinity; reports per-n medians, which should decrease.
-    Left limits use the strict count.
-    """
-    m = law.mean_xi()
-    if not math.isfinite(m):
-        raise ValueError("law has E xi = inf; uniform LLN check needs a finite mean")
-    grid = np.asarray(grid, dtype=float)
-    rows = []
-    for n in n_values:
-        stats = np.empty(replicates)
-        for r in range(replicates):
-            path = simulate_path(law, float(n), rng)
-            nn = path.count_visits(float(n))
-            sup = 0.0
-            for t in grid:
-                left = path.count_visits_strict(float(n) * (1.0 - t))
-                sup = max(sup, abs(m * (nn - left) / float(n) - t))
-            stats[r] = sup
-        rows.append({"n": float(n), "median": float(np.median(stats)),
-                     "mean": float(np.mean(stats))})
-    medians = [row["median"] for row in rows]
-    passed = all(b < a for a, b in zip(medians, medians[1:]))
-    return PrwReport("lln_uniform", rows, passed)
+def lln_sup_deviation(path: PrwPath, n: float, grid, m: float) -> float:
+    """sup over the grid of |m (N(n) - N(n(1-t)-)) / n - t| on one path
+    (m = E xi < infinity); left limits use the strict count."""
+    nn = path.count_visits(n)
+    sup = 0.0
+    for t in grid:
+        left = path.count_visits_strict(n * (1.0 - t))
+        sup = max(sup, abs(m * (nn - left) / n - t))
+    return sup
 
 
-def _max_window_count(t_sorted: np.ndarray, b: float, n: float) -> int:
+def max_window_count(path: PrwPath, b: float, n: float) -> int:
     """Exact sup over t in [0,1] of N(nt+b) - N(nt) = #{T in (nt, nt+b]}.
 
     The supremum over window positions a = nt in [0, n] is attained with a
     just below some point T_i (window [T_i, T_i+b)) or at a = 0; ties have
     probability zero for continuous laws.
     """
+    t_sorted = path._t_sorted
     if len(t_sorted) == 0:
         return 0
     best = int(np.searchsorted(t_sorted, b, side="right"))  # a = 0 window (0, b]
@@ -300,48 +274,3 @@ def _max_window_count(t_sorted: np.ndarray, b: float, n: float) -> int:
         hi = np.searchsorted(t_sorted, starts + b, side="left")
         best = max(best, int(np.max(hi - lo)))
     return best
-
-
-def verify_window_growth(law: StepLaw, n_values, b: float, c: float,
-                         replicates: int, rng: RngStream) -> PrwReport:
-    """Distribution of n**(-c) * sup_t (N(nt+b) - N(nt)); upper quantiles
-    should decrease toward zero along n."""
-    if b <= 0 or c <= 0:
-        raise ValueError("b and c must be > 0")
-    rows = []
-    for n in n_values:
-        stats = np.empty(replicates)
-        for r in range(replicates):
-            path = simulate_path(law, float(n) + b, rng)
-            stats[r] = float(n) ** (-c) * _max_window_count(path._t_sorted, b, float(n))
-        rows.append({"n": float(n), "q95": float(np.quantile(stats, 0.95)),
-                     "median": float(np.median(stats))})
-    qs = [row["q95"] for row in rows]
-    passed = all(b_ <= a_ for a_, b_ in zip(qs, qs[1:])) and qs[-1] < qs[0]
-    return PrwReport("window_growth", rows, passed)
-
-
-def verify_visit_increment_bound(law: StepLaw, x_values, y_values,
-                                 replicates: int, rng: RngStream) -> PrwReport:
-    """Check E(N(x+y) - N(x)) <= E nu(y) + 3 * combined stderr for each pair."""
-    rows = []
-    passed = True
-    for y in y_values:
-        inc_by_x = {x: np.empty(replicates) for x in x_values}
-        u_vals = np.empty(replicates)
-        for r in range(replicates):
-            horizon = max(x_values) + y
-            path = simulate_path(law, horizon, rng)
-            for x in x_values:
-                inc_by_x[x][r] = path.count_visits(x + y) - path.count_visits(x)
-            u_vals[r] = simulate_path(law, y, rng).count_renewals(y)
-        u_mean = float(np.mean(u_vals))
-        u_se = float(np.std(u_vals, ddof=1) / math.sqrt(replicates))
-        for x in x_values:
-            lhs = float(np.mean(inc_by_x[x]))
-            lhs_se = float(np.std(inc_by_x[x], ddof=1) / math.sqrt(replicates))
-            ok = lhs <= u_mean + 3.0 * math.hypot(lhs_se, u_se)
-            passed = passed and ok
-            rows.append({"x": float(x), "y": float(y), "lhs": lhs, "u": u_mean,
-                         "stderr": math.hypot(lhs_se, u_se), "ok": ok})
-    return PrwReport("visit_increment_bound", rows, passed)

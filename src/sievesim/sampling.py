@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "RngStream",
     "StickLaw",
-    "lanczos_gamma",
     "binomial_regime",
     "sample_binomial",
     "sample_standard_positive_stable",
@@ -27,43 +26,6 @@ __all__ = [
     "sample_inverse_subordinator_path",
     "sample_brownian_marginals",
 ]
-
-
-# ---------------------------------------------------------------------------
-# gamma function
-# ---------------------------------------------------------------------------
-
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error is below
-# 1e-12 on (0, 2); negative arguments go through the reflection formula,
-# which covers the (-1, 0) range needed for stable scale constants.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def lanczos_gamma(z: float) -> float:
-    """Gamma function via the Lanczos series with reflection for z < 0.5."""
-    z = float(z)
-    if z == math.floor(z) and z <= 0.0:
-        raise ValueError("gamma undefined at non-positive integers")
-    if z < 0.5:
-        # reflection: gamma(z) gamma(1-z) = pi / sin(pi z)
-        return math.pi / (math.sin(math.pi * z) * lanczos_gamma(1.0 - z))
-    z -= 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +346,7 @@ def sample_standard_positive_stable(alpha: float, rng: RngStream, size=None, met
 def sample_positive_stable(alpha: float, rng: RngStream, size=None, method: str = "kanter"):
     """Subordinator marginal W_alpha(1) with Laplace exponent Gamma(1-alpha) z**alpha."""
     d = sample_standard_positive_stable(alpha, rng, size, method)
-    return lanczos_gamma(1.0 - alpha) ** (1.0 / alpha) * d
+    return math.gamma(1.0 - alpha) ** (1.0 / alpha) * d
 
 
 def sample_spectrally_negative_stable(alpha: float, rng: RngStream, size=None):
@@ -398,7 +360,7 @@ def sample_spectrally_negative_stable(alpha: float, rng: RngStream, size=None):
     if not 1.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (1, 2)")
     x = _chambers_mallows_stuck(alpha, -1.0, rng, size)
-    sigma = (lanczos_gamma(1.0 - alpha) * math.cos(0.5 * math.pi * alpha)) ** (1.0 / alpha)
+    sigma = (math.gamma(1.0 - alpha) * math.cos(0.5 * math.pi * alpha)) ** (1.0 / alpha)
     out = sigma * x
     return float(out) if size is None else out
 
@@ -406,7 +368,7 @@ def sample_spectrally_negative_stable(alpha: float, rng: RngStream, size=None):
 def spectrally_negative_cf(alpha: float, u):
     """Characteristic function of the spectrally negative stable marginal."""
     u = np.asarray(u, dtype=float)
-    g = lanczos_gamma(1.0 - alpha)
+    g = math.gamma(1.0 - alpha)
     phase = math.cos(0.5 * math.pi * alpha) + 1j * math.sin(0.5 * math.pi * alpha) * np.sign(u)
     out = np.exp(-np.abs(u) ** alpha * g * phase)
     return complex(out) if out.shape == () else out
@@ -429,7 +391,7 @@ def sample_inverse_subordinator_marginal(alpha: float, t: float, rng: RngStream,
     if t <= 0.0:
         raise ValueError("t must be > 0")
     d = sample_standard_positive_stable(alpha, rng, size)
-    return t**alpha / (lanczos_gamma(1.0 - alpha) * d**alpha)
+    return t**alpha / (math.gamma(1.0 - alpha) * d**alpha)
 
 
 def sample_inverse_subordinator_path(alpha: float, grid, step: float, rng: RngStream):
@@ -449,9 +411,9 @@ def sample_inverse_subordinator_path(alpha: float, grid, step: float, rng: RngSt
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.any(np.diff(grid) < 0.0) or np.any(grid < 0.0):
         raise ValueError("grid must be nondecreasing and nonnegative")
-    inc_scale = step ** (1.0 / alpha) * lanczos_gamma(1.0 - alpha) ** (1.0 / alpha)
+    inc_scale = step ** (1.0 / alpha) * math.gamma(1.0 - alpha) ** (1.0 / alpha)
     # expected first-passage lattice length, padded; keeps most paths to one block
-    g = lanczos_gamma(1.0 - alpha) * lanczos_gamma(1.0 + alpha)
+    g = math.gamma(1.0 - alpha) * math.gamma(1.0 + alpha)
     expected_cells = (max(grid[-1], step) ** alpha / g) / step
     block = int(min(1 << 17, max(1024, 1.5 * expected_cells)))
     levels = grid

@@ -32,7 +32,6 @@ from sievesim.limits import normal_cdf, sample_inverse_ratio
 from sievesim.occupancy import (
     DeterministicScheme,
     _integral_term,
-    approximation_bound_lhs_estimate,
     approximation_bound_rhs,
     bound_constant_x0,
     build_environment,
@@ -233,8 +232,9 @@ def test_c6_approximation_bound():
            f"closed = {closed:.9f}, piecewise quadrature = {total:.9f} (within 1e-6)")
 
     eps = approximation_bound_rhs(g, n)
-    mean, se = approximation_bound_lhs_estimate(g, n, 500, (0.25, 0.5, 0.75, 1.0),
-                                                RngStream(SEED, 200))
+    row = run_experiment(ExperimentSpec(target="P41", n_values=(n,), replicates=500,
+                                        seed=SEED, q=0.5)).rows[1]
+    mean, se = row["lhs"], row["stderr"]
     ok_bound = mean <= eps + 3.0 * se
     report("c6 bound dominance", ok_bound,
            f"lhs = {mean:.3f} +- {se:.3f} <= envelope {eps:.3f} (asymptotic; "
@@ -275,7 +275,7 @@ def test_c7_window_and_increment_bounds():
 def test_c8_t22_marginal_convergence():
     n = 10**12
     logn = math.log(n)
-    task = _SieveTask(StickLaw.exp_pareto(0.5), n, (1.0,), SEED, 0, 2.0**-80)
+    task = _SieveTask(StickLaw.exp_pareto(0.5), n, (1.0,), SEED, 0)
     vals = np.asarray([r[0] for r in _run_replicates(partial(_sieve_replicate, task),
                                                      4000, 1)], dtype=float)[:, 0]
     norm = vals / logn**0.5
@@ -294,7 +294,7 @@ def test_c8_t22_marginal_convergence():
 
 def test_c8_t22_ratio_convergence():
     n = 10**12
-    task = _SieveTask(StickLaw.exp_pareto(0.5), n, (0.5, 1.0), SEED, 0, 2.0**-80)
+    task = _SieveTask(StickLaw.exp_pareto(0.5), n, (0.5, 1.0), SEED, 0)
     res = _run_replicates(partial(_sieve_replicate, task), 4000, 1)
     vals = np.asarray([r[0] for r in res], dtype=float)
     totals = np.asarray([r[1] for r in res], dtype=float)

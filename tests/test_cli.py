@@ -102,7 +102,7 @@ def test_degenerate_scale_exits_2(tmp_path, capsys, spec_text):
     spec_path = write(tmp_path, "degenerate.cfg", spec_text)
     assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith(f"error: {spec_path}:0:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("spec_text", [
@@ -116,14 +116,24 @@ def test_degenerate_scale_exits_2(tmp_path, capsys, spec_text):
     "target = A1\ncentering = lin\nn_values = 1e4\n",
     "target = B1\ndependence = shared\nn_values = 100\n",
     "target = B1\nxi = foo\nn_values = 100\n",
+    "target = P33\ny_values = 1\n",
+    "target = P33\nx_values = 0\ny_values = 1\nreplicates = 1\n",
+    "target = P32\nb = -1\nn_values = 100\n",
+    "target = P41\nn_values = 2\nreplicates = 100\n",
+    "target = P41\nn_values = 1e4\nreplicates = 50\n",
+    "target = P31\nxi = pareto\nxi_param = 0.5\nn_values = 100\n",
 ], ids=["A3_beta_stick", "B3_exp_steps", "B4_index_1", "A1_n_below_1", "P21_no_n",
-        "A1_no_n", "mode_typo", "centering_typo", "dependence_typo", "xi_unknown"])
+        "A1_no_n", "mode_typo", "centering_typo", "dependence_typo", "xi_unknown",
+        "P33_no_x", "P33_one_replicate", "P32_negative_b", "P41_n_below_3",
+        "P41_50_replicates", "P31_infinite_mean"])
 def test_bad_spec_exits_2_before_any_replicate(tmp_path, capsys, monkeypatch, spec_text):
     def no_replicates(*args):
         raise AssertionError("a replicate was drawn")
 
     monkeypatch.setattr("sievesim.harness._run_replicates", no_replicates)
-    spec_path = write(tmp_path, "bad.cfg", spec_text + "replicates = 5\n")
+    if "replicates" not in spec_text:
+        spec_text += "replicates = 5\n"
+    spec_path = write(tmp_path, "bad.cfg", spec_text)
     assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err

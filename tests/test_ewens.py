@@ -98,7 +98,7 @@ def test_sieve_equality_on_grid(theta):
     fel = np.asarray(_run_replicates(partial(
         _ewens_replicate, _EwensTask(n, theta, grid, 7, 0, "feller")), reps, 1), float)
     sieve = np.asarray([r[0] for r in _run_replicates(partial(
-        _sieve_replicate, _SieveTask(StickLaw.beta(theta), n, grid, 7, 1 << 16, 2.0**-80)),
+        _sieve_replicate, _SieveTask(StickLaw.beta(theta), n, grid, 7, 1 << 16)),
         reps, 1)], float)
     for j in range(len(grid)):
         assert ks_two_sample(fel[:, j], sieve[:, j]) < 0.04

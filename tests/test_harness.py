@@ -16,7 +16,9 @@ from sievesim.harness import (
     run_experiment,
 )
 from sievesim.limits import centering_prw, normal_cdf
-from sievesim.sampling import StickLaw
+from sievesim.occupancy import DeterministicScheme, approximation_sup
+from sievesim.prw import lln_sup_deviation, max_window_count, simulate_path
+from sievesim.sampling import RngStream, StickLaw
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +255,53 @@ def test_stream_ranges_are_checked_at_their_limits():
             ExperimentSpec(target=target, n_values=(100, 200), replicates=(1 << 19) + 1)
         with pytest.raises(ConfigurationError):
             ExperimentSpec(target=target, n_values=(100,), replicates=(1 << 20) + 1)
+
+
+_TREND_SPECS = [
+    ExperimentSpec(target="P31", n_values=(100, 1000), replicates=6, grid=(0.5, 1.0), seed=21),
+    ExperimentSpec(target="P32", n_values=(100, 1000), replicates=6, seed=21, b=1.0, c=0.5),
+    ExperimentSpec(target="P33", x_values=(0.0, 3.0), y_values=(1.0, 2.0), replicates=6, seed=21),
+    ExperimentSpec(target="P41", n_values=(100, 10**4), replicates=100, seed=21, q=0.5),
+]
+
+
+def _trend_replicate(spec, i, r):
+    """Replicate r of the i-th n (of the i-th y for P33), recomputed alone from
+    stream i * R + r, as its CSV rows (n, t, raw, normalized)."""
+    rng = RngStream(spec.seed, i * spec.replicates + r)
+    if spec.target == "P41":
+        n = int(spec.n_values[i])
+        sup = approximation_sup(DeterministicScheme.geometric(spec.q), n, rng)
+        return [(n, 1.0, sup, sup)]
+    law = spec.step_law()
+    if spec.target == "P33":
+        y = spec.y_values[i]
+        path = simulate_path(law, max(spec.x_values) + y, rng)
+        incs = [path.count_visits(x + y) - path.count_visits(x) for x in spec.x_values]
+        renewals = simulate_path(law, y, rng).count_renewals(y)
+        return [(y, x, inc, renewals) for x, inc in zip(spec.x_values, incs)]
+    n = float(spec.n_values[i])
+    if spec.target == "P31":
+        stat = lln_sup_deviation(simulate_path(law, n, rng), n, spec.grid, law.mean_xi())
+    else:
+        stat = n**-spec.c * max_window_count(simulate_path(law, n + spec.b, rng), spec.b, n)
+    return [(n, 1.0, stat, stat)]
+
+
+@pytest.mark.parametrize("spec", _TREND_SPECS, ids=lambda spec: spec.target)
+def test_trend_targets_draw_addressable_replicates(spec):
+    serial = run_experiment(spec)
+    csv = list(serial.csv_lines(timestamp=False))
+    assert csv == list(run_experiment(spec, jobs=2).csv_lines(timestamp=False))
+    steps = len(spec.y_values if spec.target == "P33" else spec.n_values)
+    block = spec.replicates * (len(spec.x_values) if spec.target == "P33" else 1)
+    rows = [line.split(",") for line in csv[1:]]
+    assert len(rows) == steps * block  # one row per replicate per n (per (x, y) for P33)
+    for i in range(steps):
+        for r in (0, spec.replicates - 1):
+            got = [tuple(float(v) for v in row[1:3] + row[4:])
+                   for row in rows[i * block:(i + 1) * block] if int(row[3]) == r]
+            assert got == [tuple(map(float, row)) for row in _trend_replicate(spec, i, r)]
 
 
 def test_calibration_guard_light():

@@ -6,12 +6,13 @@ from scipy.integrate import quad
 from scipy.stats import chi2_contingency
 
 from conftest import naive_placement
+from sievesim.harness import ConfigurationError, ExperimentSpec, run_experiment
 from sievesim.occupancy import (
     DeterministicScheme,
     OccupancyResult,
     SieveEnvironment,
-    approximation_bound_lhs_estimate,
     approximation_bound_rhs,
+    approximation_sup,
     bound_constant_x0,
     build_environment,
     expected_occupancy_oracle,
@@ -286,23 +287,28 @@ def test_bound_rhs_and_lhs_geometric():
     g = DeterministicScheme.geometric(0.5)
     eps = approximation_bound_rhs(g, 10**6)
     assert eps > 0.0
-    mean, se = approximation_bound_lhs_estimate(g, 10**6, 200, (0.5, 1.0), RngStream(16, 0))
-    assert 0.0 <= mean <= eps  # asymptotic bound holds comfortably here
-    assert se > 0.0
+    row = run_experiment(ExperimentSpec(target="P41", n_values=(10**6,), replicates=200,
+                                        seed=16, q=0.5)).rows[1]
+    assert 0.0 <= row["lhs"] <= eps  # asymptotic bound holds comfortably here
+    assert row["stderr"] > 0.0
     with pytest.raises(ValueError):
         approximation_bound_rhs(g, 2)
-    with pytest.raises(ValueError):
-        approximation_bound_lhs_estimate(g, 100, 10, (1.0,), RngStream(0, 0))
+    with pytest.raises(ConfigurationError):
+        ExperimentSpec(target="P41", n_values=(100,), replicates=10, seed=0)
 
 
 def test_bound_lhs_single_box_and_stderr_shrink():
     single = DeterministicScheme.explicit([1.0])
-    mean, _ = approximation_bound_lhs_estimate(single, 100, 100, (0.5,), RngStream(17, 0))
-    assert 0.0 <= mean <= 1.0  # K == 1 always; counting function is 0 or 1
-    g = DeterministicScheme.geometric(0.5)
-    _, se_small = approximation_bound_lhs_estimate(g, 10**4, 100, (1.0,), RngStream(18, 0))
-    _, se_big = approximation_bound_lhs_estimate(g, 10**4, 400, (1.0,), RngStream(18, 1))
-    assert se_big < se_small
+    rng = RngStream(17, 0)
+    sups = [approximation_sup(single, 100, rng) for _ in range(100)]
+    assert 0.0 <= np.mean(sups) <= 1.0  # K == 1 always; counting function is 0 or 1
+
+    def stderr(replicates):
+        spec = ExperimentSpec(target="P41", n_values=(10**4,), replicates=replicates,
+                              seed=18, q=0.5)
+        return run_experiment(spec).rows[1]["stderr"]
+
+    assert stderr(400) < stderr(100)
 
 
 # ---------------------------------------------------------------------------

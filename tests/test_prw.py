@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, gamma, poisson
 
-from sievesim.harness import ks_two_sample
+from sievesim.harness import ConfigurationError, ExperimentSpec, ks_two_sample, run_experiment
 from sievesim.occupancy import build_environment, rho
 from sievesim.prw import (
     PrwPath,
     StepLaw,
     count_renewals,
     count_visits,
+    lln_sup_deviation,
+    max_window_count,
     path_from_sticks,
     simulate_path,
-    verify_lln_uniform,
-    verify_visit_increment_bound,
-    verify_window_growth,
     visit_process,
 )
 from sievesim.sampling import RngStream, StickLaw
@@ -104,39 +103,42 @@ def test_visit_process_increment_decorrelation():
 
 def test_lln_uniform_deterministic_and_trend():
     rng = RngStream(8, 0)
-    rep = verify_lln_uniform(DET, [1000], 3, [0.25, 0.5, 0.75, 1.0], rng)
-    assert rep.table[0]["median"] <= 2e-3  # deterministic walk: exact O(1/n)
-    rep2 = verify_lln_uniform(EXP_EXP, [100, 1000, 10**4], 200,
-                              [0.25, 0.5, 0.75, 1.0], rng)
-    meds = [r["median"] for r in rep2.table]
-    assert rep2.passed and meds[-1] < meds[0]
-    with pytest.raises(ValueError):
-        verify_lln_uniform(StepLaw(("pareto", 0.5), ("exp", 1.0)), [100], 10, [1.0], rng)
+    grid = (0.25, 0.5, 0.75, 1.0)
+    for _ in range(3):  # deterministic walk: exact O(1/n)
+        assert lln_sup_deviation(simulate_path(DET, 1000.0, rng), 1000.0, grid, 1.0) <= 2e-3
+    rep2 = run_experiment(ExperimentSpec(target="P31", n_values=(100, 1000, 10**4),
+                                         replicates=200, grid=grid, seed=8))
+    meds = [r["median"] for r in rep2.rows if "median" in r]
+    assert rep2.all_passed() and meds[-1] < meds[0]
+    with pytest.raises(ConfigurationError):
+        ExperimentSpec(target="P31", xi="pareto", xi_param=0.5, n_values=(100,),
+                       replicates=10, grid=(1.0,), seed=8)
 
 
 def test_lln_uniform_t_zero_contributes_nothing():
-    rng = RngStream(9, 0)
-    rep = verify_lln_uniform(EXP_EXP, [500], 20, [0.0], rng)
-    assert rep.table[0]["median"] == 0.0
+    rep = run_experiment(ExperimentSpec(target="P31", n_values=(500,), replicates=20,
+                                        grid=(0.0,), seed=9))
+    assert rep.rows[0]["median"] == 0.0
 
 
 def test_window_growth_examples():
     rng = RngStream(10, 0)
-    rep = verify_window_growth(DET, [100, 1000], 0.1, 0.5, 5, rng)
-    for row, n in zip(rep.table, (100, 1000)):
-        assert 0.0 <= row["q95"] <= n**-0.5  # window counts are 0 or 1
-    rep2 = verify_window_growth(EXP_EXP, [100, 1000, 10**4], 1.0, 0.5, 200, rng)
-    qs = [r["q95"] for r in rep2.table]
-    assert rep2.passed and qs[-1] < qs[0]
-    with pytest.raises(ValueError):
-        verify_window_growth(EXP_EXP, [100], -1.0, 0.5, 10, rng)
+    for n in (100, 1000):
+        for _ in range(5):  # window counts are 0 or 1
+            assert max_window_count(simulate_path(DET, n + 0.1, rng), 0.1, n) <= 1
+    rep2 = run_experiment(ExperimentSpec(target="P32", n_values=(100, 1000, 10**4),
+                                         replicates=200, seed=10, b=1.0, c=0.5))
+    qs = [r["q95"] for r in rep2.rows if "q95" in r]
+    assert rep2.all_passed() and qs[-1] < qs[0]
+    with pytest.raises(ConfigurationError):
+        ExperimentSpec(target="P32", n_values=(100,), replicates=10, seed=10, b=-1.0, c=0.5)
 
 
 def test_visit_increment_bound_examples():
-    rng = RngStream(11, 0)
-    rep = verify_visit_increment_bound(EXP_EXP, [0.0, 5.0], [0.0, 1.0, 2.0], 400, rng)
-    assert rep.passed
-    by_key = {(r["x"], r["y"]): r for r in rep.table}
+    rep = run_experiment(ExperimentSpec(target="P33", x_values=(0.0, 5.0),
+                                        y_values=(0.0, 1.0, 2.0), replicates=400, seed=11))
+    assert rep.all_passed()
+    by_key = {(r["x"], r["y"]): r for r in rep.rows if "lhs" in r}
     assert by_key[(0.0, 0.0)]["lhs"] == 0.0
     assert by_key[(0.0, 0.0)]["u"] >= 1.0  # nu(0) counts S_0 = 0
     # exact Poisson renewal function U(y) = y + 1
