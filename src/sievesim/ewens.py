@@ -5,12 +5,13 @@ process C_n(t)."""
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
 
 from .occupancy import floor_power
-from .sampling import RngStream
+from .sampling import RngStream, ScratchSlot
 
 __all__ = [
     "CycleCounts",
@@ -84,6 +85,18 @@ def sample_cycles_crp(n: int, theta: float, rng: RngStream) -> CycleCounts:
     return CycleCounts(n, theta, counts)
 
 
+_FELLER_SCRATCH = ScratchSlot(float, bool)  # the n uniforms and the indicators
+
+
+@lru_cache(maxsize=4)
+def _feller_probs(n: int, theta: float) -> np.ndarray:
+    """theta/(theta + i - 1) for i = 1..n, read-only because it is shared."""
+    i = np.arange(1, n + 1, dtype=float)
+    probs = theta / (theta + i - 1.0)
+    probs.flags.writeable = False
+    return probs
+
+
 def sample_cycles_feller(n: int, theta: float, rng: RngStream) -> CycleCounts:
     """Feller-coupling construction of an Ewens(theta) cycle type.
 
@@ -91,14 +104,16 @@ def sample_cycles_feller(n: int, theta: float, rng: RngStream) -> CycleCounts:
     i = 1..n with xi_{n+1} := 1 appended; the spacings between successive
     ones inside positions 1..n+1 are the cycle lengths.  Appending the
     closing one gives exactly the Ewens law (checked against the exact
-    formula in the tests rather than assumed).
+    formula in the tests rather than assumed).  The uniforms go into a
+    per-thread buffer that the next call with the same n reuses.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if theta <= 0.0:
         raise ValueError("theta must be > 0")
-    i = np.arange(1, n + 1, dtype=float)
-    ones = np.flatnonzero(rng.gen.random(n) < theta / (theta + i - 1.0)) + 1
+    u, hit = _FELLER_SCRATCH.arrays(n)
+    rng.gen.random(out=u)
+    ones = np.flatnonzero(np.less(u, _feller_probs(n, theta), out=hit)) + 1
     if len(ones) == 0 or ones[0] != 1:
         # cannot happen: position 1 is a one with probability theta/theta = 1
         raise RuntimeError("Feller coupling missed the forced indicator at position 1")

@@ -177,7 +177,11 @@ class ExperimentSpec:
                                          "the tail index of its reference law")
         if self.target not in _WALK + ("P33",) and any(n < 1 for n in self.n_values):
             raise ConfigurationError(f"{self.target} rounds n to an integer: n_values must be >= 1")
-        if self.target == "P31" and not math.isfinite(self.step_law().mean_xi()):
+        try:
+            law = self.law()
+        except ValueError as exc:  # a law parameter out of its range
+            raise ConfigurationError(f"{self.target}: {exc}") from None
+        if self.target == "P31" and not math.isfinite(law.mean_xi()):
             raise ConfigurationError("P31 requires a step law with finite mean")
         if self.target == "P32" and not (self.b > 0.0 and self.c > 0.0):
             raise ConfigurationError("P32 requires b > 0 and c > 0")
@@ -193,6 +197,17 @@ class ExperimentSpec:
                 and self.replicates * len(self.n_values) > _SIEVE_STREAM_BASE):
             raise ConfigurationError(f"{self.target} needs replicates * len(n_values) <= 2^20 "
                                      "(the sieve half's streams start at 2^20)")
+
+    def law(self):
+        """The law the target samples: the geometric scheme (P41), the step
+        law (the walk and P31..P33) or the stick law."""
+        if self.target == "P41":
+            return DeterministicScheme.geometric(self.q)
+        if self.target in _WALK + ("P31", "P32", "P33"):
+            return self.step_law()
+        if self.target in ("ESF_FLT", "EQ"):
+            return StickLaw.beta(self.theta)
+        return self.stick_law()
 
     def stick_law(self) -> StickLaw:
         return StickLaw.beta(self.theta) if self.stick == "beta" else StickLaw.exp_pareto(self.alpha)
@@ -698,21 +713,19 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
                 regimes[k] = regimes.get(k, 0) + v
         return np.asarray([r[0] for r in results], dtype=float), results
 
-    n_values = spec.n_values
+    law, n_values, step = spec.law(), spec.n_values, _process_step
     if target == "P41":
-        law, step = DeterministicScheme.geometric(spec.q), _bound_step
         x0 = bound_constant_x0()
         report.rows.append({"stat": "x0_equation", "value": x0, "threshold": 1e-10,
                             "passed": bool(abs(x0 - x0**0.75 - 1.0) < 1e-10)})
+    if target in ("P31", "P32", "P41"):
+        step = _bound_step
     elif target == "P33":
-        law, step, n_values = spec.step_law(), _increment_step, spec.y_values
-    elif target in _WALK + ("P31", "P32"):
-        law, step = spec.step_law(), _bound_step if target in ("P31", "P32") else _process_step
+        step, n_values = _increment_step, spec.y_values
     elif target in ("ESF_FLT", "EQ"):
-        law, step = StickLaw.beta(spec.theta), _permutation_step
-    else:
-        law = spec.stick_law()
-        step = _ratio_step if target == "P21" or spec.mode == "ratio" else _process_step
+        step = _permutation_step
+    elif target == "P21" or (target in _SIEVE and spec.mode == "ratio"):
+        step = _ratio_step
     for i_n, nf in enumerate(n_values):
         step(spec, law, i_n, nf, draw, report)
     if target == "P21":

@@ -39,8 +39,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1024)
 def floor_power(n: int, t: float) -> int:
-    """Largest integer <= n**t for n >= 1, t in [0, 1].
+    """Largest integer <= n**t for n >= 1, t in [0, 1], memoised: replicates
+    ask for the same few (n, t) pairs again and again.
 
     Double-precision exp/log can misplace the floor when n**t sits within
     ~1e-9 (relative) of an integer, so that band is recomputed with 60-digit

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampling import RngStream, StickLaw
+from .sampling import RngStream, ScratchSlot, StickLaw
 
 __all__ = [
     "StepLaw",
@@ -76,28 +76,44 @@ class StepLaw:
     def shared_stick(stick: StickLaw):
         return StepLaw(("logstick", stick), ("log1mstick", stick), "sharedstick")
 
-    def draw(self, rng: RngStream, size: int):
-        """Vector of steps: (xi array, eta array)."""
+    def draw(self, rng: RngStream, out: tuple) -> tuple:
+        """Fill the caller's (xi, eta) buffers with len(xi) steps; returns out.
+
+        Each law consumes the stream and rounds exactly as numpy's allocating
+        forms do (``exponential``, ``full``, ``random(...) ** p``, ``-log``),
+        so the steps are the same bit for bit.
+        """
+        xi, eta = out
         if self.dependence == "sharedstick":
-            w = self.xi[1].sample(rng, size)
-            return -np.log(w), -np.log1p(-w)
-        xi = self._draw_one(self.xi, rng, size)
-        eta = self._draw_one(self.eta, rng, size)
-        return xi, eta
+            w = self.xi[1].sample(rng, len(xi))
+            np.negative(np.log(w, out=xi), out=xi)
+            np.negative(np.log1p(np.negative(w, out=w), out=eta), out=eta)
+            return out
+        self._draw_one(self.xi, rng, xi)
+        self._draw_one(self.eta, rng, eta)
+        return out
 
     @staticmethod
-    def _draw_one(spec, rng, size):
+    def _draw_one(spec, rng, out):
         kind, par = spec
         if kind == "exp":
-            return rng.gen.exponential(1.0 / par, size)
-        if kind == "const":
-            return np.full(size, float(par))
-        if kind == "pareto":
-            u = rng.gen.random(size)
-            u[u == 0.0] = 0.5
-            return u ** (-1.0 / par)
-        w = par.sample(rng, size)
-        return -np.log(w) if kind == "logstick" else -np.log1p(-w)
+            # Generator.exponential(scale) is scale * standard_exponential
+            rng.gen.standard_exponential(out=out)
+            out *= 1.0 / par
+        elif kind == "const":
+            out.fill(float(par))
+        elif kind == "pareto":
+            rng.gen.random(out=out)
+            if not out.all():
+                out[out == 0.0] = 0.5
+            # in-place ** takes the same scalar-exponent fast paths as u ** p
+            out **= -1.0 / par
+        else:
+            w = par.sample(rng, len(out))
+            if kind == "logstick":
+                np.negative(np.log(w, out=out), out=out)
+            else:
+                np.negative(np.log1p(np.negative(w, out=w), out=out), out=out)
 
     def mean_xi(self) -> float:
         kind, par = self.xi
@@ -174,31 +190,45 @@ class PrwPath:
         return PrwPath(s, t, horizon=float(s[-1]))
 
 
+_PATH_SCRATCH = ScratchSlot(float, float, float, bool)  # xi, eta, S_{k-1}, S_k > horizon
+
+
 def simulate_path(law: StepLaw, horizon: float, rng: RngStream) -> PrwPath:
-    """Realise the walk until S_k > horizon (so all T_k <= horizon are seen)."""
+    """Realise the walk until S_k > horizon (so all T_k <= horizon are seen).
+
+    Steps are drawn block by block into per-thread scratch buffers, which
+    the next call with the same block length reuses; the path holds fresh,
+    exactly sized copies of what it keeps.
+    """
     if horizon < 0.0:
         raise ValueError("horizon must be >= 0")
     m = law.mean_xi()
     block = 64 if not math.isfinite(m) else max(64, int(1.2 * horizon / m) + 32)
-    s_chunks = [np.zeros(1)]
-    t_chunks = []
+    xi, eta, s_prev, beyond = _PATH_SCRATCH.arrays(block)
+    s_parts = [np.zeros(1)]
+    t_parts = []
     s_last = 0.0
     while s_last <= horizon:
-        xi, eta = law.draw(rng, block)
-        s_prev = s_last + np.concatenate([[0.0], np.cumsum(xi[:-1])])
-        s_new = s_prev + xi
-        t_new = s_prev + eta
-        # keep indices with S_{k-1} <= horizon; later T_k exceed horizon a.s.
-        keep = s_prev <= horizon
-        t_chunks.append(t_new[keep])
-        stop = np.searchsorted(s_new > horizon, True)
-        if stop < block:
-            s_chunks.append(s_new[: stop + 1])
-            s_last = s_new[stop]
-        else:
-            s_chunks.append(s_new)
-            s_last = s_new[-1]
-    return PrwPath(np.concatenate(s_chunks), np.concatenate(t_chunks), horizon=float(horizon))
+        law.draw(rng, (xi, eta))
+        # S_{k-1} = s_last + (xi_0 + ... + xi_{k-2}), summed in this order
+        s_prev[0] = 0.0
+        np.cumsum(xi[:-1], out=s_prev[1:])
+        s_prev += s_last
+        s_new = np.add(xi, s_prev, out=xi)
+        t_new = np.add(eta, s_prev, out=eta)
+        # keep indices with S_{k-1} <= horizon, a prefix since S_{k-1} is
+        # nondecreasing; later T_k exceed horizon a.s.
+        kept = np.searchsorted(s_prev, horizon, side="right")
+        # S_k = S_{k-1} + xi_k is rounded apart from S_{k-1}'s sum, so it may
+        # dip by an ulp; the first crossing is found on its mask
+        stop = np.searchsorted(np.greater(s_new, horizon, out=beyond), True)
+        s_last = s_new[min(stop, block - 1)]
+        # the last block's views are copied by concatenate; earlier blocks
+        # are copied now, before the next draw overwrites them
+        copy = np.copy if s_last <= horizon else np.asarray
+        t_parts.append(copy(t_new[:kept]))
+        s_parts.append(copy(s_new[: stop + 1]))
+    return PrwPath(np.concatenate(s_parts), np.concatenate(t_parts), horizon=float(horizon))
 
 
 def path_from_sticks(sticks) -> PrwPath:

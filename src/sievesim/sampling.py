@@ -9,12 +9,14 @@ reported through the optional ``regime_counter`` argument.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "RngStream",
+    "ScratchSlot",
     "StickLaw",
     "binomial_regime",
     "sample_binomial",
@@ -50,6 +52,26 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+
+
+class ScratchSlot(threading.local):
+    """Reusable work arrays of one length, one set per thread.
+
+    ``arrays(size)`` returns the arrays of the last length asked for, or
+    replaces them with fresh ones when the length differs, so a replicate
+    loop that repeats one length allocates (and page-faults) them once.  The
+    contents belong to the caller only until its next call: anything handed
+    further on must be copied out.
+    """
+
+    def __init__(self, *dtypes):
+        self._dtypes = dtypes
+        self._arrays = ()
+
+    def arrays(self, size: int) -> tuple:
+        if not self._arrays or len(self._arrays[0]) != size:
+            self._arrays = tuple(np.empty(size, dtype=d) for d in self._dtypes)
+        return self._arrays
 
 
 def _open_unit(gen, size):

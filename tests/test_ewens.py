@@ -3,7 +3,14 @@ import pytest
 from scipy.stats import chi2_contingency
 
 from conftest import empirical_type_tv, exact_cycle_type_probs, partitions
-from sievesim.ewens import CycleCounts, c_process, esf_probability, sample_cycles_crp, sample_cycles_feller
+from sievesim.ewens import (
+    CycleCounts,
+    _feller_probs,
+    c_process,
+    esf_probability,
+    sample_cycles_crp,
+    sample_cycles_feller,
+)
 from sievesim.harness import ks_two_sample, _EwensTask, _ewens_replicate, _SieveTask, _sieve_replicate, _run_replicates
 from sievesim.sampling import RngStream, StickLaw
 from functools import partial
@@ -102,6 +109,32 @@ def test_sieve_equality_on_grid(theta):
         reps, 1)], float)
     for j in range(len(grid)):
         assert ks_two_sample(fel[:, j], sieve[:, j]) < 0.04
+
+
+def _allocating_feller_lengths(n, theta, rng):
+    """Cycle lengths from fresh arrays: the reference for the buffered sampler."""
+    i = np.arange(1, n + 1, dtype=float)
+    ones = np.flatnonzero(rng.gen.random(n) < theta / (theta + i - 1.0)) + 1
+    return sorted(np.diff(np.concatenate([ones, [n + 1]])).tolist())
+
+
+def test_successive_feller_draws_ignore_buffer_reuse():
+    # same n back to back (buffer and vector reused), then other n and theta
+    # in between (slot replaced, cache grown), then the first n again
+    for k, (n, theta) in enumerate([(500, 1.0), (500, 1.0), (37, 2.5), (500, 0.7),
+                                    (500, 1.0), (8, 1.0), (500, 1.0)]):
+        cycles = sample_cycles_feller(n, theta, RngStream(9, k))
+        lengths = sorted(r for r, c in cycles.counts.items() for _ in range(c))
+        assert lengths == _allocating_feller_lengths(n, theta, RngStream(9, k))
+
+
+def test_cached_feller_probabilities_are_read_only():
+    probs = _feller_probs(50, 1.5)
+    assert probs is _feller_probs(50, 1.5)
+    assert not probs.flags.writeable
+    with pytest.raises(ValueError):
+        probs[3] = 0.0
+    assert probs[0] == 1.0 and probs[-1] == 1.5 / 50.5
 
 
 def test_sampler_validation():

@@ -1,0 +1,61 @@
+"""Byte-identity of CLI reports: short runs whose CSV sha256 digests are
+pinned.  A change that only speeds up a sampler keeps every draw and every
+floating-point operation, so these digests must not move; a change that
+alters drawn values on purpose re-records them and says why.
+
+The specs cover each step law the walk draws (exp, pareto with one and
+several blocks, const, independent and shared log sticks), the Feller
+coupling with its sieve half, and the sieve at depths where floor_power
+takes its exact-integer path.
+"""
+
+import hashlib
+
+import pytest
+
+from sievesim.cli import main
+
+GOLDEN = {
+    "B1_exp": (
+        "target = B1\nxi = exp\nxi_param = 1.0\neta = exp\neta_param = 2.0\n"
+        "n_values = 100, 1000\ngrid = 0.25, 0.5, 1.0\nreplicates = 60\nseed = 3\n",
+        "c412024031c611524afbbed4b8ef28290e069970201ac36eac0d7a171e88a66c"),
+    "B3_pareto": (
+        "target = B3\nxi = pareto\nxi_param = 1.5\neta = exp\n"
+        "n_values = 300\ngrid = 0.5, 1.0\nreplicates = 60\nseed = 4\n",
+        "957e4ac7d3768d7805b1eb3271fbe782239b0809dbcebe05922dfd384503ea78"),
+    "B2_shared_stick": (
+        "target = B2\ndependence = sharedstick\nstick = exppareto\nalpha = 2.0\n"
+        "n_values = 200\ngrid = 0.5, 1.0\nreplicates = 60\nseed = 5\n",
+        "9e34d266e49353a71e6d5e53a7c29faf8b4e0375a5b94cfd7ad25357917590e6"),
+    "B4_pareto_const": (
+        "target = B4\nxi = pareto\nxi_param = 0.9\neta = const\neta_param = 0.5\n"
+        "n_values = 5000\ngrid = 0.5, 1.0\nreplicates = 60\nseed = 9\n",
+        "786075d45f5ce263214f5894cb7862213426550424db3504cc73933667cd01b3"),
+    "P31_log_sticks": (
+        "target = P31\nxi = logstick\neta = log1mstick\nstick = beta\ntheta = 2.0\n"
+        "n_values = 50, 200\ngrid = 0.5, 1.0\nreplicates = 30\nseed = 10\n",
+        "f1a8978807d162dd62ab1f199dc1f3eb3f5721bf40555173af899a5800aa8cbd"),
+    "P33": (
+        "target = P33\nx_values = 0, 3, 7\ny_values = 1, 2.5\nreplicates = 40\nseed = 6\n",
+        "7c516e305d2c8683493697c8306c01bd531c17bf3fa6ff6018622445fca5555e"),
+    "ESF_FLT": (
+        "target = ESF_FLT\ntheta = 1.0\nn_values = 1000, 5000\ngrid = 0.5, 1.0\n"
+        "replicates = 40\nseed = 7\n",
+        "4e119f3e7db84da8d3c5f2f31c18a7d7905714b875e63d3caaf43abd6f6c2e1b"),
+    "A1": (
+        "target = A1\nstick = beta\ntheta = 1.0\nn_values = 1e8, 1e12\n"
+        "grid = 0.25, 0.5, 0.75, 1.0\ncentering = linear\nreplicates = 40\nseed = 8\n",
+        "6b5111df061865dc19e33719948cd7de4ac555f7e073ec370ce77b8dc35a0300"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_cli_csv_matches_pinned_digest(tmp_path, name):
+    text, digest = GOLDEN[name]
+    spec_path = tmp_path / f"{name}.cfg"
+    spec_path.write_text(text)
+    assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out"),
+                 "--no-timestamp"]) in (0, 1)
+    csv = (tmp_path / "out" / f"{name}.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == digest

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2_contingency
 
@@ -45,6 +47,39 @@ def test_floor_power_endpoints_and_guard():
         floor_power(0, 0.5)
     with pytest.raises(ValueError):
         floor_power(10, 1.5)
+
+
+@st.composite
+def _dyadic_powers(draw):
+    """(n, p, q) with t = p/q dyadic; half the time n is a perfect q-th
+    power, where n**t is an integer and a double-precision floor is fragile."""
+    q = 2 ** draw(st.integers(0, 10))
+    p = draw(st.integers(0, q))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, max(1, int(2 ** (61.9 / q))))) ** q
+    else:
+        n = draw(st.integers(1, 2**62 - 1))
+    return n, p, q
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_dyadic_powers())
+def test_memoised_floor_power_is_the_exact_integer_root(npq):
+    n, p, q = npq
+    c = floor_power(n, p / q)
+    assert c**q <= n**p < (c + 1) ** q
+    assert floor_power(n, p / q) == c
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 2**62), st.floats(0.3, 3.0), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_k_process_is_nondecreasing_and_ends_at_k_n(n, theta, seed, ts):
+    rng = RngStream(seed, 0)
+    occ = occupy_sieve(build_environment(StickLaw.beta(theta), 2**-80, rng), n, rng)
+    kp = k_process(occ, sorted(ts) + [1.0])
+    assert np.all(np.diff(kp.values) >= 0)
+    assert kp.values[-1] == kp.k_total == len(occ.counts)
 
 
 # ---------------------------------------------------------------------------

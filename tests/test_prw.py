@@ -182,3 +182,89 @@ def test_visit_counts_beyond_horizon_raise():
     path = simulate_path(EXP_EXP, 5.0, RngStream(17, 0))
     with pytest.raises(ValueError):
         path.count_visits(6.0)
+
+
+# ---------------------------------------------------------------------------
+# buffered step draws and scratch reuse, against the allocating numpy forms
+# ---------------------------------------------------------------------------
+
+
+def _allocating_draw(law, rng, size):
+    """Steps from numpy's allocating calls: the reference for StepLaw.draw."""
+    if law.dependence == "sharedstick":
+        w = law.xi[1].sample(rng, size)
+        return -np.log(w), -np.log1p(-w)
+
+    def one(kind, par):
+        if kind == "exp":
+            return rng.gen.exponential(1.0 / par, size)
+        if kind == "const":
+            return np.full(size, float(par))
+        if kind == "pareto":
+            u = rng.gen.random(size)
+            u[u == 0.0] = 0.5
+            return u ** (-1.0 / par)
+        w = par.sample(rng, size)
+        return -np.log(w) if kind == "logstick" else -np.log1p(-w)
+
+    return one(*law.xi), one(*law.eta)
+
+
+def _allocating_path(law, horizon, rng):
+    """The walk built with fresh arrays for every block and a boolean mask
+    for the kept points: the reference for simulate_path."""
+    m = law.mean_xi()
+    block = 64 if not math.isfinite(m) else max(64, int(1.2 * horizon / m) + 32)
+    s_chunks, t_chunks, s_last = [np.zeros(1)], [], 0.0
+    while s_last <= horizon:
+        xi, eta = _allocating_draw(law, rng, block)
+        s_prev = s_last + np.concatenate([[0.0], np.cumsum(xi[:-1])])
+        s_new = s_prev + xi
+        t_chunks.append((s_prev + eta)[s_prev <= horizon])
+        stop = np.searchsorted(s_new > horizon, True)
+        s_chunks.append(s_new[: stop + 1] if stop < block else s_new)
+        s_last = s_new[min(stop, block - 1)]
+    return np.concatenate(s_chunks), np.concatenate(t_chunks)
+
+
+STICK = StickLaw.exp_pareto(1.5)
+BUFFERED_LAWS = {
+    "exp_0.3": StepLaw(("exp", 0.3), ("exp", 3.0)),
+    "exp_3": StepLaw(("exp", 3.0), ("exp", 0.3)),
+    "const": StepLaw(("const", 2.0), ("const", 0.5)),
+    **{f"pareto_{a:g}": StepLaw(("pareto", a), ("exp", 1.0)) for a in (0.5, 1.0, 2.0, 3.0)},
+    "logstick": StepLaw(("logstick", StickLaw.beta(2.0)), ("log1mstick", STICK)),
+    "sharedstick": StepLaw.shared_stick(STICK),
+}
+
+
+@pytest.mark.parametrize("name", list(BUFFERED_LAWS))
+def test_buffered_draw_equals_allocating_numpy_bit_for_bit(name):
+    law = BUFFERED_LAWS[name]
+    rng, ref_rng = RngStream(40, 0), RngStream(40, 0)
+    out = (np.empty(1001), np.empty(1001))
+    for _ in range(3):  # the stream must also continue identically
+        assert law.draw(rng, out) is out
+        for got, want in zip(out, _allocating_draw(law, ref_rng, 1001)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["exp_0.3", "pareto_1", "pareto_2", "sharedstick"])
+def test_simulate_path_equals_allocating_reference(name):
+    law = BUFFERED_LAWS[name]
+    # pareto_1 has no mean, so it walks 64-step blocks: about 9 of them to 5000
+    for i, horizon in enumerate((0.0, 3.0, 50.0, 5000.0)):
+        path = simulate_path(law, horizon, RngStream(41, i))
+        s, t = _allocating_path(law, horizon, RngStream(41, i))
+        assert path.s_values.tobytes() == s.tobytes()
+        assert path.t_values.tobytes() == t.tobytes()
+
+
+def test_returned_path_survives_the_next_call():
+    for law in (EXP_EXP, BUFFERED_LAWS["pareto_1"]):  # one block; several 64-step blocks
+        first = simulate_path(law, 5000.0, RngStream(42, 0))
+        s, t = first.s_values.copy(), first.t_values.copy()
+        second = simulate_path(law, 5000.0, RngStream(42, 1))
+        assert np.array_equal(first.s_values, s) and np.array_equal(first.t_values, t)
+        assert not np.array_equal(second.t_values[:5], t[:5])
+        assert first.s_values.base is None and first.t_values.base is None
