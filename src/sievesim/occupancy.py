@@ -186,27 +186,28 @@ _EXTENSION_BLOCK = 32
 class SieveEnvironment:
     """Realised stick-breaking environment.
 
-    Keeps the realised sticks W_k, the cut points V_k, the box probabilities
-    p*_k = V_{k-1} - V_k, and the associated walk, built from the sticks by
+    Keeps the realised sticks W_k.  The cut points V_k, the box probabilities
+    p*_k = V_{k-1} - V_k and the associated walk (built from the sticks by
     prw.path_from_sticks, so the visit-count identity holds bitwise on shared
-    realisations.  Extension is lazy; a deserialised environment is frozen
-    (no law/stream attached) and raises if more sticks are needed.
+    realisations) are derived on demand; the walk is kept until the next
+    extension.  Extension is lazy; a deserialised environment is frozen (no
+    law/stream attached) and raises if more sticks are needed.
     """
 
     def __init__(self, law: StickLaw | None, rng: RngStream | None, sticks=()):
         self.law = law
         self.rng = rng
         self.sticks = np.asarray(sticks, dtype=float)
-        self._rebuild()
+        self._path = None
 
-    def _rebuild(self):
-        # cumprod and cumsum run sequentially, so recomputing from all sticks
-        # after an extension is bitwise equal to continuing the recurrences
-        w = self.sticks
-        self.cutpoints = np.cumprod(w)
-        self.box_probs = np.concatenate([[1.0], self.cutpoints[:-1]]) - self.cutpoints \
-            if len(w) else np.empty(0)
-        self._path = path_from_sticks(w)
+    @property
+    def cutpoints(self) -> np.ndarray:
+        return np.cumprod(self.sticks)
+
+    @property
+    def box_probs(self) -> np.ndarray:
+        v = self.cutpoints
+        return np.concatenate([[1.0], v[:-1]]) - v if len(v) else np.empty(0)
 
     @property
     def num_boxes(self) -> int:
@@ -216,19 +217,17 @@ class SieveEnvironment:
         if self.law is None or self.rng is None:
             raise RuntimeError("frozen environment exhausted; no law attached to extend")
         self.sticks = np.concatenate([self.sticks, self.law.sample(self.rng, count)])
-        self._rebuild()
-
-    def ensure_boxes(self, k: int):
-        while self.num_boxes < k:
-            self._extend()
+        self._path = None
 
     def ensure_log_depth(self, depth: float):
         """Extend until the walk has passed `depth` (V_K < exp(-depth))."""
-        while self._path.horizon <= depth:
+        while self.prw_path().horizon <= depth:
             self._extend()
 
     def prw_path(self) -> PrwPath:
         """The walk associated with this environment (S_K is its horizon)."""
+        if self._path is None:
+            self._path = path_from_sticks(self.sticks)
         return self._path
 
     def to_json(self) -> str:
@@ -254,19 +253,17 @@ def build_environment(law: StickLaw, min_mass_resolved: float, rng: RngStream) -
     """
     if not 0.0 < min_mass_resolved < 1.0:
         raise ValueError("min_mass_resolved must lie in (0, 1)")
-    sticks = np.empty(0)
-    v_last = 1.0
+    sticks = law.sample(rng, _EXTENSION_BLOCK)
     while True:
-        w = np.atleast_1d(law.sample(rng, _EXTENSION_BLOCK))
-        # sequential continuation: bitwise equal to one cumprod over the prefix
-        v = np.cumprod(np.concatenate([[v_last], w]))[1:]
-        hit = np.flatnonzero(v < min_mass_resolved)
-        if len(hit):
+        # cumprod runs sequentially, so a longer prefix repeats the earlier
+        # cut points bit for bit; every stick is below 1, so they never rise
+        # and the last one tells whether any is below the target
+        v = np.cumprod(sticks)
+        if v[-1] < min_mass_resolved:
             # stop exactly at the first stick that resolves the target mass
-            sticks = np.concatenate([sticks, w[: hit[0] + 1]])
-            return SieveEnvironment(law, rng, sticks=sticks)
-        sticks = np.concatenate([sticks, w])
-        v_last = float(v[-1])
+            k = int(np.argmax(v < min_mass_resolved)) + 1
+            return SieveEnvironment(law, rng, sticks=sticks[:k])
+        sticks = np.concatenate([sticks, law.sample(rng, _EXTENSION_BLOCK)])
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +308,14 @@ def occupy_sieve(env: SieveEnvironment, n: int, rng: RngStream,
         raise ValueError("n must be >= 0")
     counts = {}
     remaining = n
+    cond = (1.0 - env.sticks).tolist()  # 1 - W_k, box k at index k - 1
     k = 0
     while remaining > 0:
+        if k == len(cond):
+            env._extend()
+            cond = (1.0 - env.sticks).tolist()
+        z = sample_binomial(remaining, cond[k], rng, regime_counter)
         k += 1
-        env.ensure_boxes(k)
-        z = sample_binomial(remaining, 1.0 - float(env.sticks[k - 1]), rng, regime_counter)
         if z > 0:
             counts[k] = z
             remaining -= z
@@ -372,16 +372,15 @@ class KProcess:
 
 def k_process(occ: OccupancyResult, grid) -> KProcess:
     """Evaluate K_n(t) on the grid by sorting occupied counts once."""
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid < 0.0) or np.any(grid > 1.0):
+    ts = [float(t) for t in grid]
+    if any(t < 0.0 or t > 1.0 for t in ts):
         raise ValueError("grid must lie in [0, 1]")
-    vals = occ.count_values()
+    grid = np.asarray(ts)
     if occ.n == 0:
-        return KProcess(grid, np.zeros(len(grid), dtype=np.int64), 0)
-    out = np.empty(len(grid), dtype=np.int64)
-    for i, t in enumerate(grid):
-        out[i] = np.searchsorted(vals, floor_power(occ.n, float(t)), side="right")
-    return KProcess(grid, out, int(len(vals)))
+        return KProcess(grid, np.zeros(len(ts), dtype=np.int64), 0)
+    vals = occ.count_values()
+    caps = np.array([floor_power(occ.n, t) for t in ts], dtype=np.int64)
+    return KProcess(grid, np.searchsorted(vals, caps, side="right"), int(len(vals)))
 
 
 # ---------------------------------------------------------------------------

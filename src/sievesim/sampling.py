@@ -55,13 +55,13 @@ class RngStream:
 
 
 class ScratchSlot(threading.local):
-    """Reusable work arrays of one length, one set per thread.
+    """Reusable work arrays, one set per thread.
 
-    ``arrays(size)`` returns the arrays of the last length asked for, or
-    replaces them with fresh ones when the length differs, so a replicate
-    loop that repeats one length allocates (and page-faults) them once.  The
-    contents belong to the caller only until its next call: anything handed
-    further on must be copied out.
+    ``arrays(size)`` returns views of exactly ``size`` elements on the
+    largest arrays asked for so far, growing them only for a longer request,
+    so a replicate loop allocates (and page-faults) them once even when it
+    alternates lengths.  The contents belong to the caller only until its
+    next call: anything handed further on must be copied out.
     """
 
     def __init__(self, *dtypes):
@@ -69,9 +69,9 @@ class ScratchSlot(threading.local):
         self._arrays = ()
 
     def arrays(self, size: int) -> tuple:
-        if not self._arrays or len(self._arrays[0]) != size:
+        if not self._arrays or len(self._arrays[0]) < size:
             self._arrays = tuple(np.empty(size, dtype=d) for d in self._dtypes)
-        return self._arrays
+        return tuple(a[:size] for a in self._arrays)
 
 
 def _open_unit(gen, size):
@@ -86,6 +86,10 @@ def _open_unit(gen, size):
 # ---------------------------------------------------------------------------
 # stick-breaking factor laws
 # ---------------------------------------------------------------------------
+
+# every stick is clamped strictly inside (0, 1)
+_STICK_BOTTOM = math.nextafter(0.0, 1.0)
+_STICK_TOP = math.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -164,12 +168,10 @@ class StickLaw:
             w = xs[np.minimum(idx, len(xs) - 1)]
             if size is None:
                 w = float(w)
-        # keep draws strictly inside (0, 1)
-        top = np.nextafter(1.0, 0.0)
-        bottom = np.nextafter(0.0, 1.0)
         if size is None:
-            return float(min(max(w, bottom), top))
-        return np.clip(w, bottom, top)
+            return float(min(max(w, _STICK_BOTTOM), _STICK_TOP))
+        # w is a fresh array here, so it is clamped in place
+        return np.minimum(np.maximum(w, _STICK_BOTTOM, out=w), _STICK_TOP, out=w)
 
     # -- distributional facts used by centerings and environments -----------
 
@@ -301,17 +303,25 @@ def sample_binomial(n: int, p: float, rng: RngStream, regime_counter: dict | Non
         raise ValueError("n must be >= 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    regime = binomial_regime(n, p)
+    # binomial_regime, inlined (this runs once per box of every replicate)
+    # and keeping the variance for the Gaussian branch
+    if n == 0 or p == 0.0 or p == 1.0:
+        regime = "degenerate"
+    else:
+        q = 1.0 - p
+        var = n * p * q
+        if var > BINOMIAL_GAUSSIAN_VARIANCE:
+            regime = "gaussian"
+        elif n * min(p, q) <= BINOMIAL_INVERSION_LIMIT:
+            regime = "inversion"
+        else:
+            regime = "btpe"
     if regime_counter is not None:
         regime_counter[regime] = regime_counter.get(regime, 0) + 1
-    if n == 0 or p == 0.0:
-        return 0
-    if p == 1.0:
-        return n
+    if regime == "degenerate":
+        return n if p == 1.0 else 0
     if regime == "gaussian":
-        mean = n * p
-        sd = math.sqrt(n * p * (1.0 - p))
-        x = int(round(mean + sd * rng.gen.standard_normal()))
+        x = int(round(n * p + math.sqrt(var) * rng.gen.standard_normal()))
         return min(max(x, 0), n)
     return int(rng.gen.binomial(n, p))
 

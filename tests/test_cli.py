@@ -125,11 +125,13 @@ def test_degenerate_scale_exits_2(tmp_path, capsys, spec_text):
     "target = B1\nxi_param = 0\nn_values = 100\n",                  # exp rate 0
     "target = P41\nq = 1.5\nn_values = 1e4\nreplicates = 100\n",   # q outside (0, 1)
     "target = A1\ntheta = 0\nn_values = 1e4\n",                     # beta stick theta 0
+    "target = T22\nalpha = 0.02\nn_values = 1e4\n",        # below Kanter's finite range
+    "target = B4\nxi = pareto\nxi_param = 0.02\nn_values = 100\n",
 ], ids=["A3_beta_stick", "B3_exp_steps", "B4_index_1", "A1_n_below_1", "P21_no_n",
         "A1_no_n", "mode_typo", "centering_typo", "dependence_typo", "xi_unknown",
         "P33_no_x", "P33_one_replicate", "P32_negative_b", "P41_n_below_3",
         "P41_50_replicates", "P31_infinite_mean", "B1_exp_rate_0", "P41_q_above_1",
-        "A1_theta_0"])
+        "A1_theta_0", "T22_alpha_0.02", "B4_index_0.02"])
 def test_bad_spec_exits_2_before_any_replicate(tmp_path, capsys, monkeypatch, spec_text):
     def no_replicates(*args):
         raise AssertionError("a replicate was drawn")

@@ -5,8 +5,9 @@ alters drawn values on purpose re-records them and says why.
 
 The specs cover each step law the walk draws (exp, pareto with one and
 several blocks, const, independent and shared log sticks), the Feller
-coupling with its sieve half, and the sieve at depths where floor_power
-takes its exact-integer path.
+coupling with its sieve half, the sieve at depths where floor_power takes its
+exact-integer path, P21's exact sup path, and exppareto sticks in both the
+ratio (T22) and the process (A3) mode.
 """
 
 import hashlib
@@ -47,6 +48,18 @@ GOLDEN = {
         "target = A1\nstick = beta\ntheta = 1.0\nn_values = 1e8, 1e12\n"
         "grid = 0.25, 0.5, 0.75, 1.0\ncentering = linear\nreplicates = 40\nseed = 8\n",
         "6b5111df061865dc19e33719948cd7de4ac555f7e073ec370ce77b8dc35a0300"),
+    "P21_sup": (
+        "target = P21\nstick = beta\ntheta = 1.0\nn_values = 1e4, 1e12\ngrid = 1.0\n"
+        "replicates = 40\nseed = 11\n",
+        "08320ea14cb8f672d2aaf98583dc3050743f5d3f6647bb520ff1c77e9400b60d"),
+    "T22_ratio_exppareto": (
+        "target = T22\nmode = ratio\nstick = exppareto\nalpha = 0.5\nn_values = 1e12\n"
+        "grid = 0.5, 1.0\nreplicates = 40\nseed = 12\n",
+        "f44a01c9246eacce6caef97718ec2a19e68d216e400d0754dc5957f8d41c3c6e"),
+    "A3_exppareto": (
+        "target = A3\nstick = exppareto\nalpha = 1.5\nn_values = 1e8, 1e12\n"
+        "grid = 0.5, 1.0\nreplicates = 40\nseed = 13\n",
+        "31e16765581d18c4fa84b803f0452f2ecc1e0e791c901a03a91cb49344052266"),
 }
 
 

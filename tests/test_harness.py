@@ -76,6 +76,18 @@ def test_spec_validation_and_thresholds():
     assert ExperimentSpec(target="B1").threshold("ks") == 0.02
 
 
+def test_small_stable_index_starts_at_kanters_finite_range():
+    # Kanter's sampler stays finite from alpha = 0.05 on (see _TAIL_INDEX);
+    # the bound is closed, and 0.02 below it exits 2 in test_cli
+    assert ExperimentSpec(target="T22", alpha=0.05, n_values=(1e4,)).alpha == 0.05
+    assert ExperimentSpec(target="B4", xi="pareto", xi_param=0.05, n_values=(100,)).xi_param == 0.05
+    below = ({"target": "T22", "alpha": 0.049},
+             {"target": "B4", "xi": "pareto", "xi_param": 0.049})
+    for spec in below:
+        with pytest.raises(ConfigurationError, match=r"\[0\.05, 1\)"):
+            ExperimentSpec(n_values=(100,), **spec)
+
+
 def test_normalization_roundtrip_guard():
     norm = Normalization(3.0, 2.0)
     x = np.array([1.0, 5.0, 11.0])

@@ -28,7 +28,7 @@ from sievesim.occupancy import (
     _sup_rho_window,
 )
 from sievesim.prw import path_from_sticks, simulate_path, StepLaw
-from sievesim.sampling import RngStream, StickLaw
+from sievesim.sampling import RngStream, StickLaw, sample_binomial
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +80,8 @@ def test_k_process_is_nondecreasing_and_ends_at_k_n(n, theta, seed, ts):
     kp = k_process(occ, sorted(ts) + [1.0])
     assert np.all(np.diff(kp.values) >= 0)
     assert kp.values[-1] == kp.k_total == len(occ.counts)
+    assert kp.values.tolist() == [sum(1 for z in occ.counts.values() if z <= floor_power(n, t))
+                                  for t in sorted(ts) + [1.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +94,27 @@ def test_degenerate_environment_is_dyadic():
     assert np.array_equal(env.box_probs, 0.5 ** np.arange(1, env.num_boxes + 1))
     assert env.cutpoints[-1] < 2**-20
     assert env.cutpoints[-2] >= 2**-20  # stopped exactly at the rule
+
+
+def _stickwise_environment(law, mass, rng):
+    """The first sticks whose running product drops below mass, multiplied
+    one at a time; the stream is read in the same 32-stick blocks."""
+    sticks, v = [], 1.0
+    while True:
+        for w in law.sample(rng, 32).tolist():
+            sticks.append(w)
+            v *= w
+            if v < mass:
+                return sticks
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["beta", "exppareto"]), st.floats(0.3, 3.0), st.integers(1, 200),
+       st.integers(0, 2**32 - 1))
+def test_build_environment_stops_at_the_first_resolving_stick(kind, param, log2_mass, seed):
+    law = StickLaw.beta(param) if kind == "beta" else StickLaw.exp_pareto(param)
+    env = build_environment(law, 2.0**-log2_mass, RngStream(seed, 0))
+    assert env.sticks.tolist() == _stickwise_environment(law, 2.0**-log2_mass, RngStream(seed, 0))
 
 
 def test_environment_stopping_rule_and_mass():
@@ -187,6 +210,56 @@ def test_occupancy_total_exact_at_huge_n():
     occ = occupy_sieve(env, n, RngStream(9, 1))
     assert occ.total() == n  # exact integer bookkeeping through all regimes
     assert all(v >= 0 for v in occ.counts.values())
+
+
+def _per_box_occupy(env, n, rng):
+    """Sequential thinning one box at a time, extending by whole blocks when
+    the sticks run out: the reference that occupy_sieve's list walk must
+    reproduce draw for draw."""
+    counts, remaining, k = {}, n, 0
+    while remaining > 0:
+        k += 1
+        while env.num_boxes < k:
+            env._extend()
+        z = sample_binomial(remaining, 1.0 - float(env.sticks[k - 1]), rng)
+        if z > 0:
+            counts[k] = z
+            remaining -= z
+    return counts
+
+
+@pytest.mark.parametrize("law", [StickLaw.beta(1.0), StickLaw.exp_pareto(2.0),
+                                 StickLaw.degenerate(0.5)], ids=["beta", "exppareto", "half"])
+@pytest.mark.parametrize("n", [10**6, 2**62])
+def test_lazy_extension_matches_per_box_thinning(law, n):
+    def three_sticks():
+        rng = RngStream(21, 0)
+        return SieveEnvironment(law, rng, sticks=law.sample(rng, 3)), rng
+
+    env, rng = three_sticks()
+    assert len(env.prw_path().t_values) == 3  # a walk built before the extension
+    occ = occupy_sieve(env, n, rng)
+    ref_env, ref_rng = three_sticks()
+    assert occ.counts == _per_box_occupy(ref_env, n, ref_rng)
+    assert occ.total() == n
+    assert env.num_boxes > 3 and np.array_equal(env.sticks, ref_env.sticks)
+    fresh = path_from_sticks(env.sticks)
+    assert np.array_equal(env.prw_path().s_values, fresh.s_values)
+    assert np.array_equal(env.prw_path().t_values, fresh.t_values)
+    v = np.cumprod(env.sticks)
+    assert np.array_equal(env.cutpoints, v)
+    assert np.array_equal(env.box_probs, np.concatenate([[1.0], v[:-1]]) - v)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 2**62), st.sampled_from(["beta", "exppareto"]), st.floats(0.3, 3.0),
+       st.integers(0, 2**32 - 1))
+def test_thinning_conserves_n(n, kind, param, seed):
+    law = StickLaw.beta(param) if kind == "beta" else StickLaw.exp_pareto(param)
+    rng = RngStream(seed, 0)
+    occ = occupy_sieve(build_environment(law, 2**-80, rng), n, rng)
+    assert occ.total() == n
+    assert all(z > 0 for z in occ.counts.values())
 
 
 def test_occupy_scheme_geometric_and_explicit():

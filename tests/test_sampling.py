@@ -9,6 +9,7 @@ from conftest import exact_binomial_pmf
 from sievesim.harness import ks_one_sample, ks_two_sample
 from sievesim.sampling import (
     RngStream,
+    ScratchSlot,
     StickLaw,
     binomial_regime,
     sample_binomial,
@@ -35,6 +36,16 @@ def test_stream_determinism_and_independence():
     d = RngStream(124, 5).gen.random(1000)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_scratch_slot_keeps_its_largest_buffer():
+    slot = ScratchSlot(float, bool)
+    first = slot.arrays(100)
+    assert [(len(a), a.dtype) for a in first] == [(100, np.float64), (100, np.bool_)]
+    for size in (64, 100):  # a shorter request, then the first length again
+        again = slot.arrays(size)
+        assert [len(a) for a in again] == [size, size]
+        assert all(np.shares_memory(a, b) for a, b in zip(again, first))
 
 
 def test_sampler_determinism_bit_identical():
@@ -151,6 +162,29 @@ def test_binomial_regime_moments(n, p, expected_regime):
     kappa = (1.0 - 6.0 * p * (1.0 - p)) / var
     se_var = var * math.sqrt(2.0 / (draws - 1) + abs(kappa) / draws)
     assert abs(xs.var(ddof=1) - var) < 3.0 * se_var
+
+
+_REGIME_EDGES = [
+    (0, 0.3), (10**6, 0.0), (10**6, 1.0),
+    (60, 0.5), (61, 0.5), (120, 0.75), (121, 0.75),        # n min(p, 1-p) = 30 | 30.25
+    (40_000_000, 0.5), (40_000_004, 0.5),                  # n p (1-p) = 1e7 | 1e7 + 1
+    (1 << 62, 0.5), (1 << 62, 1e-20), (1 << 62, 5e-18), (1 << 62, 1.0 - 2**-53),
+]
+
+
+@pytest.mark.parametrize("n,p", _REGIME_EDGES)
+def test_sample_binomial_counts_the_regime_binomial_regime_names(n, p):
+    counter = {}
+    sample_binomial(n, p, RngStream(11, 0), counter)
+    assert counter == {binomial_regime(n, p): 1}
+
+
+@pytest.mark.parametrize("n,p", [(40_000_004, 0.5), (1 << 62, 0.5), (1 << 62, 1e-11)])
+def test_gaussian_branch_rounds_mean_plus_sd_times_one_normal(n, p):
+    assert binomial_regime(n, p) == "gaussian"
+    z = RngStream(12, 0).gen.standard_normal()
+    expected = min(max(int(round(n * p + math.sqrt(n * p * (1.0 - p)) * z)), 0), n)
+    assert sample_binomial(n, p, RngStream(12, 0)) == expected
 
 
 def test_binomial_huge_n_stays_exact_integer():
