@@ -18,7 +18,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import __version__
-from .ewens import c_process, sample_cycles_crp, sample_cycles_feller
+from .ewens import FELLER_MAX_N, c_process, sample_cycles_crp, sample_cycles_feller
 from .limits import (
     centering_prw,
     centering_u_v,
@@ -198,6 +198,9 @@ class ExperimentSpec:
                 and len(self.grid) > _GRID_STREAMS):
             raise ConfigurationError(f"{self.target} with several n values takes at most "
                                      f"{_GRID_STREAMS} grid points (reference streams per n)")
+        if self.target in ("ESF_FLT", "EQ") and any(n > FELLER_MAX_N for n in self.n_values):
+            raise ConfigurationError(f"{self.target} needs n_values <= 2^53, the largest n "
+                                     "the Feller coupling samples exactly")
         if (self.target in ("ESF_FLT", "EQ")
                 and self.replicates * len(self.n_values) > _SIEVE_STREAM_BASE):
             raise ConfigurationError(f"{self.target} needs replicates * len(n_values) <= 2^20 "

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from sievesim.cli import SpecFileError, main, parse_spec_file
+from sievesim.harness import ExperimentSpec
 from sievesim.occupancy import build_environment
 from sievesim.sampling import RngStream, StickLaw
 
@@ -143,6 +144,21 @@ def test_bad_spec_exits_2_before_any_replicate(tmp_path, capsys, monkeypatch, sp
     assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+@pytest.mark.parametrize("target", ["ESF_FLT", "EQ"])
+def test_permutation_targets_reject_n_above_2_53(tmp_path, capsys, monkeypatch, target):
+    def no_replicates(*args):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr("sievesim.harness._run_replicates", no_replicates)
+    assert ExperimentSpec(target=target, n_values=(2.0**53,)).n_values == (2.0**53,)
+    spec_path = write(tmp_path, "deep.cfg", f"target = {target}\nn_values = 1e4, 1e16\n"
+                                            "replicates = 5\n")
+    assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec_path}:0:") and "2^53" in err and "Traceback" not in err
     assert not list(tmp_path.glob("out/*.csv"))
 
 

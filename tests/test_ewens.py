@@ -1,17 +1,21 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency
+from scipy.special import digamma
+from scipy.stats import chi2_contingency, kstwobign
 
 from conftest import empirical_type_tv, exact_cycle_type_probs, partitions
 from sievesim.ewens import (
     CycleCounts,
-    _feller_probs,
+    _poch_chunks,
     c_process,
     esf_probability,
     sample_cycles_crp,
     sample_cycles_feller,
 )
-from sievesim.harness import ks_two_sample, _EwensTask, _ewens_replicate, _SieveTask, _sieve_replicate, _run_replicates
+from sievesim.harness import DEFAULT_THRESHOLDS, ks_two_sample, _EwensTask, _ewens_replicate, _SieveTask, _sieve_replicate, _run_replicates
 from sievesim.sampling import RngStream, StickLaw
 from functools import partial
 
@@ -111,30 +115,83 @@ def test_sieve_equality_on_grid(theta):
         assert ks_two_sample(fel[:, j], sieve[:, j]) < 0.04
 
 
-def _allocating_feller_lengths(n, theta, rng):
-    """Cycle lengths from fresh arrays: the reference for the buffered sampler."""
+def _dense_feller(n, theta, rng):
+    """The Feller coupling drawn densely, one Bernoulli indicator per position:
+    an independent oracle for the sampler, which jumps between indicators."""
     i = np.arange(1, n + 1, dtype=float)
     ones = np.flatnonzero(rng.gen.random(n) < theta / (theta + i - 1.0)) + 1
-    return sorted(np.diff(np.concatenate([ones, [n + 1]])).tolist())
+    lengths, counts = np.unique(np.diff(np.append(ones, n + 1)), return_counts=True)
+    return CycleCounts(n, theta, dict(zip(lengths.tolist(), counts.tolist())))
 
 
-def test_successive_feller_draws_ignore_buffer_reuse():
-    # same n back to back (buffer and vector reused), then other n and theta
-    # in between (slot replaced, cache grown), then the first n again
-    for k, (n, theta) in enumerate([(500, 1.0), (500, 1.0), (37, 2.5), (500, 0.7),
-                                    (500, 1.0), (8, 1.0), (500, 1.0)]):
-        cycles = sample_cycles_feller(n, theta, RngStream(9, k))
-        lengths = sorted(r for r, c in cycles.counts.items() for _ in range(c))
-        assert lengths == _allocating_feller_lengths(n, theta, RngStream(9, k))
+def test_feller_draw_depends_only_on_its_stream():
+    cases = [(500, 1.0), (500, 1.0), (37, 2.5), (500, 0.7), (8, 1.0), (10**12, 20.0)]
+    first = [sample_cycles_feller(n, theta, RngStream(9, k)).counts
+             for k, (n, theta) in enumerate(cases)]
+    # the same streams again, in reverse order and with other draws in between
+    for k, (n, theta) in reversed(list(enumerate(cases))):
+        sample_cycles_feller(10**6, 1.3, RngStream(9, 100 + k))
+        assert sample_cycles_feller(n, theta, RngStream(9, k)).counts == first[k]
 
 
-def test_cached_feller_probabilities_are_read_only():
-    probs = _feller_probs(50, 1.5)
-    assert probs is _feller_probs(50, 1.5)
-    assert not probs.flags.writeable
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.5])
+def test_feller_cycle_count_law_at_n_1e4(theta):
+    # the cycle count is a sum of independent Bernoulli(p_i) indicators, so
+    # its mean, variance and fourth cumulant are exact sums
+    n, draws, dense_draws = 10**4, 20000, 5000
+    rng = RngStream(21, 0)
+    samples = [sample_cycles_feller(n, theta, rng) for _ in range(draws)]
+    k = np.array([s.num_cycles() for s in samples], float)
+    p = theta / (theta + np.arange(n))
+    mean, var = theta * (digamma(theta + n) - digamma(theta)), float(np.sum(p * (1 - p)))
+    assert abs(mean - np.sum(p)) < 1e-9
+    kappa4 = float(np.sum(p * (1 - p) * (1 - 6 * p * (1 - p))))
+    assert abs(k.mean() - mean) < 4 * math.sqrt(var / draws)
+    assert abs(k.var(ddof=1) - var) < 4 * math.sqrt((kappa4 + 2 * var**2) / draws)
+    # C_n(0.5) against the dense construction, at the Kolmogorov 1e-3 quantile
+    sparse = [c_process(s, (0.5,))[0] for s in samples]
+    rng_d = RngStream(21, 1)
+    dense = [c_process(_dense_feller(n, theta, rng_d), (0.5,))[0] for _ in range(dense_draws)]
+    bound = kstwobign.isf(1e-3) * math.sqrt((draws + dense_draws) / (draws * dense_draws))
+    assert ks_two_sample(sparse, dense) < bound
+
+
+def test_feller_above_theta_16_takes_pochhammer_in_chunks():
+    # theta > 16 splits poch(x, theta) into factors that cannot overflow; the
+    # bound is scipy's own: its poch is off by up to 1.6e-11 relative for x
+    # between about 20 and 1e4
+    for x in (1.0, 7.5, 1e3, 1e6):
+        assert math.prod(_poch_chunks(x, 37.5)) == pytest.approx(float(mpmath.rf(x, 37.5)),
+                                                                 rel=1e-10)
+    assert all(map(math.isfinite, _poch_chunks(2.0**53, 37.5)))
+    n, theta, draws = 10**4, 20.0, 2000
+    rng = RngStream(22, 0)
+    k = np.array([sample_cycles_feller(n, theta, rng).num_cycles() for _ in range(draws)], float)
+    p = theta / (theta + np.arange(n))
+    assert abs(k.mean() - np.sum(p)) < 4 * math.sqrt(np.sum(p * (1 - p)) / draws)
+
+
+def test_sieve_equality_beyond_the_dense_range():
+    # n = 1e12 is out of reach of n uniforms per replicate.  eq_ks is
+    # calibrated at 5000 replicates a side; the same Kolmogorov level at 2000
+    # a side is eq_ks * sqrt(5000/2000)
+    n, reps, grid = 10**12, 2000, (0.5, 1.0)
+    fel = np.asarray(_run_replicates(partial(
+        _ewens_replicate, _EwensTask(n, 1.0, grid, 31, 0, "feller")), reps, 1), float)
+    sieve = np.asarray([r[0] for r in _run_replicates(partial(
+        _sieve_replicate, _SieveTask(StickLaw.beta(1.0), n, grid, 31, 1 << 16)),
+        reps, 1)], float)
+    bound = DEFAULT_THRESHOLDS["eq_ks"] * math.sqrt(5000 / reps)
+    for j in range(len(grid)):
+        assert ks_two_sample(fel[:, j], sieve[:, j]) < bound
+
+
+@pytest.mark.parametrize("theta", [1.0, 2.5])
+def test_feller_reaches_n_2_53_exactly(theta):
+    cycles = sample_cycles_feller(2**53, theta, RngStream(10, 0))
+    assert sum(r * c for r, c in cycles.counts.items()) == 2**53
     with pytest.raises(ValueError):
-        probs[3] = 0.0
-    assert probs[0] == 1.0 and probs[-1] == 1.5 / 50.5
+        sample_cycles_feller(2**53 + 1, theta, RngStream(10, 0))
 
 
 def test_sampler_validation():

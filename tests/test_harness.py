@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from sievesim.harness import (
@@ -52,6 +54,17 @@ def test_ks_two_sample_hand_values():
     assert abs(ks_two_sample([1.0, 2.0], [1.5]) - 0.5) < 1e-12
     with pytest.raises(ValueError):
         ks_two_sample([], [1.0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=80),
+       st.lists(st.integers(0, 6), min_size=1, max_size=80))
+def test_ks_two_sample_equals_scipy_on_tied_counts(a, b):
+    # small integer counts tie heavily, as the ks_sieve_equality rows do.  Both
+    # give the same rational |i/len(a) - j/len(b)|, but scipy rounds it once and
+    # the merge scan subtracts two rounded CDFs (a = [0], b = [0, 0, 1] gives
+    # 0.33333333333333337 against 0.3333333333333333), so they agree to 2^-51
+    assert abs(ks_two_sample(a, b) - ks_2samp(a, b).statistic) <= 2**-51
 
 
 def test_ks_two_sample_matches_scipy_with_ties():
