@@ -1,6 +1,5 @@
 """Ewens cycle counts sampled two independent ways (Chinese restaurant and
-Feller coupling), the exact sampling-formula probability, and the cycle
-process C_n(t)."""
+Feller coupling) and the cycle process C_n(t)."""
 
 import json
 import math
@@ -8,7 +7,7 @@ from dataclasses import dataclass
 from operator import truediv
 
 import numpy as np
-from scipy.special import gammaln, poch
+from scipy.special import poch
 
 from .occupancy import floor_power
 from .sampling import RngStream
@@ -17,7 +16,6 @@ __all__ = [
     "CycleCounts",
     "sample_cycles_crp",
     "sample_cycles_feller",
-    "esf_probability",
     "c_process",
 ]
 
@@ -178,23 +176,6 @@ def sample_cycles_feller(n: int, theta: float, rng: RngStream) -> CycleCounts:
         counts[j - i] = counts.get(j - i, 0) + 1
         i = j
     return CycleCounts(n, theta, counts)
-
-
-def esf_probability(counts: CycleCounts) -> float:
-    """Exact Ewens-sampling-formula probability of a cycle type, log-domain.
-
-    P = n! Gamma(theta) / Gamma(theta + n) * prod_r theta^{c_r} / (r^{c_r} c_r!).
-    """
-    n, theta = counts.n, counts.theta
-    if sum(r * c for r, c in counts.counts.items()) != n:
-        raise ValueError("inconsistent cycle counts")
-    log_p = float(gammaln(n + 1) + gammaln(theta) - gammaln(theta + n))
-    for r, c in counts.counts.items():
-        if c < 0:
-            raise ValueError("negative cycle count")
-        if c:
-            log_p += c * math.log(theta) - c * math.log(r) - float(gammaln(c + 1))
-    return math.exp(log_p)
 
 
 def c_process(counts: CycleCounts, grid) -> np.ndarray:

@@ -51,7 +51,6 @@ __all__ = [
     "ks_one_sample",
     "ks_two_sample",
     "run_experiment",
-    "calibration_guard",
 ]
 
 
@@ -75,6 +74,9 @@ _MIN_MASS = 2.0**-80  # the sieve environment resolves every box above this mass
 _REFERENCE_BLOCK = {("A3", False): 0, ("T22", False): 0, ("T22", True): 4096,
                     ("A3", True): 8192, ("B3", False): 16384, ("B4", False): 16384}
 
+# every numeric field; a nan or an infinity in any of them is a spec error
+_FINITE = ("n_values", "x_values", "y_values", "theta", "alpha", "xi_param", "eta_param",
+           "q", "b", "c")
 _CHOICES = {"mode": ("process", "ratio"), "stick": ("beta", "exppareto"),
             "xi": ("exp", "pareto", "const", "logstick"), "eta": ("exp", "const", "log1mstick"),
             "dependence": ("independent", "sharedstick"), "centering": ("u", "linear")}
@@ -119,16 +121,18 @@ def ks_two_sample(a, b) -> float:
     """Exact sup-distance between two empirical CDFs (merge scan).
 
     Ties are handled by evaluating both CDFs only after all equal values are
-    processed.
+    processed.  The distance max |i/len(a) - j/len(b)| is taken over the
+    integer counts i, j as max |i len(b) - j len(a)| and divided once, so the
+    result is the rational statistic correctly rounded.
     """
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if len(a) == 0 or len(b) == 0:
         raise ValueError("ks_two_sample needs two nonempty samples")
     data = np.unique(np.concatenate([a, b]))
-    ca = np.searchsorted(a, data, side="right") / len(a)
-    cb = np.searchsorted(b, data, side="right") / len(b)
-    return float(np.max(np.abs(ca - cb)))
+    ia = np.searchsorted(a, data, side="right")
+    ib = np.searchsorted(b, data, side="right")
+    return int(np.max(np.abs(ia * len(b) - ib * len(a)))) / (len(a) * len(b))
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +172,14 @@ class ExperimentSpec:
             raise ConfigurationError(f"unknown target {self.target!r}")
         if self.replicates < 1:
             raise ConfigurationError("replicates must be >= 1")
-        if any(not 0.0 <= t <= 1.0 for t in self.grid):
-            raise ConfigurationError("grid values must lie in [0, 1]")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
+        if not self.grid or any(not 0.0 <= t <= 1.0 for t in self.grid):
+            raise ConfigurationError("grid needs at least one value, all in [0, 1]")
+        for name in _FINITE:
+            value = getattr(self, name)
+            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                raise ConfigurationError(f"{name} must be finite")
         for name, allowed in _CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigurationError(f"{name} must be one of {', '.join(allowed)}, "
@@ -182,6 +192,8 @@ class ExperimentSpec:
                                          f"{hi:g}), the tail index of its reference law")
         if self.target not in _WALK + ("P33",) and any(n < 1 for n in self.n_values):
             raise ConfigurationError(f"{self.target} rounds n to an integer: n_values must be >= 1")
+        if self.target in _WALK and any(n <= 0 for n in self.n_values):
+            raise ConfigurationError(f"{self.target} needs n_values > 0")
         try:
             law = self.law()
         except ValueError as exc:  # a law parameter out of its range
@@ -192,6 +204,8 @@ class ExperimentSpec:
             raise ConfigurationError("P32 requires b > 0 and c > 0")
         if self.target == "P33" and not (self.x_values and self.y_values and self.replicates >= 2):
             raise ConfigurationError("P33 needs x_values, y_values and replicates >= 2")
+        if self.target == "P33" and min(self.x_values + self.y_values) < 0.0:
+            raise ConfigurationError("P33 needs x_values and y_values >= 0")
         if self.target == "P41" and (self.replicates < 100 or any(n < 3 for n in self.n_values)):
             raise ConfigurationError("P41 needs replicates >= 100 and n_values >= 3")
         if (self.target in ("A3", "T22", "B3", "B4") and len(self.n_values) > 1
@@ -750,44 +764,3 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
     report.metadata = {"seed": spec.seed, "runtime_s": time.time() - t_start,
                        "binomial_regimes": regimes, "version": __version__}
     return report
-
-
-# ---------------------------------------------------------------------------
-# calibration guard (null-model sanity)
-# ---------------------------------------------------------------------------
-
-
-def calibration_guard(seed: int = 0) -> list:
-    """Push limit-law draws through the same KS pipeline.
-
-    Every (replicate count, threshold) combination used by the acceptance
-    checks must come out below its threshold when fed the limit law itself;
-    anything else means the pipeline (not the theorems) is broken.
-    """
-    checks = []
-
-    def add(name, value, threshold):
-        checks.append({"name": name, "value": float(value),
-                       "threshold": threshold, "passed": bool(value < threshold)})
-
-    rng = RngStream(seed, _REFERENCE_STREAM_BASE + 99)
-    z = rng.gen.standard_normal(4000)
-    add("normal_one_sample_4000_at_0.08", ks_one_sample(z, normal_cdf), 0.08)
-    z2 = rng.gen.standard_normal(10000)
-    add("normal_one_sample_10000_at_0.02", ks_one_sample(z2, normal_cdf), 0.02)
-    a = rng.gen.standard_normal(5000)
-    b = rng.gen.standard_normal(5000)
-    add("normal_two_sample_5000_at_0.04", ks_two_sample(a, b), 0.04)
-    s1 = sample_spectrally_negative_stable(1.5, rng, 10000)
-    s2 = sample_spectrally_negative_stable(1.5, rng, 10000)
-    add("stable_two_sample_10000_at_0.04", ks_two_sample(s1, s2), 0.04)
-    w1 = sample_inverse_subordinator_marginal(0.5, 1.0, rng, 10000)
-    w2 = sample_inverse_subordinator_marginal(0.5, 1.0, rng, 10000)
-    add("mittag_leffler_two_sample_10000_at_0.03", ks_two_sample(w1, w2), 0.03)
-    w3 = sample_inverse_subordinator_marginal(0.5, 1.0, rng, 4000)
-    w4 = sample_inverse_subordinator_marginal(0.5, 1.0, rng, 4000)
-    add("mittag_leffler_two_sample_4000_at_0.05", ks_two_sample(w3, w4), 0.05)
-    r1 = sample_inverse_ratio(0.5, 0.5, rng, 4000)
-    r2 = sample_inverse_ratio(0.5, 0.5, rng, 4000)
-    add("inverse_ratio_two_sample_4000_at_0.06", ks_two_sample(r1, r2), 0.06)
-    return checks

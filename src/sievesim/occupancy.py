@@ -1,5 +1,5 @@
-"""Occupancy schemes: the stick-breaking sieve environment, deterministic
-Karlin schemes, exact sequential-thinning occupancy, the small-count process
+"""Occupancy schemes: the stick-breaking sieve environment, the geometric
+Karlin scheme, exact sequential-thinning occupancy, the small-count process
 K_n(t), the counting functions rho, and both sides of the uniform
 approximation bound."""
 
@@ -26,11 +26,9 @@ __all__ = [
     "occupy_scheme",
     "k_process",
     "rho",
-    "reversed_rho_increment",
     "bound_constant_x0",
     "approximation_bound_rhs",
     "approximation_sup",
-    "expected_occupancy_oracle",
 ]
 
 
@@ -87,65 +85,31 @@ def _floor_power_guarded(n: int, t: float) -> int:
 
 @dataclass(frozen=True)
 class DeterministicScheme:
-    """Fixed box probabilities, either geometric or an explicit list.
+    """Geometric(q) box probabilities p_k = (1-q) q**(k-1)."""
 
-    Geometric(q): p_k = (1-q) q**(k-1).  Explicit lists must be positive,
-    nonincreasing and sum to 1 within 1e-12.
-    """
-
-    kind: str
-    q: float | None = None
-    probs: tuple | None = None
+    q: float
 
     def __post_init__(self):
-        if self.kind == "geometric":
-            if self.q is None or not 0.0 < self.q < 1.0:
-                raise ValueError("geometric scheme requires q in (0, 1)")
-        elif self.kind == "explicit":
-            p = np.asarray(self.probs, dtype=float)
-            if len(p) == 0 or np.any(p <= 0.0):
-                raise ValueError("explicit probabilities must be positive")
-            if np.any(np.diff(p) > 0.0):
-                raise ValueError("explicit probabilities must be nonincreasing")
-            if abs(float(np.sum(p)) - 1.0) > 1e-12:
-                raise ValueError("explicit probabilities must sum to 1")
-        else:
-            raise ValueError(f"unknown scheme kind: {self.kind!r}")
+        if not 0.0 < self.q < 1.0:
+            raise ValueError("geometric scheme requires q in (0, 1)")
 
     @staticmethod
     def geometric(q: float) -> "DeterministicScheme":
-        return DeterministicScheme(kind="geometric", q=float(q))
-
-    @staticmethod
-    def explicit(probs) -> "DeterministicScheme":
-        return DeterministicScheme(kind="explicit", probs=tuple(float(p) for p in probs))
+        return DeterministicScheme(float(q))
 
     # -- box probabilities ---------------------------------------------------
 
     def prob(self, k: int) -> float:
-        if self.kind == "geometric":
-            return (1.0 - self.q) * self.q ** (k - 1)
-        return self.probs[k - 1] if k <= len(self.probs) else 0.0
+        return (1.0 - self.q) * self.q ** (k - 1)
 
     def _prob_fraction(self, k: int) -> Fraction:
-        if self.kind == "geometric":
-            fq = Fraction(self.q)
-            return (1 - fq) * fq ** (k - 1)
-        return Fraction(self.probs[k - 1]) if k <= len(self.probs) else Fraction(0)
-
-    def num_boxes(self):
-        return None if self.kind == "geometric" else len(self.probs)
+        fq = Fraction(self.q)
+        return (1 - fq) * fq ** (k - 1)
 
     # -- exact index boundaries ----------------------------------------------
 
     def last_index_ge(self, threshold: Fraction) -> int:
         """Largest k with p_k >= threshold (0 when no box qualifies)."""
-        if self.kind == "explicit":
-            k = 0
-            for j, p in enumerate(self.probs, start=1):
-                if Fraction(p) >= threshold:
-                    k = j
-            return k
         if threshold <= 0:
             raise ValueError("threshold must be positive")
         thr = float(threshold)
@@ -171,9 +135,7 @@ class DeterministicScheme:
 
     def tail_sum_from(self, k: int) -> float:
         """Sum of p_j over j >= k."""
-        if self.kind == "geometric":
-            return self.q ** (k - 1)
-        return float(np.sum(np.asarray(self.probs[k - 1:])))
+        return self.q ** (k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +148,11 @@ _EXTENSION_BLOCK = 32
 class SieveEnvironment:
     """Realised stick-breaking environment.
 
-    Keeps the realised sticks W_k.  The cut points V_k, the box probabilities
-    p*_k = V_{k-1} - V_k and the associated walk (built from the sticks by
-    prw.path_from_sticks, so the visit-count identity holds bitwise on shared
-    realisations) are derived on demand; the walk is kept until the next
-    extension.  Extension is lazy; a deserialised environment is frozen (no
+    Keeps the realised sticks W_k, which give box k the probability
+    p*_k = V_{k-1} - V_k.  The cut points V_k and the associated walk (built
+    from the sticks by prw.path_from_sticks, so the visit-count identity
+    holds bitwise on shared realisations) are derived on demand; the walk is
+    kept until the next extension.  Extension is lazy; a deserialised environment is frozen (no
     law/stream attached) and raises if more sticks are needed.
     """
 
@@ -203,11 +165,6 @@ class SieveEnvironment:
     @property
     def cutpoints(self) -> np.ndarray:
         return np.cumprod(self.sticks)
-
-    @property
-    def box_probs(self) -> np.ndarray:
-        v = self.cutpoints
-        return np.concatenate([[1.0], v[:-1]]) - v if len(v) else np.empty(0)
 
     @property
     def num_boxes(self) -> int:
@@ -324,34 +281,21 @@ def occupy_sieve(env: SieveEnvironment, n: int, rng: RngStream,
 
 def occupy_scheme(scheme: DeterministicScheme, n: int, rng: RngStream,
                   regime_counter: dict | None = None) -> OccupancyResult:
-    """Sequential-thinning occupancy for a deterministic scheme."""
+    """Sequential-thinning occupancy for the geometric scheme, where
+    p_k / (tail from k) = 1 - q for every box."""
     n = int(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     counts = {}
     remaining = n
-    if scheme.kind == "geometric":
-        cond = 1.0 - scheme.q  # p_k / (tail from k) is constant for geometric
-        k = 0
-        while remaining > 0:
-            k += 1
-            z = sample_binomial(remaining, cond, rng, regime_counter)
-            if z > 0:
-                counts[k] = z
-                remaining -= z
-    else:
-        tail = 1.0
-        for k, p in enumerate(scheme.probs, start=1):
-            if remaining == 0:
-                break
-            cond = 1.0 if k == len(scheme.probs) else min(max(p / tail, 0.0), 1.0)
-            z = sample_binomial(remaining, cond, rng, regime_counter)
-            if z > 0:
-                counts[k] = z
-                remaining -= z
-            tail -= p
-        if remaining > 0:  # numerical leftovers go to the last box
-            counts[len(scheme.probs)] = counts.get(len(scheme.probs), 0) + remaining
+    cond = 1.0 - scheme.q
+    k = 0
+    while remaining > 0:
+        k += 1
+        z = sample_binomial(remaining, cond, rng, regime_counter)
+        if z > 0:
+            counts[k] = z
+            remaining -= z
     return OccupancyResult(counts, n)
 
 
@@ -362,12 +306,6 @@ class KProcess:
     grid: np.ndarray
     values: np.ndarray
     k_total: int
-
-    def value_at(self, t: float) -> int:
-        idx = int(np.searchsorted(self.grid, t))
-        if idx >= len(self.grid) or self.grid[idx] != t:
-            raise KeyError(f"t={t} not on the grid")
-        return int(self.values[idx])
 
 
 def k_process(occ: OccupancyResult, grid) -> KProcess:
@@ -410,31 +348,6 @@ def rho(source, x: float) -> int:
     raise TypeError("source must be a DeterministicScheme or SieveEnvironment")
 
 
-def reversed_rho_increment(source, n: int, grid) -> np.ndarray:
-    """#{k : 1/n < p_k <= n**(t-1)} for each grid t (strict left, weak right)."""
-    n = int(n)
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    grid = np.asarray(grid, dtype=float)
-    out = np.empty(len(grid), dtype=np.int64)
-    if isinstance(source, SieveEnvironment):
-        source.ensure_log_depth(math.log(n))
-        probs = source.box_probs
-        lo = 1.0 / n
-        for i, t in enumerate(grid):
-            hi = n ** (float(t) - 1.0)
-            out[i] = int(np.count_nonzero((probs > lo) & (probs <= hi)))
-        return out
-    if not isinstance(source, DeterministicScheme):
-        raise TypeError("source must be a DeterministicScheme or SieveEnvironment")
-    k_lo = source.last_index_gt(Fraction(1) / Fraction(n))  # deepest box with p > 1/n
-    for i, t in enumerate(grid):
-        hi = n ** (float(t) - 1.0)
-        k_hi = source.last_index_gt(Fraction(hi))  # boxes 1..k_hi have p > hi
-        out[i] = max(k_lo - k_hi, 0)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the uniform approximation bound
 # ---------------------------------------------------------------------------
@@ -472,7 +385,7 @@ def _sup_rho_window(scheme: DeterministicScheme, n: int) -> int:
     k = 1
     while True:
         p = scheme.prob(k)
-        if p == 0.0 or math.e * p * n < 1.0:  # window never reaches deeper boxes
+        if math.e * p * n < 1.0:  # window never reaches deeper boxes
             break
         for y in (1.0 / (math.e * p), math.e / p):
             if 1.0 <= y <= n:
@@ -490,8 +403,6 @@ def _integral_term(scheme: DeterministicScheme, n: int) -> float:
     by rho(n), weak inequality), which the exact index boundary respects.
     """
     k0 = scheme.last_index_ge(Fraction(1) / Fraction(n)) + 1  # first box with p < 1/n
-    if scheme.kind == "explicit" and k0 > len(scheme.probs):
-        return 0.0
     return float(n) * scheme.tail_sum_from(k0)
 
 
@@ -554,47 +465,3 @@ def approximation_sup(scheme: DeterministicScheme, n: int, rng: RngStream) -> in
     g_locs = np.array([1.0 + math.log(scheme.prob(k)) / logn for k in range(1, k_lo + 1)])
     occ = occupy_scheme(scheme, n, rng)
     return _sup_abs_difference(occ.count_values(), np.clip(g_locs, 0.0, 1.0), n)
-
-
-# ---------------------------------------------------------------------------
-# exact expectation oracle
-# ---------------------------------------------------------------------------
-
-
-def expected_occupancy_oracle(scheme: DeterministicScheme, n: int, r: int | None = None) -> float:
-    """Exact E K_{n,r} (or E K_n when r is None) in log-domain arithmetic.
-
-    E K_{n,r} = sum_j C(n,r) p_j^r (1-p_j)^(n-r);  E K_n = sum_j 1-(1-p_j)^n.
-    The box sum is truncated once terms drop below 1e-15 of the accumulated
-    value past the contribution peak.
-    """
-    from scipy.special import gammaln
-
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > 10**6:
-        raise ValueError("n beyond the oracle's validated range (n <= 1e6)")
-    if r is not None and not 1 <= r <= n:
-        raise ValueError("r must lie in [1, n]")
-    log_binom = 0.0 if r is None else float(gammaln(n + 1) - gammaln(r + 1) - gammaln(n - r + 1))
-    total = 0.0
-    k = 0
-    while True:
-        k += 1
-        p = scheme.prob(k)
-        if p == 0.0:
-            break
-        if r is None:
-            term = -math.expm1(n * math.log1p(-p))
-        else:
-            term = math.exp(log_binom + r * math.log(p) + (n - r) * math.log1p(-p))
-        total += term
-        past_peak = n * p < (1.0 if r is None else max(r, 1))
-        if scheme.kind == "explicit" and k >= len(scheme.probs):
-            break
-        if past_peak and term < 1e-15 * max(total, 1e-300):
-            break
-        if k > 10**6:
-            raise RuntimeError("truncation failed to engage")
-    return total

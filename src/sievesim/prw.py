@@ -15,8 +15,6 @@ __all__ = [
     "PrwPath",
     "simulate_path",
     "path_from_sticks",
-    "count_visits",
-    "count_renewals",
     "visit_process",
     "lln_sup_deviation",
     "max_window_count",
@@ -244,20 +242,6 @@ def path_from_sticks(sticks) -> PrwPath:
     s = np.concatenate([[0.0], np.cumsum(xi)])
     t = s[:-1] + eta
     return PrwPath(s, t, horizon=float(s[-1]))
-
-
-def count_visits(law: StepLaw, x: float, rng: RngStream) -> int:
-    """N(x) for a fresh walk realisation."""
-    if x < 0.0:
-        raise ValueError("x must be >= 0")
-    return simulate_path(law, x, rng).count_visits(x)
-
-
-def count_renewals(law: StepLaw, t: float, rng: RngStream) -> int:
-    """nu(t) for a fresh walk realisation (0 for t < 0 by convention)."""
-    if t < 0.0:
-        return 0
-    return simulate_path(law, t, rng).count_renewals(t)
 
 
 def visit_process(law: StepLaw, n: float, grid, rng: RngStream) -> np.ndarray:

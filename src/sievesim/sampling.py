@@ -1,5 +1,5 @@
-"""Seeded random variate generation for stick-breaking factors, stable laws,
-binomials and Brownian marginals.
+"""Seeded random variate generation for stick-breaking factors, stable laws
+and binomials.
 
 Every sampler is a deterministic function of an explicit :class:`RngStream`,
 so replicate workers that own distinct ``stream_id`` values can run
@@ -21,12 +21,8 @@ __all__ = [
     "binomial_regime",
     "sample_binomial",
     "sample_standard_positive_stable",
-    "sample_positive_stable",
     "sample_spectrally_negative_stable",
-    "spectrally_negative_cf",
     "sample_inverse_subordinator_marginal",
-    "sample_inverse_subordinator_path",
-    "sample_brownian_marginals",
 ]
 
 
@@ -100,16 +96,12 @@ class StickLaw:
       * ``beta`` -- density theta * x**(theta-1); W = U**(1/theta).
       * ``exppareto`` -- W = exp(-xi) with P{xi > x} = (x - shift)**(-alpha)
         for x >= 1 + shift, so |log W| has an exact power tail.
-      * ``tabulated`` -- discrete law on given support points with given CDF,
-        sampled by right-continuous inversion (covers degenerate sticks).
     """
 
     kind: str
     theta: float | None = None
     alpha: float | None = None
     shift: float = 0.0
-    support: tuple | None = None
-    cdf: tuple | None = None
 
     def __post_init__(self):
         if self.kind == "beta":
@@ -120,15 +112,6 @@ class StickLaw:
                 raise ValueError("exppareto stick requires alpha > 0")
             if self.shift < 0.0:
                 raise ValueError("exppareto shift must be >= 0")
-        elif self.kind == "tabulated":
-            xs = np.asarray(self.support, dtype=float)
-            cs = np.asarray(self.cdf, dtype=float)
-            if xs.ndim != 1 or xs.shape != cs.shape or len(xs) == 0:
-                raise ValueError("tabulated stick needs matching support/cdf grids")
-            if np.any(xs <= 0.0) or np.any(xs >= 1.0) or np.any(np.diff(xs) <= 0.0):
-                raise ValueError("tabulated support must be increasing inside (0,1)")
-            if np.any(np.diff(cs) < 0.0) or abs(cs[-1] - 1.0) > 1e-12 or cs[0] < 0.0:
-                raise ValueError("tabulated cdf must be nondecreasing and end at 1")
         else:
             raise ValueError(f"unknown stick law kind: {self.kind!r}")
 
@@ -142,32 +125,15 @@ class StickLaw:
     def exp_pareto(alpha: float, shift: float = 0.0) -> "StickLaw":
         return StickLaw(kind="exppareto", alpha=float(alpha), shift=float(shift))
 
-    @staticmethod
-    def tabulated(support, cdf) -> "StickLaw":
-        return StickLaw(kind="tabulated", support=tuple(float(x) for x in support),
-                        cdf=tuple(float(c) for c in cdf))
-
-    @staticmethod
-    def degenerate(w: float) -> "StickLaw":
-        """Stick identically equal to w (a one-point tabulated law)."""
-        return StickLaw.tabulated([w], [1.0])
-
     # -- sampling -----------------------------------------------------------
 
     def sample(self, rng: RngStream, size=None):
         u = _open_unit(rng.gen, size)
         if self.kind == "beta":
             w = u ** (1.0 / self.theta)
-        elif self.kind == "exppareto":
+        else:
             xi = self.shift + u ** (-1.0 / self.alpha)
             w = np.exp(-xi)
-        else:
-            cs = np.asarray(self.cdf)
-            xs = np.asarray(self.support)
-            idx = np.searchsorted(cs, u, side="left")
-            w = xs[np.minimum(idx, len(xs) - 1)]
-            if size is None:
-                w = float(w)
         if size is None:
             return float(min(max(w, _STICK_BOTTOM), _STICK_TOP))
         # w is a fresh array here, so it is clamped in place
@@ -179,54 +145,29 @@ class StickLaw:
         """mu = E|log W|; inf when the tail index is <= 1."""
         if self.kind == "beta":
             return 1.0 / self.theta
-        if self.kind == "exppareto":
-            if self.alpha <= 1.0:
-                return math.inf
-            return self.shift + self.alpha / (self.alpha - 1.0)
-        masses = np.diff(np.concatenate([[0.0], np.asarray(self.cdf)]))
-        return float(np.sum(masses * (-np.log(np.asarray(self.support)))))
+        if self.alpha <= 1.0:
+            return math.inf
+        return self.shift + self.alpha / (self.alpha - 1.0)
 
     def var_abs_log(self) -> float:
         if self.kind == "beta":
             return 1.0 / self.theta**2
-        if self.kind == "exppareto":
-            if self.alpha <= 2.0:
-                return math.inf
-            a = self.alpha
-            return a / ((a - 1.0) ** 2 * (a - 2.0))
-        masses = np.diff(np.concatenate([[0.0], np.asarray(self.cdf)]))
-        vals = -np.log(np.asarray(self.support))
-        m = float(np.sum(masses * vals))
-        return float(np.sum(masses * (vals - m) ** 2))
-
-    def tail_abs_log(self, x: float) -> float:
-        """P{|log W| > x}."""
-        if self.kind == "beta":
-            return math.exp(-self.theta * x) if x > 0 else 1.0
-        if self.kind == "exppareto":
-            if x <= 1.0 + self.shift:
-                return 1.0
-            return (x - self.shift) ** (-self.alpha)
-        masses = np.diff(np.concatenate([[0.0], np.asarray(self.cdf)]))
-        vals = -np.log(np.asarray(self.support))
-        return float(np.sum(masses[vals > x]))
+        if self.alpha <= 2.0:
+            return math.inf
+        a = self.alpha
+        return a / ((a - 1.0) ** 2 * (a - 2.0))
 
     def cdf_abs_log1m(self, s):
         """F_eta(s) = P{|log(1 - W)| <= s}."""
         s = np.asarray(s, dtype=float)
         if self.kind == "beta":
             out = np.where(s > 0.0, (-np.expm1(-np.maximum(s, 0.0))) ** self.theta, 0.0)
-        elif self.kind == "exppareto":
+        else:
             # eta = -log(1 - exp(-xi)) <= s  iff  xi >= g(s) = -log(1 - e^-s)
             with np.errstate(divide="ignore"):
                 g = -np.log(-np.expm1(-np.maximum(s, 1e-320)))
             lo = 1.0 + self.shift
             out = np.where(g <= lo, 1.0, np.where(s <= 0.0, 0.0, (np.maximum(g, lo) - self.shift) ** (-self.alpha)))
-        else:
-            masses = np.diff(np.concatenate([[0.0], np.asarray(self.cdf)]))
-            etas = -np.log1p(-np.asarray(self.support))
-            out = np.array([float(np.sum(masses[etas <= sv])) for sv in np.atleast_1d(s)])
-            out = out.reshape(np.shape(s))
         return out if out.shape else float(out)
 
     def integral_cdf_abs_log1m(self, a: float, b: float) -> float:
@@ -242,10 +183,6 @@ class StickLaw:
                 cjk = math.comb(th, j) * (-1.0) ** j
                 total += cjk * (math.exp(-j * a) - math.exp(-j * b)) / j
             return total
-        if self.kind == "tabulated":
-            masses = np.diff(np.concatenate([[0.0], np.asarray(self.cdf)]))
-            etas = -np.log1p(-np.asarray(self.support))
-            return float(np.sum(masses * np.clip(b - np.maximum(a, etas), 0.0, None)))
         # smooth laws: composite Gauss-Legendre panels
         breaks = [a, b]
         if self.kind == "exppareto":
@@ -352,33 +289,15 @@ def _kanter(alpha: float, u):
     return num / np.sin(u) ** (1.0 / alpha)
 
 
-def sample_standard_positive_stable(alpha: float, rng: RngStream, size=None, method: str = "kanter"):
-    """Standard positive stable draw D with E exp(-z D) = exp(-z**alpha).
-
-    Two independent constructions are provided so they can cross-check each
-    other: Kanter's representation D = K(U) E**(-(1-alpha)/alpha) (default)
-    and the general Chambers-Mallows-Stuck formula specialised to total
-    positive skew.
-    """
+def sample_standard_positive_stable(alpha: float, rng: RngStream, size=None):
+    """Standard positive stable draw D with E exp(-z D) = exp(-z**alpha), by
+    Kanter's representation D = K(U) E**(-(1-alpha)/alpha)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if method == "kanter":
-        u = rng.gen.uniform(0.0, math.pi, size)
-        e = rng.gen.exponential(1.0, size)
-        d = _kanter(alpha, u) * e ** (-((1.0 - alpha) / alpha))
-    elif method == "cms":
-        # rescale from Laplace exponent z^alpha / cos(pi alpha / 2)
-        d = _chambers_mallows_stuck(alpha, 1.0, rng, size) \
-            * math.cos(0.5 * math.pi * alpha) ** (1.0 / alpha)
-    else:
-        raise ValueError(f"unknown method: {method!r}")
+    u = rng.gen.uniform(0.0, math.pi, size)
+    e = rng.gen.exponential(1.0, size)
+    d = _kanter(alpha, u) * e ** (-((1.0 - alpha) / alpha))
     return float(d) if size is None else d
-
-
-def sample_positive_stable(alpha: float, rng: RngStream, size=None, method: str = "kanter"):
-    """Subordinator marginal W_alpha(1) with Laplace exponent Gamma(1-alpha) z**alpha."""
-    d = sample_standard_positive_stable(alpha, rng, size, method)
-    return math.gamma(1.0 - alpha) ** (1.0 / alpha) * d
 
 
 def sample_spectrally_negative_stable(alpha: float, rng: RngStream, size=None):
@@ -387,7 +306,8 @@ def sample_spectrally_negative_stable(alpha: float, rng: RngStream, size=None):
     Realised as scale * X where X is strictly stable with skewness beta = -1
     (CMS algorithm) and scale = (Gamma(1-alpha) * cos(pi alpha/2))**(1/alpha);
     both factors are negative on (1, 2), so the scale is positive.  The
-    characteristic function of the result is spectrally_negative_cf.
+    characteristic function of the result is
+    exp(-|u|**alpha Gamma(1-alpha) (cos(pi alpha/2) + i sign(u) sin(pi alpha/2))).
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (1, 2)")
@@ -395,15 +315,6 @@ def sample_spectrally_negative_stable(alpha: float, rng: RngStream, size=None):
     sigma = (math.gamma(1.0 - alpha) * math.cos(0.5 * math.pi * alpha)) ** (1.0 / alpha)
     out = sigma * x
     return float(out) if size is None else out
-
-
-def spectrally_negative_cf(alpha: float, u):
-    """Characteristic function of the spectrally negative stable marginal."""
-    u = np.asarray(u, dtype=float)
-    g = math.gamma(1.0 - alpha)
-    phase = math.cos(0.5 * math.pi * alpha) + 1j * math.sin(0.5 * math.pi * alpha) * np.sign(u)
-    out = np.exp(-np.abs(u) ** alpha * g * phase)
-    return complex(out) if out.shape == () else out
 
 
 # ---------------------------------------------------------------------------
@@ -424,59 +335,3 @@ def sample_inverse_subordinator_marginal(alpha: float, t: float, rng: RngStream,
         raise ValueError("t must be > 0")
     d = sample_standard_positive_stable(alpha, rng, size)
     return t**alpha / (math.gamma(1.0 - alpha) * d**alpha)
-
-
-def sample_inverse_subordinator_path(alpha: float, grid, step: float, rng: RngStream):
-    """Inverse subordinator along grid from one discretised path: the lattice
-    oracle that the exact inverse-subordinator samplers are checked against.
-
-    The subordinator is simulated on an s-lattice of mesh ``step`` with i.i.d.
-    increments step**(1/alpha) * Gamma(1-alpha)**(1/alpha) * D per cell.  For
-    each grid level t the returned value is the lattice point immediately
-    below the first passage above t (so the error is at most ``step`` and the
-    inverse at level 0 is exactly 0).  Output is nondecreasing along grid.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if step <= 0.0:
-        raise ValueError("step must be > 0")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or np.any(np.diff(grid) < 0.0) or np.any(grid < 0.0):
-        raise ValueError("grid must be nondecreasing and nonnegative")
-    inc_scale = step ** (1.0 / alpha) * math.gamma(1.0 - alpha) ** (1.0 / alpha)
-    # expected first-passage lattice length, padded; keeps most paths to one block
-    g = math.gamma(1.0 - alpha) * math.gamma(1.0 + alpha)
-    expected_cells = (max(grid[-1], step) ** alpha / g) / step
-    block = int(min(1 << 17, max(1024, 1.5 * expected_cells)))
-    levels = grid
-    out = np.empty(len(levels))
-    cum = np.empty(0)
-    total = 0.0
-    filled = 0
-    while filled < len(levels):
-        d = sample_standard_positive_stable(alpha, rng, size=block)
-        new = total + np.cumsum(inc_scale * d)
-        total = new[-1]
-        cum = np.concatenate([cum, new])
-        while filled < len(levels) and cum[-1] > levels[filled]:
-            j = int(np.searchsorted(cum, levels[filled], side="right"))
-            out[filled] = j * step  # lattice point before passage at index j+1
-            filled += 1
-    return out
-
-
-def sample_brownian_marginals(grid, rng: RngStream, size=None):
-    """Brownian motion values at the grid times (B(0) = 0 implicitly).
-
-    Increments are independent Gaussians with variance equal to the grid
-    spacing.  With ``size`` given, returns a (size, len(grid)) matrix of
-    independent paths.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or np.any(np.diff(grid) < 0.0) or np.any(grid < 0.0):
-        raise ValueError("grid must be sorted and nonnegative")
-    spacing = np.diff(np.concatenate([[0.0], grid]))
-    shape = (len(grid),) if size is None else (size, len(grid))
-    z = rng.gen.standard_normal(shape)
-    inc = z * np.sqrt(spacing)
-    return np.cumsum(inc, axis=-1)

@@ -1,8 +1,27 @@
-"""Shared test oracles: exact PMF recursions, partition enumeration, and a
-per-ball placement reference.  These stay independent of the library code
-paths they check."""
+"""Shared test oracles: exact PMF recursions, the Ewens sampling formula and
+partition enumeration, a per-ball placement reference, the exact expected
+occupancy of the geometric scheme, the lattice inverse-subordinator path, the
+Chambers-Mallows-Stuck positive stable construction, the subordinator
+marginal, the spectrally negative characteristic function, and the null-model
+calibration guard.  The oracles stay independent of the library code paths
+they check; the guard deliberately pushes the library's own limit-law draws
+through its KS statistics.  `sievesim run` reaches none of them."""
+
+import math
 
 import numpy as np
+from scipy.special import gammaln
+
+from sievesim.ewens import CycleCounts
+from sievesim.harness import _REFERENCE_STREAM_BASE, ks_one_sample, ks_two_sample
+from sievesim.limits import normal_cdf, sample_inverse_ratio
+from sievesim.sampling import (
+    RngStream,
+    _chambers_mallows_stuck,
+    sample_inverse_subordinator_marginal,
+    sample_spectrally_negative_stable,
+    sample_standard_positive_stable,
+)
 
 
 def exact_binomial_pmf(n: int, p: float) -> np.ndarray:
@@ -28,10 +47,25 @@ def partitions(n: int, max_part: int | None = None):
             yield out
 
 
+def esf_probability(counts) -> float:
+    """Exact Ewens-sampling-formula probability of a cycle type, log-domain.
+
+    P = n! Gamma(theta) / Gamma(theta + n) * prod_r theta^{c_r} / (r^{c_r} c_r!).
+    """
+    n, theta = counts.n, counts.theta
+    if sum(r * c for r, c in counts.counts.items()) != n:
+        raise ValueError("inconsistent cycle counts")
+    log_p = float(gammaln(n + 1) + gammaln(theta) - gammaln(theta + n))
+    for r, c in counts.counts.items():
+        if c < 0:
+            raise ValueError("negative cycle count")
+        if c:
+            log_p += c * math.log(theta) - c * math.log(r) - float(gammaln(c + 1))
+    return math.exp(log_p)
+
+
 def exact_cycle_type_probs(n: int, theta: float) -> dict:
     """Exact Ewens cycle-type distribution via the sampling formula."""
-    from sievesim.ewens import CycleCounts, esf_probability
-
     return {tuple(sorted(c.items())): esf_probability(CycleCounts(n, theta, c))
             for c in partitions(n)}
 
@@ -59,3 +93,141 @@ def empirical_type_tv(samples, exact_probs: dict) -> float:
     total = sum(counts.values())
     keys = set(counts) | set(exact_probs)
     return 0.5 * sum(abs(counts.get(k, 0) / total - exact_probs.get(k, 0.0)) for k in keys)
+
+
+def expected_occupancy_oracle(scheme, n: int, r: int | None = None) -> float:
+    """Exact E K_{n,r} (or E K_n when r is None) of a geometric scheme in
+    log-domain arithmetic.
+
+    E K_{n,r} = sum_j C(n,r) p_j^r (1-p_j)^(n-r);  E K_n = sum_j 1-(1-p_j)^n.
+    The box sum is truncated once terms drop below 1e-15 of the accumulated
+    value past the contribution peak.
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > 10**6:
+        raise ValueError("n beyond the oracle's validated range (n <= 1e6)")
+    if r is not None and not 1 <= r <= n:
+        raise ValueError("r must lie in [1, n]")
+    log_binom = 0.0 if r is None else float(gammaln(n + 1) - gammaln(r + 1) - gammaln(n - r + 1))
+    total = 0.0
+    k = 0
+    while True:
+        k += 1
+        p = scheme.prob(k)
+        if p == 0.0:
+            break
+        if r is None:
+            term = -math.expm1(n * math.log1p(-p))
+        else:
+            term = math.exp(log_binom + r * math.log(p) + (n - r) * math.log1p(-p))
+        total += term
+        past_peak = n * p < (1.0 if r is None else max(r, 1))
+        if past_peak and term < 1e-15 * max(total, 1e-300):
+            break
+        if k > 10**6:
+            raise RuntimeError("truncation failed to engage")
+    return total
+
+
+def sample_inverse_subordinator_path(alpha: float, grid, step: float, rng: RngStream):
+    """Inverse subordinator along grid from one discretised path: the lattice
+    oracle that the exact inverse-subordinator samplers are checked against.
+
+    The subordinator is simulated on an s-lattice of mesh ``step`` with i.i.d.
+    increments step**(1/alpha) * Gamma(1-alpha)**(1/alpha) * D per cell.  For
+    each grid level t the returned value is the lattice point immediately
+    below the first passage above t (so the error is at most ``step`` and the
+    inverse at level 0 is exactly 0).  Output is nondecreasing along grid.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if step <= 0.0:
+        raise ValueError("step must be > 0")
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or np.any(np.diff(grid) < 0.0) or np.any(grid < 0.0):
+        raise ValueError("grid must be nondecreasing and nonnegative")
+    inc_scale = step ** (1.0 / alpha) * math.gamma(1.0 - alpha) ** (1.0 / alpha)
+    # expected first-passage lattice length, padded; keeps most paths to one block
+    g = math.gamma(1.0 - alpha) * math.gamma(1.0 + alpha)
+    expected_cells = (max(grid[-1], step) ** alpha / g) / step
+    block = int(min(1 << 17, max(1024, 1.5 * expected_cells)))
+    levels = grid
+    out = np.empty(len(levels))
+    cum = np.empty(0)
+    total = 0.0
+    filled = 0
+    while filled < len(levels):
+        d = sample_standard_positive_stable(alpha, rng, size=block)
+        new = total + np.cumsum(inc_scale * d)
+        total = new[-1]
+        cum = np.concatenate([cum, new])
+        while filled < len(levels) and cum[-1] > levels[filled]:
+            j = int(np.searchsorted(cum, levels[filled], side="right"))
+            out[filled] = j * step  # lattice point before passage at index j+1
+            filled += 1
+    return out
+
+
+def cms_positive_stable(alpha: float, rng: RngStream, size=None):
+    """Standard positive stable draw by the general Chambers-Mallows-Stuck
+    formula at total positive skew: a construction independent of the
+    library's Kanter sampler."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    # rescale from Laplace exponent z^alpha / cos(pi alpha / 2)
+    d = _chambers_mallows_stuck(alpha, 1.0, rng, size) \
+        * math.cos(0.5 * math.pi * alpha) ** (1.0 / alpha)
+    return float(d) if size is None else d
+
+
+def sample_positive_stable(alpha: float, rng: RngStream, size=None):
+    """Subordinator marginal W_alpha(1) with Laplace exponent Gamma(1-alpha) z**alpha."""
+    d = sample_standard_positive_stable(alpha, rng, size)
+    return math.gamma(1.0 - alpha) ** (1.0 / alpha) * d
+
+
+def spectrally_negative_cf(alpha: float, u):
+    """Characteristic function of the spectrally negative stable marginal."""
+    u = np.asarray(u, dtype=float)
+    g = math.gamma(1.0 - alpha)
+    phase = math.cos(0.5 * math.pi * alpha) + 1j * math.sin(0.5 * math.pi * alpha) * np.sign(u)
+    out = np.exp(-np.abs(u) ** alpha * g * phase)
+    return complex(out) if out.shape == () else out
+
+
+def calibration_guard(seed: int = 0) -> list:
+    """Push limit-law draws through the same KS pipeline.
+
+    Every (replicate count, threshold) combination used by the acceptance
+    checks must come out below its threshold when fed the limit law itself;
+    anything else means the pipeline (not the theorems) is broken.
+    """
+    checks = []
+
+    def add(name, value, threshold):
+        checks.append({"name": name, "value": float(value),
+                       "threshold": threshold, "passed": bool(value < threshold)})
+
+    rng = RngStream(seed, _REFERENCE_STREAM_BASE + 99)
+    z = rng.gen.standard_normal(4000)
+    add("normal_one_sample_4000_at_0.08", ks_one_sample(z, normal_cdf), 0.08)
+    z2 = rng.gen.standard_normal(10000)
+    add("normal_one_sample_10000_at_0.02", ks_one_sample(z2, normal_cdf), 0.02)
+    a = rng.gen.standard_normal(5000)
+    b = rng.gen.standard_normal(5000)
+    add("normal_two_sample_5000_at_0.04", ks_two_sample(a, b), 0.04)
+    s1 = sample_spectrally_negative_stable(1.5, rng, 10000)
+    s2 = sample_spectrally_negative_stable(1.5, rng, 10000)
+    add("stable_two_sample_10000_at_0.04", ks_two_sample(s1, s2), 0.04)
+    w1 = sample_inverse_subordinator_marginal(0.5, 1.0, rng, 10000)
+    w2 = sample_inverse_subordinator_marginal(0.5, 1.0, rng, 10000)
+    add("mittag_leffler_two_sample_10000_at_0.03", ks_two_sample(w1, w2), 0.03)
+    w3 = sample_inverse_subordinator_marginal(0.5, 1.0, rng, 4000)
+    w4 = sample_inverse_subordinator_marginal(0.5, 1.0, rng, 4000)
+    add("mittag_leffler_two_sample_4000_at_0.05", ks_two_sample(w3, w4), 0.05)
+    r1 = sample_inverse_ratio(0.5, 0.5, rng, 4000)
+    r2 = sample_inverse_ratio(0.5, 0.5, rng, 4000)
+    add("inverse_ratio_two_sample_4000_at_0.06", ks_two_sample(r1, r2), 0.06)
+    return checks

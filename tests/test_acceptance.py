@@ -14,8 +14,18 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from conftest import empirical_type_tv, exact_cycle_type_probs, naive_placement, partitions
-from sievesim.ewens import CycleCounts, esf_probability, sample_cycles_crp, sample_cycles_feller
+from conftest import (
+    calibration_guard,
+    cms_positive_stable,
+    empirical_type_tv,
+    esf_probability,
+    exact_cycle_type_probs,
+    naive_placement,
+    partitions,
+    sample_inverse_subordinator_path,
+    sample_positive_stable,
+)
+from sievesim.ewens import CycleCounts, sample_cycles_crp, sample_cycles_feller
 from sievesim.harness import (
     ExperimentSpec,
     _EwensTask,
@@ -23,7 +33,6 @@ from sievesim.harness import (
     _ewens_replicate,
     _run_replicates,
     _sieve_replicate,
-    calibration_guard,
     ks_one_sample,
     ks_two_sample,
     run_experiment,
@@ -31,6 +40,7 @@ from sievesim.harness import (
 from sievesim.limits import normal_cdf, sample_inverse_ratio
 from sievesim.occupancy import (
     DeterministicScheme,
+    SieveEnvironment,
     _integral_term,
     approximation_bound_rhs,
     bound_constant_x0,
@@ -42,8 +52,6 @@ from sievesim.sampling import (
     RngStream,
     StickLaw,
     sample_inverse_subordinator_marginal,
-    sample_inverse_subordinator_path,
-    sample_positive_stable,
     sample_spectrally_negative_stable,
     sample_standard_positive_stable,
 )
@@ -73,7 +81,7 @@ def test_c1a_counting_identity_on_shared_realisations():
 
 
 def test_c1b_thinning_vs_naive_placement():
-    env = build_environment(StickLaw.degenerate(0.5), 2**-40, RngStream(SEED, 100))
+    env = SieveEnvironment(None, None, sticks=np.full(41, 0.5))  # p*_k = 2^-k
     reps, n = 10**5, 100
     rng = RngStream(SEED, 101)
     thinned = np.zeros((reps, 2), dtype=np.int64)
@@ -326,7 +334,7 @@ def test_c9_null_model_guard_and_sampler_cross_checks():
 
     rng = RngStream(SEED, 300)
     a = sample_standard_positive_stable(0.5, rng, 10**5)
-    b = sample_standard_positive_stable(0.5, rng, 10**5, method="cms")
+    b = cms_positive_stable(0.5, rng, 10**5)
     ks_impl = ks_two_sample(a, b)
 
     x = sample_positive_stable(0.5, rng, 10**5)

@@ -1,9 +1,13 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sievesim.cli import SpecFileError, main, parse_spec_file
-from sievesim.harness import ExperimentSpec
+from sievesim.harness import TARGETS, ExperimentSpec
 from sievesim.occupancy import build_environment
 from sievesim.sampling import RngStream, StickLaw
 
@@ -128,11 +132,24 @@ def test_degenerate_scale_exits_2(tmp_path, capsys, spec_text):
     "target = A1\ntheta = 0\nn_values = 1e4\n",                     # beta stick theta 0
     "target = T22\nalpha = 0.02\nn_values = 1e4\n",        # below Kanter's finite range
     "target = B4\nxi = pareto\nxi_param = 0.02\nn_values = 100\n",
+    "target = B1\nn_values = 100\ngrid =\n",
+    "target = A1\nn_values = inf\n",
+    "target = P31\nn_values = inf\n",
+    "target = P41\nn_values = inf\nreplicates = 100\n",
+    "target = A1\nn_values = nan\n",
+    "target = B1\nn_values = 100\nseed = -1\n",
+    "target = P33\nx_values = 0\ny_values = -1\n",
+    "target = P33\nx_values = -5\ny_values = 1\n",
+    "target = P33\nx_values = 0\ny_values = nan\n",
+    "target = P32\nb = inf\nn_values = 100\n",
+    "target = B4\nxi = pareto\nxi_param = 0.5\nn_values = -5\n",
 ], ids=["A3_beta_stick", "B3_exp_steps", "B4_index_1", "A1_n_below_1", "P21_no_n",
         "A1_no_n", "mode_typo", "centering_typo", "dependence_typo", "xi_unknown",
         "P33_no_x", "P33_one_replicate", "P32_negative_b", "P41_n_below_3",
         "P41_50_replicates", "P31_infinite_mean", "B1_exp_rate_0", "P41_q_above_1",
-        "A1_theta_0", "T22_alpha_0.02", "B4_index_0.02"])
+        "A1_theta_0", "T22_alpha_0.02", "B4_index_0.02", "B1_empty_grid", "A1_n_inf",
+        "P31_n_inf", "P41_n_inf", "A1_n_nan", "seed_negative", "P33_y_negative",
+        "P33_x_negative", "P33_y_nan", "P32_b_inf", "B4_n_negative"])
 def test_bad_spec_exits_2_before_any_replicate(tmp_path, capsys, monkeypatch, spec_text):
     def no_replicates(*args):
         raise AssertionError("a replicate was drawn")
@@ -143,8 +160,83 @@ def test_bad_spec_exits_2_before_any_replicate(tmp_path, capsys, monkeypatch, sp
     spec_path = write(tmp_path, "bad.cfg", spec_text)
     assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith(f"error: {spec_path}:0:") and "Traceback" not in err
     assert not list(tmp_path.glob("out/*.csv"))
+
+
+# one short valid spec per target, which _spec_files then mutates; n <= 1e4
+# and replicates <= 5 keep every run short (P41 needs 100 replicates, so it
+# only ever exits 2 here)
+_BASE_SPECS = {
+    "A1": "n_values = 100, 1e4\ngrid = 0.5, 1",
+    "A2": "stick = exppareto\nalpha = 2.5\nn_values = 1e4\ngrid = 0.5, 1",
+    "A3": "stick = exppareto\nalpha = 1.5\nmode = ratio\nn_values = 1e4\ngrid = 0.5",
+    "T22": "stick = exppareto\nalpha = 0.5\nn_values = 1e4\ngrid = 0.5, 1",
+    "P21": "n_values = 100, 1e4",
+    "B1": "n_values = 1e3\ngrid = 0.5, 1",
+    "B2": "xi = pareto\nxi_param = 2\nn_values = 1e3",
+    "B3": "xi = pareto\nxi_param = 1.5\nn_values = 1e3",
+    "B4": "xi = pareto\nxi_param = 0.5\nn_values = 1e3",
+    "P31": "n_values = 100, 1e3\ngrid = 0.5, 1",
+    "P32": "n_values = 100, 1e3",
+    "P33": "x_values = 0, 3\ny_values = 1, 2",
+    "P41": "n_values = 100",
+    "EQ": "theta = 2\nn_values = 100",
+    "ESF_FLT": "n_values = 1e3",
+}
+_NUMBER = st.sampled_from(["-5", "-1", "0", "0.05", "0.5", "1", "1.5", "2", "2.5", "3", "100",
+                           "1e4", "nan", "inf", "-inf", "1e400", "x"])
+_PARAMETER = st.sampled_from(["-1", "0", "0.05", "0.5", "1", "1.5", "2.5", "nan", "inf", "-inf",
+                              "1e400", "x"])
+
+
+def _listed(values):
+    return st.lists(values, max_size=3).map(", ".join)
+
+
+# a value strategy per key, with out-of-range, non-finite and unparsable entries
+_SPEC_VALUES = {
+    "target": st.sampled_from(TARGETS + ("XX",)),
+    "n_values": _listed(_NUMBER),
+    "grid": _listed(st.sampled_from(["-0.5", "0", "0.25", "0.5", "1", "1.5", "nan"])),
+    "x_values": _listed(_NUMBER),
+    "y_values": _listed(_NUMBER),
+    "seed": st.sampled_from(["-1", "0", "7", "1e30", "nan", "inf"]),
+    "mode": st.sampled_from(["process", "ratio", "rati"]),
+    "stick": st.sampled_from(["beta", "exppareto", "uniform"]),
+    "xi": st.sampled_from(["exp", "pareto", "const", "logstick", "foo"]),
+    "eta": st.sampled_from(["exp", "const", "log1mstick", "foo"]),
+    "dependence": st.sampled_from(["independent", "sharedstick", "shared"]),
+    "centering": st.sampled_from(["u", "linear", "lin"]),
+    **{key: _PARAMETER for key in ("theta", "alpha", "xi_param", "eta_param", "q", "b", "c",
+                                   "threshold.ks")},
+}
+_EXTRA_LINES = st.sampled_from(["# a comment", "", "threshold.bogus = 1", "whatsit = 3",
+                                "no equals sign here", "= 4"])
+
+
+@st.composite
+def _spec_files(draw):
+    target = draw(st.sampled_from(TARGETS))
+    replicates = draw(st.sampled_from(["2", "5"] * 4 + ["1", "0", "-1", "nan", "inf", "x"]))
+    lines = [f"target = {target}", f"replicates = {replicates}",
+             *_BASE_SPECS[target].splitlines()]
+    for key in draw(st.lists(st.sampled_from(sorted(_SPEC_VALUES)), max_size=3, unique=True)):
+        lines.append(f"{key} = {draw(_SPEC_VALUES[key])}")  # a later line overrides
+    for extra in draw(st.lists(_EXTRA_LINES, max_size=1)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_spec_files())
+def test_random_spec_file_exits_0_1_or_2_without_raising(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp) / "random.cfg"
+        spec_path.write_text(text)
+        code = main(["run", "--spec", str(spec_path), "--out", str(Path(tmp) / "out"),
+                     "--no-timestamp"])
+    assert code in (0, 1, 2)
 
 
 @pytest.mark.parametrize("target", ["ESF_FLT", "EQ"])

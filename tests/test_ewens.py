@@ -6,12 +6,11 @@ import pytest
 from scipy.special import digamma
 from scipy.stats import chi2_contingency, kstwobign
 
-from conftest import empirical_type_tv, exact_cycle_type_probs, partitions
+from conftest import empirical_type_tv, esf_probability, exact_cycle_type_probs, partitions
 from sievesim.ewens import (
     CycleCounts,
     _poch_chunks,
     c_process,
-    esf_probability,
     sample_cycles_crp,
     sample_cycles_feller,
 )

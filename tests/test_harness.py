@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+from conftest import calibration_guard
 from sievesim.harness import (
     ConfigurationError,
     TARGETS,
     ExperimentSpec,
     Normalization,
-    calibration_guard,
     ks_one_sample,
     ks_two_sample,
     run_experiment,
@@ -52,18 +53,28 @@ def test_ks_two_sample_hand_values():
     assert ks_two_sample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
     assert ks_two_sample([0.0], [1.0]) == 1.0
     assert abs(ks_two_sample([1.0, 2.0], [1.5]) - 0.5) < 1e-12
+    # the rational 1/3, rounded once: two rounded CDFs would give 0.33333333333333337
+    assert ks_two_sample([0], [0, 0, 1]) == 1 / 3
     with pytest.raises(ValueError):
         ks_two_sample([], [1.0])
 
 
+_TIED_COUNTS = st.lists(st.integers(0, 6), min_size=1, max_size=80)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.lists(st.integers(0, 6), min_size=1, max_size=80),
-       st.lists(st.integers(0, 6), min_size=1, max_size=80))
+@given(_TIED_COUNTS, _TIED_COUNTS)
+def test_ks_two_sample_is_the_exact_rational_rounded_once(a, b):
+    # small integer counts tie heavily, as the ks_sieve_equality rows do
+    exact = max(abs(Fraction(sum(x <= v for x in a), len(a))
+                    - Fraction(sum(y <= v for y in b), len(b))) for v in set(a) | set(b))
+    assert ks_two_sample(a, b) == float(exact)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_TIED_COUNTS, _TIED_COUNTS)
 def test_ks_two_sample_equals_scipy_on_tied_counts(a, b):
-    # small integer counts tie heavily, as the ks_sieve_equality rows do.  Both
-    # give the same rational |i/len(a) - j/len(b)|, but scipy rounds it once and
-    # the merge scan subtracts two rounded CDFs (a = [0], b = [0, 0, 1] gives
-    # 0.33333333333333337 against 0.3333333333333333), so they agree to 2^-51
+    # scipy is an independent implementation of the same rational statistic
     assert abs(ks_two_sample(a, b) - ks_2samp(a, b).statistic) <= 2**-51
 
 

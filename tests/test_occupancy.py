@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2_contingency
 
-from conftest import naive_placement
+from conftest import expected_occupancy_oracle, naive_placement
 from sievesim.harness import ConfigurationError, ExperimentSpec, run_experiment
 from sievesim.occupancy import (
     DeterministicScheme,
@@ -17,12 +17,10 @@ from sievesim.occupancy import (
     approximation_sup,
     bound_constant_x0,
     build_environment,
-    expected_occupancy_oracle,
     floor_power,
     k_process,
     occupy_scheme,
     occupy_sieve,
-    reversed_rho_increment,
     rho,
     _integral_term,
     _sup_rho_window,
@@ -89,13 +87,6 @@ def test_k_process_is_nondecreasing_and_ends_at_k_n(n, theta, seed, ts):
 # ---------------------------------------------------------------------------
 
 
-def test_degenerate_environment_is_dyadic():
-    env = build_environment(StickLaw.degenerate(0.5), 2**-20, RngStream(1, 0))
-    assert np.array_equal(env.box_probs, 0.5 ** np.arange(1, env.num_boxes + 1))
-    assert env.cutpoints[-1] < 2**-20
-    assert env.cutpoints[-2] >= 2**-20  # stopped exactly at the rule
-
-
 def _stickwise_environment(law, mass, rng):
     """The first sticks whose running product drops below mass, multiplied
     one at a time; the stream is read in the same 32-stick blocks."""
@@ -119,9 +110,7 @@ def test_build_environment_stops_at_the_first_resolving_stick(kind, param, log2_
 
 def test_environment_stopping_rule_and_mass():
     env = build_environment(StickLaw.beta(1.0), 1e-9, RngStream(2, 0))
-    assert env.cutpoints[-1] < 1e-9
-    # resolved mass: 1 - sum p*_k = V_K up to float accumulation
-    assert abs((1.0 - float(np.sum(env.box_probs))) - env.cutpoints[-1]) < 1e-12
+    assert env.cutpoints[-1] < 1e-9  # the unresolved mass V_K
 
 
 def test_environment_depth_matches_first_passage_oracle():
@@ -171,7 +160,7 @@ def test_occupy_trivial():
 
 def test_single_ball_box_distribution():
     # P{ball lands in box k} = p*_k for the realised environment
-    env = build_environment(StickLaw.degenerate(0.5), 2**-30, RngStream(7, 0))
+    env = SieveEnvironment(None, None, sticks=np.full(31, 0.5))  # p*_k = 2^-k
     rng = RngStream(7, 1)
     draws = 20000
     hits = np.zeros(8)
@@ -186,7 +175,7 @@ def test_single_ball_box_distribution():
 
 def test_thinning_matches_naive_placement_chi_square():
     # joint law of (Z1, Z2) from sequential thinning vs per-ball placement
-    env = build_environment(StickLaw.degenerate(0.5), 2**-40, RngStream(8, 0))
+    env = SieveEnvironment(None, None, sticks=np.full(41, 0.5))  # p*_k = 2^-k
     reps, n = 30000, 100
     rng = RngStream(8, 1)
     thinned = np.zeros((reps, 2), dtype=np.int64)
@@ -228,8 +217,8 @@ def _per_box_occupy(env, n, rng):
     return counts
 
 
-@pytest.mark.parametrize("law", [StickLaw.beta(1.0), StickLaw.exp_pareto(2.0),
-                                 StickLaw.degenerate(0.5)], ids=["beta", "exppareto", "half"])
+@pytest.mark.parametrize("law", [StickLaw.beta(1.0), StickLaw.exp_pareto(2.0)],
+                         ids=["beta", "exppareto"])
 @pytest.mark.parametrize("n", [10**6, 2**62])
 def test_lazy_extension_matches_per_box_thinning(law, n):
     def three_sticks():
@@ -246,9 +235,7 @@ def test_lazy_extension_matches_per_box_thinning(law, n):
     fresh = path_from_sticks(env.sticks)
     assert np.array_equal(env.prw_path().s_values, fresh.s_values)
     assert np.array_equal(env.prw_path().t_values, fresh.t_values)
-    v = np.cumprod(env.sticks)
-    assert np.array_equal(env.cutpoints, v)
-    assert np.array_equal(env.box_probs, np.concatenate([[1.0], v[:-1]]) - v)
+    assert np.array_equal(env.cutpoints, np.cumprod(env.sticks))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -262,13 +249,10 @@ def test_thinning_conserves_n(n, kind, param, seed):
     assert all(z > 0 for z in occ.counts.values())
 
 
-def test_occupy_scheme_geometric_and_explicit():
+def test_occupy_scheme_geometric():
     rng = RngStream(10, 0)
     occ = occupy_scheme(DeterministicScheme.geometric(0.5), 1000, rng)
     assert occ.total() == 1000
-    occ2 = occupy_scheme(DeterministicScheme.explicit([0.6, 0.25, 0.15]), 500, rng)
-    assert occ2.total() == 500
-    assert max(occ2.counts) <= 3
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +270,6 @@ def test_k_process_examples():
     # floor(100^0.5) = 10 already covers every occupied box
     hand = k_process(OccupancyResult({4: 1, 5: 3, 6: 10}, 100), [0.0, 0.5, 1.0])
     assert hand.values.tolist() == [1, 3, 3]
-    assert hand.value_at(0.5) == 3
-    with pytest.raises(KeyError):
-        hand.value_at(0.25)
     assert k_process(OccupancyResult({}, 0), [0.0, 1.0]).values.tolist() == [0, 0]
 
 
@@ -312,7 +293,6 @@ def test_rho_geometric_boundaries():
     assert rho(g, 7.999) == 2
     assert rho(g, 1.999) == 0        # x < 1/p_1
     assert rho(g, 2.0) == 1
-    assert rho(DeterministicScheme.explicit([0.5, 0.3, 0.2]), 5.0) == 3
 
 
 def test_rho_equals_visit_count_exactly():
@@ -323,26 +303,6 @@ def test_rho_equals_visit_count_exactly():
         xs = np.exp(RngStream(13, i).gen.uniform(0.05, 25.0, size=50))
         for x in xs:
             assert rho(env, float(x)) == path.count_visits(math.log(float(x)))
-
-
-def test_reversed_rho_increment_examples():
-    env = build_environment(StickLaw.degenerate(0.5), 2**-30, RngStream(14, 0))
-    vals = reversed_rho_increment(env, 16, [0.0, 0.5, 1.0])
-    assert vals.tolist() == [0, 2, 3]  # {k: 1/16 < 2^-k <= 1/4} = {2, 3}
-    g = DeterministicScheme.geometric(0.5)
-    assert reversed_rho_increment(g, 16, [0.0])[0] == 0
-    assert reversed_rho_increment(g, 16, [0.5])[0] == 2
-    with pytest.raises(ValueError):
-        reversed_rho_increment(g, 1, [0.5])
-
-
-def test_reversed_rho_t1_matches_two_rho_audit():
-    # at t=1 the displayed set drops boxes with p exactly 1/n; on a
-    # tie-free continuous environment it equals rho(n) - rho(1)
-    env = build_environment(StickLaw.beta(1.0), 2**-40, RngStream(15, 0))
-    for n in (17, 1003, 999773):
-        got = reversed_rho_increment(env, n, [1.0])[0]
-        assert got == rho(env, float(n)) - rho(env, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +366,8 @@ def test_bound_rhs_and_lhs_geometric():
 
 
 def test_bound_lhs_single_box_and_stderr_shrink():
-    single = DeterministicScheme.explicit([1.0])
+    # 1 - 2^-60 rounds to 1.0, so box 1 takes every ball: a single-box scheme
+    single = DeterministicScheme.geometric(2.0**-60)
     rng = RngStream(17, 0)
     sups = [approximation_sup(single, 100, rng) for _ in range(100)]
     assert 0.0 <= np.mean(sups) <= 1.0  # K == 1 always; counting function is 0 or 1

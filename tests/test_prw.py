@@ -9,8 +9,6 @@ from sievesim.occupancy import build_environment, rho
 from sievesim.prw import (
     PrwPath,
     StepLaw,
-    count_renewals,
-    count_visits,
     lln_sup_deviation,
     max_window_count,
     path_from_sticks,
@@ -37,11 +35,21 @@ def test_step_law_validation():
     assert StepLaw(("pareto", 0.5), ("exp", 1.0)).mean_xi() == math.inf
 
 
+def count_visits(law, x, rng):
+    """N(x) on a fresh walk realised up to x."""
+    return simulate_path(law, x, rng).count_visits(x)
+
+
+def count_renewals(law, t, rng):
+    """nu(t) on a fresh walk realised up to t."""
+    return simulate_path(law, t, rng).count_renewals(t)
+
+
 def test_deterministic_visit_and_renewal_counts():
     rng = RngStream(1, 0)
     assert count_visits(DET, 2.0, rng) == 2       # T_k = k - 0.5
     assert count_visits(DET, 0.0, rng) == 0       # eta > 0 a.s.
-    assert count_renewals(DET, -0.5, rng) == 0
+    assert simulate_path(DET, 0.0, rng).count_renewals(-0.5) == 0
     assert count_renewals(DET, 3.5, rng) == 4     # floor(t) + 1 for unit steps
     assert count_renewals(DET, 3.0, rng) == 4
 

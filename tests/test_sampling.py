@@ -5,7 +5,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import levy_stable
 
-from conftest import exact_binomial_pmf
+from conftest import (
+    cms_positive_stable,
+    exact_binomial_pmf,
+    sample_inverse_subordinator_path,
+    sample_positive_stable,
+    spectrally_negative_cf,
+)
 from sievesim.harness import ks_one_sample, ks_two_sample
 from sievesim.sampling import (
     RngStream,
@@ -13,13 +19,9 @@ from sievesim.sampling import (
     StickLaw,
     binomial_regime,
     sample_binomial,
-    sample_brownian_marginals,
     sample_inverse_subordinator_marginal,
-    sample_inverse_subordinator_path,
-    sample_positive_stable,
     sample_spectrally_negative_stable,
     sample_standard_positive_stable,
-    spectrally_negative_cf,
 )
 
 
@@ -78,7 +80,6 @@ def test_exppareto_exact_tail():
     law = StickLaw.exp_pareto(0.5)
     w = law.sample(RngStream(3, 0), 10**6)
     assert abs(float(np.mean(-np.log(w) > 4.0)) - 0.5) < 0.002
-    assert law.tail_abs_log(4.0) == 0.5
 
 
 def test_stick_one_sample_ks_against_exact_cdf():
@@ -97,25 +98,11 @@ def test_stick_one_sample_ks_against_exact_cdf():
     assert ks_one_sample(we, cdf) < 0.01
 
 
-def test_tabulated_and_degenerate_sticks():
-    rng = RngStream(6, 0)
-    assert StickLaw.degenerate(0.5).sample(rng) == 0.5
-    law = StickLaw.tabulated([0.2, 0.7], [0.25, 1.0])
-    w = law.sample(rng, 10**5)
-    assert set(np.unique(w)) == {0.2, 0.7}
-    assert abs(float(np.mean(w == 0.2)) - 0.25) < 0.01
-    assert abs(law.mean_abs_log() - (0.25 * -math.log(0.2) + 0.75 * -math.log(0.7))) < 1e-12
-
-
 def test_stick_validation():
     with pytest.raises(ValueError):
         StickLaw.beta(0.0)
     with pytest.raises(ValueError):
         StickLaw.exp_pareto(-1.0)
-    with pytest.raises(ValueError):
-        StickLaw.tabulated([0.5, 0.4], [0.5, 1.0])
-    with pytest.raises(ValueError):
-        StickLaw.tabulated([0.5], [0.9])
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +201,7 @@ def test_positive_stable_laplace_transform():
 
 def test_positive_stable_cross_implementations_agree():
     a = sample_standard_positive_stable(0.5, RngStream(13, 0), 10**5)
-    b = sample_standard_positive_stable(0.5, RngStream(13, 1), 10**5, method="cms")
+    b = cms_positive_stable(0.5, RngStream(13, 1), 10**5)
     assert ks_two_sample(a, b) < 0.01
 
 
@@ -327,28 +314,3 @@ def test_inverse_path_validation():
         sample_inverse_subordinator_path(0.5, [1.0], -1.0, RngStream(0, 0))
     with pytest.raises(ValueError):
         sample_inverse_subordinator_marginal(0.5, 0.0, RngStream(0, 0))
-
-
-# ---------------------------------------------------------------------------
-# Brownian marginals
-# ---------------------------------------------------------------------------
-
-
-def test_brownian_variance_and_covariance():
-    b = sample_brownian_marginals([0.25, 1.0], RngStream(25, 0), size=10**5)
-    assert abs(float(np.var(b[:, 1])) - 1.0) < 0.02
-    cov = float(np.mean(b[:, 0] * b[:, 1]))
-    assert abs(cov - 0.25) < 0.02  # Cov(B(s), B(t)) = min(s, t)
-
-
-def test_brownian_bridge_transform_variance():
-    # Var(B(t) - t B(1)) = t (1 - t); direct covariance algebra:
-    # Var = t - 2 t Cov(B(t),B(1)) + t^2 = t - 2 t^2 + t^2 = t(1-t)
-    b = sample_brownian_marginals([0.5, 1.0], RngStream(26, 0), size=10**5)
-    bridge = b[:, 0] - 0.5 * b[:, 1]
-    assert abs(float(np.var(bridge)) - 0.25) < 0.01
-
-
-def test_brownian_grid_validation():
-    with pytest.raises(ValueError):
-        sample_brownian_marginals([0.5, 0.25], RngStream(0, 0))
