@@ -28,6 +28,7 @@ from .limits import (
     sample_inverse_reversal,
 )
 from .occupancy import (
+    WINDOW_BOX_CAP,
     DeterministicScheme,
     approximation_bound_rhs,
     approximation_sup,
@@ -35,6 +36,7 @@ from .occupancy import (
     build_environment,
     k_process,
     occupy_sieve,
+    window_box_count,
 )
 from .prw import StepLaw, lln_sup_deviation, max_window_count, simulate_path, visit_process
 from .sampling import (
@@ -194,6 +196,11 @@ class ExperimentSpec:
             raise ConfigurationError(f"{self.target} rounds n to an integer: n_values must be >= 1")
         if self.target in _WALK and any(n <= 0 for n in self.n_values):
             raise ConfigurationError(f"{self.target} needs n_values > 0")
+        if self.target in _WALK and any(b < a for a, b in zip(self.grid, self.grid[1:])):
+            raise ConfigurationError(f"{self.target} counts visits along the grid: "
+                                     "it must be nondecreasing")
+        if self.target == "P21" and any(n < 2 for n in self.n_values):
+            raise ConfigurationError("P21 measures t on the log n scale: n_values must be >= 2")
         try:
             law = self.law()
         except ValueError as exc:  # a law parameter out of its range
@@ -208,6 +215,10 @@ class ExperimentSpec:
             raise ConfigurationError("P33 needs x_values and y_values >= 0")
         if self.target == "P41" and (self.replicates < 100 or any(n < 3 for n in self.n_values)):
             raise ConfigurationError("P41 needs replicates >= 100 and n_values >= 3")
+        if self.target == "P41" and any(window_box_count(law, int(n)) > WINDOW_BOX_CAP
+                                        for n in self.n_values):
+            raise ConfigurationError(f"P41's window sup scans at most {WINDOW_BOX_CAP} boxes: "
+                                     "lower q or n_values")
         if (self.target in ("A3", "T22", "B3", "B4") and len(self.n_values) > 1
                 and len(self.grid) > _GRID_STREAMS):
             raise ConfigurationError(f"{self.target} with several n values takes at most "
@@ -389,7 +400,8 @@ def _window_stat(law: StepLaw, n: float, b: float, c: float, rng: RngStream) -> 
 
 
 def _increment_stat(law: StepLaw, x_values: tuple, y: float, rng: RngStream) -> list:
-    """N(x+y) - N(x) for each x on one path, then nu(y) on a fresh path."""
+    """N(x+y) - N(x) for each x on one path, then nu(y) on a fresh path; the
+    increments are counted before the second walk reuses the first's buffers."""
     path = simulate_path(law, max(x_values) + y, rng)
     increments = [path.count_visits(x + y) - path.count_visits(x) for x in x_values]
     return increments + [simulate_path(law, y, rng).count_renewals(y)]

@@ -29,6 +29,8 @@ __all__ = [
     "bound_constant_x0",
     "approximation_bound_rhs",
     "approximation_sup",
+    "window_box_count",
+    "WINDOW_BOX_CAP",
 ]
 
 
@@ -119,19 +121,40 @@ class DeterministicScheme:
         else:
             guess = 1 + int(math.floor(math.log(thr / lead) / math.log(self.q)))
         guess = max(guess, 0)
-        # settle the boundary in exact rational arithmetic
-        while self._prob_fraction(guess + 1) >= threshold:
+        # settle the boundary exactly
+        while self._prob_cmp(guess + 1, threshold, thr) >= 0:
             guess += 1
-        while guess >= 1 and self._prob_fraction(guess) < threshold:
+        while guess >= 1 and self._prob_cmp(guess, threshold, thr) < 0:
             guess -= 1
         return guess
 
     def last_index_gt(self, threshold: Fraction) -> int:
         """Largest k with p_k > threshold (strict)."""
         k = self.last_index_ge(threshold)
-        while k >= 1 and self._prob_fraction(k) == threshold:
+        thr = float(threshold)
+        while k >= 1 and self._prob_cmp(k, threshold, thr) == 0:
             k -= 1
         return k
+
+    def _prob_cmp(self, k: int, threshold: Fraction, thr: float) -> int:
+        """Sign of p_k - threshold, exactly (thr = float(threshold)).
+
+        The float p_k (a few ulps off) decides when it is clear of thr by
+        1e-12; a 256-bit evaluation decides when the two differ in the first
+        240 bits; only a closer tie needs p_k's rational value, whose size
+        grows with k.
+        """
+        p = self.prob(k)
+        if min(p, thr) > 1e-290 and abs(p - thr) > 1e-12 * thr:
+            return 1 if p > thr else -1
+        with mpmath.workprec(256):
+            q = mpmath.mpf(self.q)
+            t = mpmath.mpf(threshold.numerator) / threshold.denominator
+            diff = (1 - q) * q ** (k - 1) - t
+            if abs(diff) > mpmath.ldexp(t, -240):
+                return 1 if diff > 0 else -1
+        exact = self._prob_fraction(k)
+        return (exact > threshold) - (exact < threshold)
 
     def tail_sum_from(self, k: int) -> float:
         """Sum of p_j over j >= k."""
@@ -369,30 +392,48 @@ def bound_constant_x0() -> float:
     return 0.5 * (lo + hi)
 
 
+# the most boxes _sup_rho_window scans; 98,239 boxes take 45 s of CPU on a
+# 2-vCPU Xeon host, less than P41's 100 replicates of approximation_sup there
+WINDOW_BOX_CAP = 100000
+
+
+def window_box_count(scheme: DeterministicScheme, n: int) -> int:
+    """Last k with e p_k n >= 1: the boxes _sup_rho_window scans.
+
+    p_k = (1-q) q^(k-1) gives k = 1 + floor(log(e n (1-q)) / -log q); the
+    scan's own float test then settles the boundary.
+    """
+    reaches = lambda k: math.e * scheme.prob(k) * n >= 1.0
+    k = max(0, 1 + math.floor((1.0 + math.log(n) + math.log1p(-scheme.q)) / -math.log(scheme.q)))
+    while reaches(k + 1):
+        k += 1
+    while k >= 1 and not reaches(k):
+        k -= 1
+    return k
+
+
 def _sup_rho_window(scheme: DeterministicScheme, n: int) -> int:
     """sup over t in [0,1] of rho(e * n**(1-t)) - rho(n**(1-t) / e).
 
     The count of boxes inside the moving window changes only where a window
     edge crosses some p_k, so scanning entry points y = 1/(e p_k) (plus the
-    endpoints and points just below each exit) is exact.
+    endpoints and points just below each exit) is exact.  Deeper boxes
+    never enter the window.
     """
     def window_count(y: float) -> int:
         if y <= 0.0:
             return 0
         return rho(scheme, math.e * y) - rho(scheme, y / math.e)
 
+    boxes = window_box_count(scheme, n)
+    if boxes > WINDOW_BOX_CAP:
+        raise RuntimeError("scheme has too many boxes above the window floor")
     candidates = [1.0, float(n)]
-    k = 1
-    while True:
+    for k in range(1, boxes + 1):
         p = scheme.prob(k)
-        if math.e * p * n < 1.0:  # window never reaches deeper boxes
-            break
         for y in (1.0 / (math.e * p), math.e / p):
             if 1.0 <= y <= n:
                 candidates.extend([y, np.nextafter(y, 0.0), np.nextafter(y, np.inf)])
-        k += 1
-        if k > 100000:
-            raise RuntimeError("scheme has too many boxes above the window floor")
     return max(window_count(min(max(y, 1.0), float(n))) for y in candidates)
 
 

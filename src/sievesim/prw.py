@@ -188,21 +188,26 @@ class PrwPath:
         return PrwPath(s, t, horizon=float(s[-1]))
 
 
-_PATH_SCRATCH = ScratchSlot(float, float, float, bool)  # xi, eta, S_{k-1}, S_k > horizon
+# [0, S_0, S_1, ...] (xi is drawn past the leading 0), eta then T_k, S_{k-1}, S_k > horizon
+_PATH_SCRATCH = ScratchSlot(float, float, float, bool)
 
 
 def simulate_path(law: StepLaw, horizon: float, rng: RngStream) -> PrwPath:
     """Realise the walk until S_k > horizon (so all T_k <= horizon are seen).
 
     Steps are drawn block by block into per-thread scratch buffers, which
-    the next call with the same block length reuses; the path holds fresh,
-    exactly sized copies of what it keeps.
+    the next call reuses.  A walk that ends inside its first block returns
+    read-only, exactly sized views on those buffers, valid until the next
+    simulate_path call on the same thread: copy what must outlive it.  A
+    longer walk holds fresh, exactly sized copies of what it keeps.
     """
     if horizon < 0.0:
         raise ValueError("horizon must be >= 0")
     m = law.mean_xi()
     block = 64 if not math.isfinite(m) else max(64, int(1.2 * horizon / m) + 32)
-    xi, eta, s_prev, beyond = _PATH_SCRATCH.arrays(block)
+    s, eta, s_prev, beyond = _PATH_SCRATCH.arrays(block + 1)
+    s[0] = 0.0
+    xi, eta, s_prev, beyond = s[1:], eta[:block], s_prev[:block], beyond[:block]
     s_parts = [np.zeros(1)]
     t_parts = []
     s_last = 0.0
@@ -213,18 +218,23 @@ def simulate_path(law: StepLaw, horizon: float, rng: RngStream) -> PrwPath:
         np.cumsum(xi[:-1], out=s_prev[1:])
         s_prev += s_last
         s_new = np.add(xi, s_prev, out=xi)
-        t_new = np.add(eta, s_prev, out=eta)
         # keep indices with S_{k-1} <= horizon, a prefix since S_{k-1} is
         # nondecreasing; later T_k exceed horizon a.s.
         kept = np.searchsorted(s_prev, horizon, side="right")
+        t_new = np.add(eta[:kept], s_prev[:kept], out=eta[:kept])
         # S_k = S_{k-1} + xi_k is rounded apart from S_{k-1}'s sum, so it may
         # dip by an ulp; the first crossing is found on its mask
         stop = np.searchsorted(np.greater(s_new, horizon, out=beyond), True)
         s_last = s_new[min(stop, block - 1)]
+        if not t_parts and s_last > horizon:
+            # one block: s holds [0, S_0..S_stop] contiguously
+            s_view, t_view = s[: stop + 2], t_new
+            s_view.flags.writeable = t_view.flags.writeable = False
+            return PrwPath(s_view, t_view, horizon=float(horizon))
         # the last block's views are copied by concatenate; earlier blocks
         # are copied now, before the next draw overwrites them
         copy = np.copy if s_last <= horizon else np.asarray
-        t_parts.append(copy(t_new[:kept]))
+        t_parts.append(copy(t_new))
         s_parts.append(copy(s_new[: stop + 1]))
     return PrwPath(np.concatenate(s_parts), np.concatenate(t_parts), horizon=float(horizon))
 

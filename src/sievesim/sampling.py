@@ -57,7 +57,8 @@ class ScratchSlot(threading.local):
     largest arrays asked for so far, growing them only for a longer request,
     so a replicate loop allocates (and page-faults) them once even when it
     alternates lengths.  The contents belong to the caller only until its
-    next call: anything handed further on must be copied out.
+    next call: anything handed further on must be copied out, or be
+    documented as valid only until then (a one-block walk path).
     """
 
     def __init__(self, *dtypes):

@@ -143,13 +143,17 @@ def test_degenerate_scale_exits_2(tmp_path, capsys, spec_text):
     "target = P33\nx_values = 0\ny_values = nan\n",
     "target = P32\nb = inf\nn_values = 100\n",
     "target = B4\nxi = pareto\nxi_param = 0.5\nn_values = -5\n",
+    "target = B1\nn_values = 100\ngrid = 1, 0.5\n",
+    "target = P21\nn_values = 1\n",                             # log n = 0
+    "target = P41\nq = 0.99999\nn_values = 1e6\nreplicates = 100\n",  # 330,257 window boxes
 ], ids=["A3_beta_stick", "B3_exp_steps", "B4_index_1", "A1_n_below_1", "P21_no_n",
         "A1_no_n", "mode_typo", "centering_typo", "dependence_typo", "xi_unknown",
         "P33_no_x", "P33_one_replicate", "P32_negative_b", "P41_n_below_3",
         "P41_50_replicates", "P31_infinite_mean", "B1_exp_rate_0", "P41_q_above_1",
         "A1_theta_0", "T22_alpha_0.02", "B4_index_0.02", "B1_empty_grid", "A1_n_inf",
         "P31_n_inf", "P41_n_inf", "A1_n_nan", "seed_negative", "P33_y_negative",
-        "P33_x_negative", "P33_y_nan", "P32_b_inf", "B4_n_negative"])
+        "P33_x_negative", "P33_y_nan", "P32_b_inf", "B4_n_negative",
+        "B1_grid_decreasing", "P21_n_1", "P41_q_near_1"])
 def test_bad_spec_exits_2_before_any_replicate(tmp_path, capsys, monkeypatch, spec_text):
     def no_replicates(*args):
         raise AssertionError("a replicate was drawn")

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from sievesim.occupancy import (
     occupy_scheme,
     occupy_sieve,
     rho,
+    window_box_count,
     _integral_term,
     _sup_rho_window,
 )
@@ -295,6 +297,22 @@ def test_rho_geometric_boundaries():
     assert rho(g, 2.0) == 1
 
 
+@pytest.mark.parametrize("q", [0.5, 0.25, 0.3, 0.9, 0.999])
+def test_rho_geometric_equals_the_rational_search(q):
+    # rho's float and 256-bit shortcuts must give the rational count at every
+    # near tie x = 1/p_k, its neighbours, and the exact ties p_k = threshold
+    g = DeterministicScheme.geometric(q)
+    fq = Fraction(q)
+    probs = [(1 - fq) * fq**k for k in range(120)]  # p_1 .. p_120
+    xs = [x for k in range(1, 100) for x in (1.0 / g.prob(k), float(1 / probs[k - 1]))]
+    for x in xs + [np.nextafter(x, 0.0) for x in xs] + [np.nextafter(x, np.inf) for x in xs]:
+        threshold = Fraction(1) / Fraction(x)
+        assert rho(g, x) == sum(p >= threshold for p in probs)
+    for k in range(1, 100):
+        assert g.last_index_ge(probs[k - 1]) == k
+        assert g.last_index_gt(probs[k - 1]) == k - 1
+
+
 def test_rho_equals_visit_count_exactly():
     # the counting identity on shared realisations, 50 environments x 50 x
     for i in range(50):
@@ -349,6 +367,16 @@ def test_sup_window_matches_dense_grid():
         dense = max(rho(g, math.e * n ** (1.0 - t)) - rho(g, n ** (1.0 - t) / math.e)
                     for t in ts)
         assert scanned == dense
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.999, 0.9999])
+def test_window_box_count_equals_the_scan(q):
+    g = DeterministicScheme.geometric(q)
+    for n in (3, 10, 1000, 10**6, 10**9):
+        k = 0
+        while math.e * g.prob(k + 1) * n >= 1.0:
+            k += 1
+        assert window_box_count(g, n) == k
 
 
 def test_bound_rhs_and_lhs_geometric():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,11 +269,37 @@ def test_simulate_path_equals_allocating_reference(name):
         assert path.t_values.tobytes() == t.tobytes()
 
 
+def test_one_block_path_is_a_read_only_view_until_the_next_call():
+    first = simulate_path(EXP_EXP, 5000.0, RngStream(43, 0))
+    t = first.t_values.copy()
+    for values in (first.s_values, first.t_values):
+        assert values.base is not None and not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+    simulate_path(EXP_EXP, 5000.0, RngStream(43, 1))
+    assert not np.array_equal(first.t_values[:5], t[:5])  # the next walk drew over it
+
+
+def test_visit_process_allocates_no_path():
+    rng = RngStream(44, 0)
+    visit_process(EXP_EXP, 1e5, [0.5, 1.0], rng)  # sizes the scratch buffers
+    tracemalloc.start()
+    try:
+        visit_process(EXP_EXP, 1e5, [0.5, 1.0], rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a fresh s_values and t_values would take about 1.6 MB
+    assert peak < 1 << 20
+
+
 def test_returned_path_survives_the_next_call():
-    for law in (EXP_EXP, BUFFERED_LAWS["pareto_1"]):  # one block; several 64-step blocks
-        first = simulate_path(law, 5000.0, RngStream(42, 0))
-        s, t = first.s_values.copy(), first.t_values.copy()
-        second = simulate_path(law, 5000.0, RngStream(42, 1))
-        assert np.array_equal(first.s_values, s) and np.array_equal(first.t_values, t)
-        assert not np.array_equal(second.t_values[:5], t[:5])
-        assert first.s_values.base is None and first.t_values.base is None
+    # pareto_1 has no mean, so it walks 64-step blocks, several of them to
+    # 5000: such a path is copied out of the scratch
+    law = BUFFERED_LAWS["pareto_1"]
+    first = simulate_path(law, 5000.0, RngStream(42, 0))
+    s, t = first.s_values.copy(), first.t_values.copy()
+    second = simulate_path(law, 5000.0, RngStream(42, 1))
+    assert np.array_equal(first.s_values, s) and np.array_equal(first.t_values, t)
+    assert not np.array_equal(second.t_values[:5], t[:5])
+    assert first.s_values.base is None and first.t_values.base is None
