@@ -1,28 +1,26 @@
 """The cycle structure of a theta-biased random permutation and the occupancy
-of a beta(theta, 1) stick-breaking sieve share one law; compare them head to
-head with both cycle samplers.
+of a beta(theta, 1) stick-breaking sieve share one law: the number of cycles
+of length at most n^t and the number of boxes holding at most n^t balls.
+Compare the two head to head with the EQ target, at a small n and at
+n = 1e12, far beyond what a per-customer construction of the permutation
+could reach.
 
 Run:  python demos/ewens_equality_demo.py
 """
 
 import numpy as np
 
-from sievesim.ewens import sample_cycles_crp, sample_cycles_feller
-from sievesim.harness import ExperimentSpec, ks_two_sample, run_experiment
-from sievesim.sampling import RngStream
+from sievesim.harness import ExperimentSpec, run_experiment
 
-theta, n, reps = 1.0, 1000, 2000
+theta, reps = 1.0, 2000
 
-rng = RngStream(3, 0)
-crp = np.array([sample_cycles_crp(n, theta, rng).num_cycles() for _ in range(reps)])
-fel = np.array([sample_cycles_feller(n, theta, rng).num_cycles() for _ in range(reps)])
-print(f"number of cycles at n={n}, theta={theta}:")
-print(f"  restaurant construction: mean {crp.mean():.2f}, sd {crp.std():.2f}")
-print(f"  coupling construction:   mean {fel.mean():.2f}, sd {fel.std():.2f}")
-print(f"  two-sample KS between the constructions: {ks_two_sample(crp, fel):.4f}")
-
-spec = ExperimentSpec(target="EQ", theta=theta, n_values=(n,), replicates=reps,
-                      grid=(1.0,), seed=5)
-row = run_experiment(spec).rows[0]
-print(f"\ncycle count vs occupied-box count, {reps}+{reps} replicates:")
-print(f"  two-sample KS = {row['value']:.4f}  (calibrated gate {row['threshold']})")
+for n in (10**3, 10**12):
+    spec = ExperimentSpec(target="EQ", theta=theta, n_values=(n,), replicates=reps,
+                          grid=(0.5, 1.0), seed=5)
+    report = run_experiment(spec)
+    print(f"n = {n:.0e}, theta = {theta}, {reps}+{reps} replicates:")
+    for row in report.rows:
+        cycles = np.array([r[4] for r in report.raw if r[2] == row["t"]])
+        boxes = np.array([r[5] for r in report.raw if r[2] == row["t"]])
+        print(f"  t = {row['t']}: mean cycles {cycles.mean():6.2f}, mean boxes {boxes.mean():6.2f}, "
+              f"two-sample KS = {row['value']:.4f} (calibrated gate {row['threshold']})")

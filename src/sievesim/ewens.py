@@ -1,5 +1,5 @@
-"""Ewens cycle counts sampled two independent ways (Chinese restaurant and
-Feller coupling) and the cycle process C_n(t)."""
+"""Ewens cycle counts sampled by the Feller coupling, which jumps from one
+indicator to the next, and the cycle process C_n(t)."""
 
 import json
 import math
@@ -14,7 +14,6 @@ from .sampling import RngStream
 
 __all__ = [
     "CycleCounts",
-    "sample_cycles_crp",
     "sample_cycles_feller",
     "c_process",
 ]
@@ -47,40 +46,6 @@ class CycleCounts:
         obj = json.loads(text)
         return CycleCounts(int(obj["n"]), float(obj["theta"]),
                            {int(r): int(c) for r, c in obj["counts"]})
-
-
-def sample_cycles_crp(n: int, theta: float, rng: RngStream) -> CycleCounts:
-    """Chinese-restaurant construction of an Ewens(theta) cycle type.
-
-    Customer i opens a new cycle with probability theta/(theta + i - 1) and
-    otherwise joins an existing cycle with probability proportional to its
-    size.  Cycle sizes live in a flat array with total-size bookkeeping, so
-    the run is O(n) draws with O(#cycles) state.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if theta <= 0.0:
-        raise ValueError("theta must be > 0")
-    u = rng.gen.random(n) * (theta + np.arange(n, dtype=float))
-    sizes = []
-    for i in range(n):
-        v = u[i] - theta
-        if v < 0.0:
-            sizes.append(1)
-            continue
-        # v is uniform on [0, i); walk the size array to pick a cycle
-        acc = 0.0
-        for j, s in enumerate(sizes):
-            acc += s
-            if v < acc:
-                sizes[j] = s + 1
-                break
-        else:
-            sizes[-1] += 1  # guard against float roundoff at the top edge
-    counts = {}
-    for s in sizes:
-        counts[s] = counts.get(s, 0) + 1
-    return CycleCounts(n, theta, counts)
 
 
 FELLER_MAX_N = 1 << 53  # beyond this a double cannot tell G_i(j) from G_i(j + 1)

@@ -18,7 +18,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import __version__
-from .ewens import FELLER_MAX_N, c_process, sample_cycles_crp, sample_cycles_feller
+from .ewens import FELLER_MAX_N, c_process, sample_cycles_feller
 from .limits import (
     centering_prw,
     centering_u_v,
@@ -94,7 +94,7 @@ _TAIL_INDEX = {"A3": ("alpha", "(", 1.0, 2.0), "T22": ("alpha", "[", 0.05, 1.0),
 # theory constant.  Spec files may override any key.
 DEFAULT_THRESHOLDS = {
     "ks": {"A1": 0.08, "A2": 0.10, "A3": 0.10, "T22": 0.05, "B1": 0.02,
-           "B2": 0.04, "B3": 0.04, "B4": 0.03, "ESF_FLT": 0.12, "EQ": 0.04},
+           "B2": 0.04, "B3": 0.04, "B4": 0.03, "ESF_FLT": 0.12},
     "ratio_ks": {"A1": 0.08, "A2": 0.10, "A3": 0.10, "T22": 0.06},
     "eq_ks": 0.04,
     "cov_tol": 0.05,
@@ -252,13 +252,11 @@ class ExperimentSpec:
         eta = (self.eta, self.stick_law() if self.eta == "log1mstick" else self.eta_param)
         return StepLaw(xi, eta)
 
-    def threshold(self, kind: str, target: str | None = None) -> float:
+    def threshold(self, kind: str) -> float:
         if kind in self.thresholds:
             return self.thresholds[kind]
         default = DEFAULT_THRESHOLDS[kind]
-        if isinstance(default, dict):
-            return self.thresholds.get(kind, default[target or self.target])
-        return default
+        return default[self.target] if isinstance(default, dict) else default
 
 
 @dataclass
@@ -337,58 +335,29 @@ def _run_replicates(worker, replicates: int, jobs: int):
 
 
 # ---------------------------------------------------------------------------
-# replicate workers (module level so they pickle for worker pools)
+# per-replicate statistics (module level so they pickle for worker pools):
+# replicate r of a column computes stat(RngStream(seed, stream_base + r))
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _SieveTask:
-    law: StickLaw
-    n: int
-    grid: tuple
-    seed: int
-    stream_base: int
-    sup: bool = False  # also compute the exact sup_t |K_n(t)/K_n - t| (P21)
+def _stat_replicate(stat: partial, seed: int, stream_base: int, rep: int):
+    return stat(RngStream(seed, stream_base + rep))
 
 
-def _sieve_replicate(task: _SieveTask, rep: int):
-    rng = RngStream(task.seed, task.stream_base + rep)
+def _sieve_stat(law: StickLaw, n: int, grid: tuple, sup: bool, rng: RngStream):
+    """K_n(t) on the grid, K_n, the binomial draws per regime and, with sup
+    (P21), the exact sup_t |K_n(t)/K_n - t|."""
     regimes = {}
-    env = build_environment(task.law, _MIN_MASS, rng)
-    occ = occupy_sieve(env, task.n, rng, regimes)
-    kp = k_process(occ, task.grid)
-    sup = _ratio_sup_deviation(occ.count_values(), task.n) if task.sup else None
+    env = build_environment(law, _MIN_MASS, rng)
+    occ = occupy_sieve(env, n, rng, regimes)
+    kp = k_process(occ, grid)
+    sup = _ratio_sup_deviation(occ.count_values(), n) if sup else None
     return kp.values.tolist(), kp.k_total, regimes, sup
 
 
-@dataclass(frozen=True)
-class _EwensTask:
-    n: int
-    theta: float
-    grid: tuple
-    seed: int
-    stream_base: int
-    sampler: str  # "feller" | "crp"
-
-
-def _ewens_replicate(task: _EwensTask, rep: int):
-    rng = RngStream(task.seed, task.stream_base + rep)
-    draw = sample_cycles_feller if task.sampler == "feller" else sample_cycles_crp
-    counts = draw(task.n, task.theta, rng)
-    return c_process(counts, task.grid).tolist()
-
-
-@dataclass(frozen=True)
-class _StatTask:
-    """A per-replicate statistic of a fresh stream, stat(rng): the walk's
-    visit process (B1..B4) or a trend-and-bound target's statistic."""
-    stat: partial
-    seed: int
-    stream_base: int
-
-
-def _stat_replicate(task: _StatTask, rep: int):
-    return task.stat(RngStream(task.seed, task.stream_base + rep))
+def _cycle_stat(n: int, theta: float, grid: tuple, rng: RngStream) -> list:
+    """C_n(t) on the grid for one Ewens(theta) permutation (Feller coupling)."""
+    return c_process(sample_cycles_feller(n, theta, rng), grid).tolist()
 
 
 def _lln_stat(law: StepLaw, n: float, grid: tuple, rng: RngStream) -> float:
@@ -545,18 +514,17 @@ def _process_step(spec, law, i_n, nf, draw, report):
     walk = spec.target in _WALK
     regime = (_WALK if walk else _SIEVE).index(spec.target)
     grid = tuple(spec.grid)
-    base = i_n * spec.replicates
     if walk:
         n = x = float(nf)
         mean, var, alpha = law.mean_xi(), law.var_xi(), spec.xi_param
-        task = _StatTask(partial(visit_process, law, n, grid), spec.seed, base)
+        stat = partial(visit_process, law, n, grid)
     else:
         n = int(nf)
         x = math.log(n)
         mean, var, alpha = law.mean_abs_log(), law.var_abs_log(), spec.alpha
-        task = _SieveTask(law, n, grid, spec.seed, base)
+        stat = partial(_sieve_stat, law, n, grid, False)
     scale = _scale(spec, n, _process_scale, regime, mean, var, x, alpha)
-    values, _ = draw(task)
+    values, _ = draw(stat, i_n * spec.replicates)
     normalized_by_t = {}
     for j, t in enumerate(spec.grid):
         raw = values[:, j]
@@ -594,8 +562,8 @@ def _ratio_step(spec, law, i_n, nf, draw, report):
     if target in ("A1", "A2", "A3"):
         scale = _scale(spec, n, _bridge_scale, target, law, logn, spec.alpha)
         u1, v1 = centering_u_v(law, n, 1.0)
-    values, results = draw(_SieveTask(law, n, tuple(spec.grid), spec.seed,
-                                      i_n * spec.replicates, target == "P21"))
+    values, results = draw(partial(_sieve_stat, law, n, tuple(spec.grid), target == "P21"),
+                           i_n * spec.replicates)
     totals = np.asarray([r[1] for r in results], dtype=float)  # K_n >= 1 as n >= 1
     if target == "P21":
         sups = np.asarray([r[3] for r in results])
@@ -624,17 +592,17 @@ def _ratio_step(spec, law, i_n, nf, draw, report):
 
 
 def _permutation_step(spec, law, i_n, nf, draw, report):
-    """Ewens cycle counts against the beta(theta) sieve's box counts at the
-    same n: raw two-sample KS per grid point (EQ, CRP sampler), and for
-    ESF_FLT (Feller coupling) the cycle process against its Gaussian limit."""
+    """Ewens cycle counts (Feller coupling) against the beta(theta) sieve's
+    box counts at the same n: a raw two-sample KS per grid point, which is all
+    EQ reports, and for ESF_FLT the cycle process against its Gaussian limit."""
     esf = spec.target == "ESF_FLT"
     n = int(nf)
     if esf:
         logn = math.log(n)
         scale = _scale(spec, n, math.sqrt, spec.theta * logn)
     grid, base = tuple(spec.grid), i_n * spec.replicates
-    cycles, _ = draw(_EwensTask(n, spec.theta, grid, spec.seed, base, "feller" if esf else "crp"))
-    boxes, _ = draw(_SieveTask(law, n, grid, spec.seed, _SIEVE_STREAM_BASE + base))
+    cycles, _ = draw(partial(_cycle_stat, n, spec.theta, grid), base)
+    boxes, _ = draw(partial(_sieve_stat, law, n, grid, False), _SIEVE_STREAM_BASE + base)
     for j, t in enumerate(spec.grid):
         raw = cycles[:, j]
         equality = ks_two_sample(raw, boxes[:, j])
@@ -668,7 +636,7 @@ def _bound_step(spec, law, i_n, nf, draw, report):
         n = float(n)
         stat = (partial(_lln_stat, law, n, tuple(spec.grid)) if spec.target == "P31"
                 else partial(_window_stat, law, n, spec.b, spec.c))
-    stats, _ = draw(_StatTask(stat, spec.seed, i_n * spec.replicates))
+    stats, _ = draw(stat, i_n * spec.replicates)
     report.add_raw(n, 1.0, stats, stats)
     if spec.target == "P31":
         report.rows.append({"n": n, "median": float(np.median(stats)),
@@ -689,8 +657,8 @@ def _bound_step(spec, law, i_n, nf, draw, report):
 def _increment_step(spec, law, i_y, y, draw, report):
     """E(N(x+y) - N(x)) <= E nu(y) + 3 combined stderr at one y, each x (P33)."""
     y = float(y)
-    stats, _ = draw(_StatTask(partial(_increment_stat, law, tuple(spec.x_values), y),
-                              spec.seed, i_y * spec.replicates))
+    stats, _ = draw(partial(_increment_stat, law, tuple(spec.x_values), y),
+                    i_y * spec.replicates)
     renewals = stats[:, -1]
     u, u_se = _mean_se(renewals)
     for j, x in enumerate(spec.x_values):
@@ -735,12 +703,11 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
     regimes = {}
     t_start = time.time()
 
-    def draw(task):
+    def draw(stat, stream_base):
         """One n's replicate columns, and each replicate's full result."""
-        worker = {_SieveTask: _sieve_replicate, _EwensTask: _ewens_replicate,
-                  _StatTask: _stat_replicate}[type(task)]
-        results = _run_replicates(partial(worker, task), spec.replicates, jobs)
-        if worker is not _sieve_replicate:
+        results = _run_replicates(partial(_stat_replicate, stat, spec.seed, stream_base),
+                                  spec.replicates, jobs)
+        if stat.func is not _sieve_stat:
             return np.asarray(results, dtype=float), results
         for _, _, regs, _ in results:
             for k, v in regs.items():

@@ -95,14 +95,13 @@ class StickLaw:
 
     kinds:
       * ``beta`` -- density theta * x**(theta-1); W = U**(1/theta).
-      * ``exppareto`` -- W = exp(-xi) with P{xi > x} = (x - shift)**(-alpha)
-        for x >= 1 + shift, so |log W| has an exact power tail.
+      * ``exppareto`` -- W = exp(-xi) with P{xi > x} = x**(-alpha) for
+        x >= 1, so |log W| has an exact power tail.
     """
 
     kind: str
     theta: float | None = None
     alpha: float | None = None
-    shift: float = 0.0
 
     def __post_init__(self):
         if self.kind == "beta":
@@ -111,8 +110,6 @@ class StickLaw:
         elif self.kind == "exppareto":
             if self.alpha is None or self.alpha <= 0.0:
                 raise ValueError("exppareto stick requires alpha > 0")
-            if self.shift < 0.0:
-                raise ValueError("exppareto shift must be >= 0")
         else:
             raise ValueError(f"unknown stick law kind: {self.kind!r}")
 
@@ -123,8 +120,8 @@ class StickLaw:
         return StickLaw(kind="beta", theta=float(theta))
 
     @staticmethod
-    def exp_pareto(alpha: float, shift: float = 0.0) -> "StickLaw":
-        return StickLaw(kind="exppareto", alpha=float(alpha), shift=float(shift))
+    def exp_pareto(alpha: float) -> "StickLaw":
+        return StickLaw(kind="exppareto", alpha=float(alpha))
 
     # -- sampling -----------------------------------------------------------
 
@@ -133,8 +130,7 @@ class StickLaw:
         if self.kind == "beta":
             w = u ** (1.0 / self.theta)
         else:
-            xi = self.shift + u ** (-1.0 / self.alpha)
-            w = np.exp(-xi)
+            w = np.exp(-(u ** (-1.0 / self.alpha)))
         if size is None:
             return float(min(max(w, _STICK_BOTTOM), _STICK_TOP))
         # w is a fresh array here, so it is clamped in place
@@ -148,7 +144,7 @@ class StickLaw:
             return 1.0 / self.theta
         if self.alpha <= 1.0:
             return math.inf
-        return self.shift + self.alpha / (self.alpha - 1.0)
+        return self.alpha / (self.alpha - 1.0)
 
     def var_abs_log(self) -> float:
         if self.kind == "beta":
@@ -167,8 +163,7 @@ class StickLaw:
             # eta = -log(1 - exp(-xi)) <= s  iff  xi >= g(s) = -log(1 - e^-s)
             with np.errstate(divide="ignore"):
                 g = -np.log(-np.expm1(-np.maximum(s, 1e-320)))
-            lo = 1.0 + self.shift
-            out = np.where(g <= lo, 1.0, np.where(s <= 0.0, 0.0, (np.maximum(g, lo) - self.shift) ** (-self.alpha)))
+            out = np.where(g <= 1.0, 1.0, np.where(s <= 0.0, 0.0, np.maximum(g, 1.0) ** (-self.alpha)))
         return out if out.shape else float(out)
 
     def integral_cdf_abs_log1m(self, a: float, b: float) -> float:
@@ -188,7 +183,7 @@ class StickLaw:
         breaks = [a, b]
         if self.kind == "exppareto":
             # F_eta has a kink where the Pareto tail saturates at 1
-            s_star = -math.log(-math.expm1(-(1.0 + self.shift)))
+            s_star = -math.log(-math.expm1(-1.0))
             if a < s_star < b:
                 breaks = [a, s_star, b]
         return _gauss_legendre_panels(self.cdf_abs_log1m, breaks)

@@ -1,9 +1,9 @@
 """Shared test oracles: exact PMF recursions, the Ewens sampling formula and
-partition enumeration, a per-ball placement reference, the exact expected
-occupancy of the geometric scheme, the lattice inverse-subordinator path, the
-Chambers-Mallows-Stuck positive stable construction, the subordinator
-marginal, the spectrally negative characteristic function, and the null-model
-calibration guard.  The oracles stay independent of the library code paths
+partition enumeration, the Chinese-restaurant Ewens sampler, a per-ball
+placement reference, the exact expected occupancy of the geometric scheme,
+the lattice inverse-subordinator path, the Chambers-Mallows-Stuck positive
+stable construction, the subordinator marginal, the spectrally negative
+characteristic function, and the null-model calibration guard.  The oracles stay independent of the library code paths
 they check; the guard deliberately pushes the library's own limit-law draws
 through its KS statistics.  `sievesim run` reaches none of them."""
 
@@ -68,6 +68,40 @@ def exact_cycle_type_probs(n: int, theta: float) -> dict:
     """Exact Ewens cycle-type distribution via the sampling formula."""
     return {tuple(sorted(c.items())): esf_probability(CycleCounts(n, theta, c))
             for c in partitions(n)}
+
+
+def sample_cycles_crp(n: int, theta: float, rng: RngStream) -> CycleCounts:
+    """Chinese-restaurant construction of an Ewens(theta) cycle type.
+
+    Customer i opens a new cycle with probability theta/(theta + i - 1) and
+    otherwise joins an existing cycle with probability proportional to its
+    size.  Cycle sizes live in a flat array with total-size bookkeeping, so
+    the run is O(n) draws with O(#cycles) state.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if theta <= 0.0:
+        raise ValueError("theta must be > 0")
+    u = rng.gen.random(n) * (theta + np.arange(n, dtype=float))
+    sizes = []
+    for i in range(n):
+        v = u[i] - theta
+        if v < 0.0:
+            sizes.append(1)
+            continue
+        # v is uniform on [0, i); walk the size array to pick a cycle
+        acc = 0.0
+        for j, s in enumerate(sizes):
+            acc += s
+            if v < acc:
+                sizes[j] = s + 1
+                break
+        else:
+            sizes[-1] += 1  # guard against float roundoff at the top edge
+    counts = {}
+    for s in sizes:
+        counts[s] = counts.get(s, 0) + 1
+    return CycleCounts(n, theta, counts)
 
 
 def naive_placement(cutpoints: np.ndarray, n: int, gen: np.random.Generator,

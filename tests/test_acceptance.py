@@ -22,17 +22,17 @@ from conftest import (
     exact_cycle_type_probs,
     naive_placement,
     partitions,
+    sample_cycles_crp,
     sample_inverse_subordinator_path,
     sample_positive_stable,
 )
-from sievesim.ewens import CycleCounts, sample_cycles_crp, sample_cycles_feller
+from sievesim.ewens import CycleCounts, sample_cycles_feller
 from sievesim.harness import (
     ExperimentSpec,
-    _EwensTask,
-    _SieveTask,
-    _ewens_replicate,
+    _cycle_stat,
     _run_replicates,
-    _sieve_replicate,
+    _sieve_stat,
+    _stat_replicate,
     ks_one_sample,
     ks_two_sample,
     run_experiment,
@@ -144,9 +144,8 @@ def test_c2_equality_of_sieve_and_cycle_counts(theta):
 def test_c3_gaussian_limits():
     ewens_ks = []
     for n in (10**4, 10**6):
-        task = _EwensTask(n, 1.0, (1.0,), SEED, 0, "feller")
-        vals = np.asarray(_run_replicates(partial(_ewens_replicate, task), 4000, 1),
-                          dtype=float)[:, 0]
+        task = partial(_stat_replicate, partial(_cycle_stat, n, 1.0, (1.0,)), SEED, 0)
+        vals = np.asarray(_run_replicates(task, 4000, 1), dtype=float)[:, 0]
         norm = (vals - math.log(n)) / math.sqrt(math.log(n))
         ewens_ks.append(ks_one_sample(norm, normal_cdf))
     ok_e = ewens_ks[-1] < 0.12 and ewens_ks[1] < ewens_ks[0]
@@ -283,8 +282,8 @@ def test_c7_window_and_increment_bounds():
 def test_c8_t22_marginal_convergence():
     n = 10**12
     logn = math.log(n)
-    task = _SieveTask(StickLaw.exp_pareto(0.5), n, (1.0,), SEED, 0)
-    vals = np.asarray([r[0] for r in _run_replicates(partial(_sieve_replicate, task),
+    stat = partial(_sieve_stat, StickLaw.exp_pareto(0.5), n, (1.0,), False)
+    vals = np.asarray([r[0] for r in _run_replicates(partial(_stat_replicate, stat, SEED, 0),
                                                      4000, 1)], dtype=float)[:, 0]
     norm = vals / logn**0.5
     ref = np.asarray(sample_inverse_subordinator_marginal(
@@ -302,8 +301,8 @@ def test_c8_t22_marginal_convergence():
 
 def test_c8_t22_ratio_convergence():
     n = 10**12
-    task = _SieveTask(StickLaw.exp_pareto(0.5), n, (0.5, 1.0), SEED, 0)
-    res = _run_replicates(partial(_sieve_replicate, task), 4000, 1)
+    stat = partial(_sieve_stat, StickLaw.exp_pareto(0.5), n, (0.5, 1.0), False)
+    res = _run_replicates(partial(_stat_replicate, stat, SEED, 0), 4000, 1)
     vals = np.asarray([r[0] for r in res], dtype=float)
     totals = np.asarray([r[1] for r in res], dtype=float)
     ratio = vals[:, 0] / totals

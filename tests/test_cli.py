@@ -34,6 +34,11 @@ def test_parse_spec_file(tmp_path):
     spec = parse_spec_file(write(tmp_path, "a.cfg", P21_SPEC))
     assert spec.target == "P21" and spec.replicates == 10 and spec.seed == 42
     assert spec.n_values == (1e4,)
+    # integral floats are integers; 2.7 is not (test_bad_spec_exits_2_before_any_replicate)
+    spec = parse_spec_file(write(tmp_path, "c.cfg",
+                                 "target = B1\nn_values = 100\nreplicates = 1e3\nseed = 7.0\n"))
+    assert (spec.replicates, spec.seed) == (1000, 7)
+    assert type(spec.replicates) is int and type(spec.seed) is int
 
 
 def test_parse_spec_threshold_override(tmp_path):
@@ -110,6 +115,12 @@ def test_degenerate_scale_exits_2(tmp_path, capsys, spec_text):
     assert err.startswith(f"error: {spec_path}:0:") and "Traceback" not in err
 
 
+# a value that the parser rejects is reported at its own line; every other
+# bad spec below is rejected as a whole, at line 0
+_VALUE_ERROR_LINE = {"target = B1\nn_values = 100\nreplicates = 2.7\n": 3,
+                     "target = B1\nn_values = 100\nseed = 1.9\n": 3}
+
+
 @pytest.mark.parametrize("spec_text", [
     "target = A3\nstick = beta\nn_values = 1e4\n",       # stable index alpha = 0.5
     "target = B3\nxi = exp\nn_values = 100\n",           # stable index xi_param = 1
@@ -146,6 +157,8 @@ def test_degenerate_scale_exits_2(tmp_path, capsys, spec_text):
     "target = B1\nn_values = 100\ngrid = 1, 0.5\n",
     "target = P21\nn_values = 1\n",                             # log n = 0
     "target = P41\nq = 0.99999\nn_values = 1e6\nreplicates = 100\n",  # 330,257 window boxes
+    "target = B1\nn_values = 100\nreplicates = 2.7\n",
+    "target = B1\nn_values = 100\nseed = 1.9\n",
 ], ids=["A3_beta_stick", "B3_exp_steps", "B4_index_1", "A1_n_below_1", "P21_no_n",
         "A1_no_n", "mode_typo", "centering_typo", "dependence_typo", "xi_unknown",
         "P33_no_x", "P33_one_replicate", "P32_negative_b", "P41_n_below_3",
@@ -153,18 +166,19 @@ def test_degenerate_scale_exits_2(tmp_path, capsys, spec_text):
         "A1_theta_0", "T22_alpha_0.02", "B4_index_0.02", "B1_empty_grid", "A1_n_inf",
         "P31_n_inf", "P41_n_inf", "A1_n_nan", "seed_negative", "P33_y_negative",
         "P33_x_negative", "P33_y_nan", "P32_b_inf", "B4_n_negative",
-        "B1_grid_decreasing", "P21_n_1", "P41_q_near_1"])
+        "B1_grid_decreasing", "P21_n_1", "P41_q_near_1", "replicates_2.7", "seed_1.9"])
 def test_bad_spec_exits_2_before_any_replicate(tmp_path, capsys, monkeypatch, spec_text):
     def no_replicates(*args):
         raise AssertionError("a replicate was drawn")
 
     monkeypatch.setattr("sievesim.harness._run_replicates", no_replicates)
+    line = _VALUE_ERROR_LINE.get(spec_text, 0)
     if "replicates" not in spec_text:
         spec_text += "replicates = 5\n"
     spec_path = write(tmp_path, "bad.cfg", spec_text)
     assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {spec_path}:0:") and "Traceback" not in err
+    assert err.startswith(f"error: {spec_path}:{line}:") and "Traceback" not in err
     assert not list(tmp_path.glob("out/*.csv"))
 
 

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -6,17 +7,37 @@ import pytest
 from scipy.special import digamma
 from scipy.stats import chi2_contingency, kstwobign
 
-from conftest import empirical_type_tv, esf_probability, exact_cycle_type_probs, partitions
-from sievesim.ewens import (
-    CycleCounts,
-    _poch_chunks,
-    c_process,
+from conftest import (
+    empirical_type_tv,
+    esf_probability,
+    exact_cycle_type_probs,
+    partitions,
     sample_cycles_crp,
-    sample_cycles_feller,
 )
-from sievesim.harness import DEFAULT_THRESHOLDS, ks_two_sample, _EwensTask, _ewens_replicate, _SieveTask, _sieve_replicate, _run_replicates
+from sievesim.ewens import CycleCounts, _poch_chunks, c_process, sample_cycles_feller
+from sievesim.harness import (
+    DEFAULT_THRESHOLDS,
+    _cycle_stat,
+    _run_replicates,
+    _sieve_stat,
+    _stat_replicate,
+    ks_two_sample,
+)
 from sievesim.sampling import RngStream, StickLaw
-from functools import partial
+
+
+def _cycle_columns(n, theta, grid, seed, stream_base, reps):
+    """C_n(t) of replicates 0..reps-1, as the harness draws them for EQ and ESF_FLT."""
+    stat = partial(_cycle_stat, n, theta, grid)
+    return np.asarray(_run_replicates(partial(_stat_replicate, stat, seed, stream_base),
+                                      reps, 1), float)
+
+
+def _box_columns(n, theta, grid, seed, stream_base, reps):
+    """K_n(t) of replicates 0..reps-1 of the beta(theta) sieve."""
+    stat = partial(_sieve_stat, StickLaw.beta(theta), n, grid, False)
+    return np.asarray([r[0] for r in _run_replicates(
+        partial(_stat_replicate, stat, seed, stream_base), reps, 1)], float)
 
 
 def test_crp_trivial_and_large_theta():
@@ -92,10 +113,9 @@ def test_cycle_length_sum_invariant():
 
 def test_crp_feller_agree_at_n_1000():
     # two-sample KS on the number of cycles at the stated 1e4 draws a side
-    crp = np.asarray(_run_replicates(partial(
-        _ewens_replicate, _EwensTask(1000, 1.0, (1.0,), 6, 0, "crp")), 10**4, 1), float)[:, 0]
-    fel = np.asarray(_run_replicates(partial(
-        _ewens_replicate, _EwensTask(1000, 1.0, (1.0,), 6, 1 << 16, "feller")), 10**4, 1), float)[:, 0]
+    crp = np.asarray([sample_cycles_crp(1000, 1.0, RngStream(6, r)).num_cycles()
+                      for r in range(10**4)], float)
+    fel = _cycle_columns(1000, 1.0, (1.0,), 6, 1 << 16, 10**4)[:, 0]
     assert ks_two_sample(crp, fel) < 0.02
 
 
@@ -105,11 +125,8 @@ def test_sieve_equality_on_grid(theta):
     # Feller sampler carries the cycle side (validated against CRP above)
     n, reps = 1000, 5000
     grid = (0.2, 0.4, 0.6, 0.8, 1.0)
-    fel = np.asarray(_run_replicates(partial(
-        _ewens_replicate, _EwensTask(n, theta, grid, 7, 0, "feller")), reps, 1), float)
-    sieve = np.asarray([r[0] for r in _run_replicates(partial(
-        _sieve_replicate, _SieveTask(StickLaw.beta(theta), n, grid, 7, 1 << 16)),
-        reps, 1)], float)
+    fel = _cycle_columns(n, theta, grid, 7, 0, reps)
+    sieve = _box_columns(n, theta, grid, 7, 1 << 16, reps)
     for j in range(len(grid)):
         assert ks_two_sample(fel[:, j], sieve[:, j]) < 0.04
 
@@ -175,11 +192,8 @@ def test_sieve_equality_beyond_the_dense_range():
     # calibrated at 5000 replicates a side; the same Kolmogorov level at 2000
     # a side is eq_ks * sqrt(5000/2000)
     n, reps, grid = 10**12, 2000, (0.5, 1.0)
-    fel = np.asarray(_run_replicates(partial(
-        _ewens_replicate, _EwensTask(n, 1.0, grid, 31, 0, "feller")), reps, 1), float)
-    sieve = np.asarray([r[0] for r in _run_replicates(partial(
-        _sieve_replicate, _SieveTask(StickLaw.beta(1.0), n, grid, 31, 1 << 16)),
-        reps, 1)], float)
+    fel = _cycle_columns(n, 1.0, grid, 31, 0, reps)
+    sieve = _box_columns(n, 1.0, grid, 31, 1 << 16, reps)
     bound = DEFAULT_THRESHOLDS["eq_ks"] * math.sqrt(5000 / reps)
     for j in range(len(grid)):
         assert ks_two_sample(fel[:, j], sieve[:, j]) < bound

@@ -5,9 +5,10 @@ alters drawn values on purpose re-records them and says why.
 
 The specs cover each step law the walk draws (exp, pareto with one and
 several blocks, const, independent and shared log sticks), the Feller
-coupling with its sieve half, the sieve at depths where floor_power takes its
-exact-integer path, P21's exact sup path, and exppareto sticks in both the
-ratio (T22) and the process (A3) mode.
+coupling with its sieve half (ESF_FLT, and EQ at n = 1e12 with theta != 1),
+the sieve at depths where floor_power takes its exact-integer path, P21's
+exact sup path, and exppareto sticks in both the ratio (T22) and the process
+(A3) mode.
 """
 
 import hashlib
@@ -63,6 +64,13 @@ GOLDEN = {
         "target = A3\nstick = exppareto\nalpha = 1.5\nn_values = 1e8, 1e12\n"
         "grid = 0.5, 1.0\nreplicates = 40\nseed = 13\n",
         "31e16765581d18c4fa84b803f0452f2ecc1e0e791c901a03a91cb49344052266"),
+    # recorded when EQ began to draw its cycles with the Feller coupling
+    # instead of the Chinese restaurant, whose n uniforms per replicate put
+    # n = 1e12 out of reach
+    "EQ_deep": (
+        "target = EQ\ntheta = 1.5\nn_values = 1e12\ngrid = 0.5, 1.0\n"
+        "replicates = 40\nseed = 14\n",
+        "ebc0384f37a7521353a1967b500b55b67c06b9e1df5d687d48906f09c06e1b6a"),
 }
 
 

@@ -182,6 +182,26 @@ def test_esf_runner_reports_equality_and_degenerate_t0():
     assert "ks_sieve_equality" in stats and "report_only" in stats
 
 
+def test_eq_reports_esf_flts_sieve_equality():
+    # one sampler draws the cycles: for the same spec, EQ's CSV rows carry
+    # ESF_FLT's raw cycle counts and its ks_equality rows are ESF_FLT's
+    # ks_sieve_equality rows
+    common = dict(n_values=(500, 10**4), replicates=40, grid=(0.0, 0.5, 1.0), seed=14,
+                  theta=1.5)
+    eq, esf = (run_experiment(ExperimentSpec(target=target, **common))
+               for target in ("EQ", "ESF_FLT"))
+
+    def n_t_replicate_raw(rep):
+        return [line.split(",")[1:5] for line in list(rep.csv_lines(timestamp=False))[1:]]
+
+    def values(rep, stat):
+        return [(row["n"], row["t"], row["value"]) for row in rep.rows if row["stat"] == stat]
+
+    assert n_t_replicate_raw(eq) == n_t_replicate_raw(esf)
+    assert len(values(eq, "ks_equality")) == 6
+    assert values(eq, "ks_equality") == values(esf, "ks_sieve_equality")
+
+
 def test_t22_runner_smoke():
     spec = ExperimentSpec(target="T22", stick="exppareto", alpha=0.5,
                           n_values=(10**8,), replicates=50, grid=(1.0,), seed=8,
