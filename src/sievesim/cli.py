@@ -8,7 +8,6 @@ spec-file error.
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -17,6 +16,7 @@ import numpy as np
 
 from .harness import ConfigurationError, ExperimentSpec, ks_two_sample, run_experiment
 from .occupancy import SieveEnvironment, rho
+from .prw import path_from_sticks
 from .sampling import RngStream
 
 __all__ = ["main", "parse_spec_file", "SpecFileError"]
@@ -109,13 +109,18 @@ def _cmd_run(args, emit_only: bool = False) -> int:
 
 def _cmd_oracle(args) -> int:
     """Replay a stored environment and confirm the counting identity
-    rho*(x) = N(log x) at 50 points."""
-    text = Path(args.spec).read_text()
-    env = SieveEnvironment.from_json(text)
-    path = env.prw_path()
-    horizon = path.horizon
+    rho*(x) = N(log x) at 50 points, counting each side independently."""
+    if args.seed is not None and args.seed < 0:
+        raise SpecFileError(args.spec, 0, "--seed must be >= 0")
+    try:
+        env = SieveEnvironment.from_json(Path(args.spec).read_text())
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise SpecFileError(args.spec, 0, str(exc)) from None
+    path = path_from_sticks(env.sticks)
+    # 1/x and every p*_k >= 1/x stay normal doubles below log x = 690
+    top = min(path.horizon * 0.999, 690.0)
     rng = RngStream(args.seed if args.seed is not None else 0, 0)
-    xs = np.exp(rng.gen.uniform(0.0, horizon * 0.999, size=50))
+    xs = np.exp(rng.gen.uniform(0.0, top, size=50))
     bad = []
     for x in xs:
         lhs = rho(env, float(x))
@@ -127,7 +132,7 @@ def _cmd_oracle(args) -> int:
             print(f"MISMATCH at x={x}: rho={lhs} visits={rhs}")
         return 1
     print(f"identity rho(x) = N(log x) holds at all 50 points "
-          f"(horizon log x <= {horizon:.3f})")
+          f"(log x <= {top:.3f})")
     return 0
 
 
@@ -227,10 +232,7 @@ def main(argv=None) -> int:
         if args.verb == "oracle":
             return _cmd_oracle(args)
         return _cmd_run(args, emit_only=(args.verb == "emit-plot-data"))
-    except (SpecFileError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (SpecFileError, ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,10 +4,8 @@ indicator to the next, and the cycle process C_n(t)."""
 import json
 import math
 from dataclasses import dataclass
-from operator import truediv
 
 import numpy as np
-from scipy.special import poch
 
 from .occupancy import floor_power
 from .sampling import RngStream
@@ -49,19 +47,34 @@ class CycleCounts:
 
 
 FELLER_MAX_N = 1 << 53  # beyond this a double cannot tell G_i(j) from G_i(j + 1)
-_POCH_CHUNK = 16.0  # poch(x, 16.0) is finite for every x <= 2^53
 
 
-def _poch_chunks(x: float, theta: float) -> list:
-    """poch(x, theta) as the factors poch(x + s, a), a <= 16, whose product it
-    is: none of them overflows, where poch(x, theta) itself would for theta
-    above about 19 and x near 2^53.  One factor unless theta > 16."""
-    out = []
-    while theta > 0.0:
-        a = min(theta, _POCH_CHUNK)
-        out.append(poch(x, a))
-        x, theta = x + a, theta - a
-    return out
+def _stirling_tail(y: float) -> float:
+    """log Gamma(y) - (y - 1/2) log y + y - log(2 pi)/2 through y^-9: 1e-19 off for y >= 32."""
+    w = 1.0 / (y * y)
+    return (1 / 12 + w * (-1 / 360 + w * (1 / 1260 + w * (-1 / 1680 + w / 1188)))) / y
+
+
+def _log_gap_remainder(x: float, theta: float) -> float:
+    """R(x) = log((x)_theta / x^theta) = O(theta^2/x), with the rising factorial
+    (x)_theta = Gamma(x + theta)/Gamma(x), so the gap law needs no value as
+    large as (x)_theta itself.  Below x = max(32, 8 theta) it steps up
+    by R(x) = R(x + 1) + theta log1p(1/x) - log1p(theta/x).  Above, with
+    z = theta/x, R = x (log1p(z) - z) + (theta - 1/2) log1p(z) + the Stirling
+    tails' difference (Tricomi and Erdelyi, Pacific J. Math. 1, 1951), and
+    log1p(z) - z = -z^2/(2 + z) + 2 (s^3/3 + s^5/5 + ...), s = z/(2 + z), has
+    no cancellation."""
+    below = 0.0
+    while x < max(32.0, 8.0 * theta):
+        below += theta * math.log1p(1.0 / x) - math.log1p(theta / x)
+        x += 1.0
+    z = theta / x
+    s = z / (2.0 + z)
+    s2 = s * s
+    log1p_minus_z = -z * z / (2.0 + z) + s * s2 * (
+        2 / 3 + s2 * (2 / 5 + s2 * (2 / 7 + s2 * (2 / 9 + s2 * (2 / 11 + s2 * (2 / 13 + s2 * 2 / 15))))))
+    return (below + x * log1p_minus_z + (theta - 0.5) * (z + log1p_minus_z)
+            + _stirling_tail(x + theta) - _stirling_tail(x))
 
 
 def _first_true(pred, lo: int, hi: int, guess: int) -> int:
@@ -90,7 +103,8 @@ def _first_true(pred, lo: int, hi: int, guess: int) -> int:
 def _next_indicator(i: int, n: int, theta: float, u: float) -> int:
     """The Feller indicator after the one at i, or n + 1 if none is left:
     J = min{j > i : G_i(j) <= u} for u uniform on [0, 1), where
-    G_i(j) = P(no indicator at i+1..j) = poch(i, theta)/poch(j, theta)."""
+    G_i(j) = P(no indicator at i+1..j) = (i)_theta/(j)_theta, a ratio of
+    rising factorials."""
     if theta == 1.0:
         # G_i(j) = i/j and u = k 2^-53 exactly, so J = ceil(i 2^53 / k) in integers
         k = int(u * 9007199254740992.0)
@@ -99,15 +113,18 @@ def _next_indicator(i: int, n: int, theta: float, u: float) -> int:
         return n + 1
     if u >= i / (i + theta):  # G_i(i + 1), the commonest case while i is small
         return i + 1
-    heads = _poch_chunks(float(i), theta)
+    log_u = math.log(u)
+    head = _log_gap_remainder(float(i), theta)
 
-    def covered(j):  # G_i(j) <= u
-        return math.prod(map(truediv, heads, _poch_chunks(float(j), theta))) <= u
+    def covered(j):  # log G_i(j) = theta log(i/j) + R(i) - R(j) <= log u
+        # log1p loses digits near -1 and log near 1: each takes its own side of j = 2i
+        log_ratio = math.log1p((i - j) / j) if j <= 2 * i else math.log(i / j)
+        return theta * log_ratio + head - _log_gap_remainder(float(j), theta) <= log_u
 
-    # poch(j, theta) = (j + c)^theta (1 + O(1/j^2)) with c = (theta - 1)/2, so
-    # J lies close to (poch(i, theta)/u)^(1/theta) - c
+    # (j)_theta = (j + c)^theta (1 + O(1/j^2)) with c = (theta - 1)/2, so
+    # J lies close to ((i)_theta/u)^(1/theta) - c
     c = 0.5 * (theta - 1.0)
-    log_root = (sum(map(math.log, heads)) - math.log(u)) / theta
+    log_root = math.log(i) + (head - log_u) / theta
     guess = n if log_root >= math.log(n + c) else min(
         n, max(i + 1, math.ceil(math.exp(log_root) - c)))
     return _first_true(covered, i, n + 1, guess)

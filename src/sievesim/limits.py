@@ -6,7 +6,6 @@ walk."""
 import math
 
 import numpy as np
-from scipy.special import erfc
 
 from .sampling import (
     RngStream,
@@ -85,13 +84,11 @@ def sample_inverse_ratio(alpha: float, t: float, rng: RngStream, size=None):
 
 
 def normal_cdf(x):
-    """Standard normal CDF via the complementary error function.
-
-    Phi(x) = erfc(-x / sqrt(2)) / 2; absolute error is far below 1e-10 over
-    the whole line (verified against high-precision quadrature in the tests).
-    """
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * erfc(-x / math.sqrt(2.0))
+    """Standard normal CDF, Phi(x) = erfc(-x / sqrt(2)) / 2, with math.erfc
+    applied to each element; absolute error is far below 1e-10 over the
+    whole line (checked against mpmath in the tests)."""
+    z = -np.asarray(x, dtype=float) / math.sqrt(2.0)
+    out = 0.5 * np.fromiter(map(math.erfc, z.flat), float, z.size).reshape(z.shape)
     return float(out) if out.shape == () else out
 
 

@@ -12,7 +12,6 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .prw import PrwPath, path_from_sticks
 from .sampling import RngStream, StickLaw, sample_binomial
 
 __all__ = [
@@ -172,18 +171,15 @@ class SieveEnvironment:
     """Realised stick-breaking environment.
 
     Keeps the realised sticks W_k, which give box k the probability
-    p*_k = V_{k-1} - V_k.  The cut points V_k and the associated walk (built
-    from the sticks by prw.path_from_sticks, so the visit-count identity
-    holds bitwise on shared realisations) are derived on demand; the walk is
-    kept until the next extension.  Extension is lazy; a deserialised environment is frozen (no
-    law/stream attached) and raises if more sticks are needed.
+    p*_k = V_{k-1} (1 - W_k); the cut points V_k are derived on demand.
+    Extension is lazy; a deserialised environment is frozen (no law/stream
+    attached) and raises if more sticks are needed.
     """
 
     def __init__(self, law: StickLaw | None, rng: RngStream | None, sticks=()):
         self.law = law
         self.rng = rng
         self.sticks = np.asarray(sticks, dtype=float)
-        self._path = None
 
     @property
     def cutpoints(self) -> np.ndarray:
@@ -197,18 +193,6 @@ class SieveEnvironment:
         if self.law is None or self.rng is None:
             raise RuntimeError("frozen environment exhausted; no law attached to extend")
         self.sticks = np.concatenate([self.sticks, self.law.sample(self.rng, count)])
-        self._path = None
-
-    def ensure_log_depth(self, depth: float):
-        """Extend until the walk has passed `depth` (V_K < exp(-depth))."""
-        while self.prw_path().horizon <= depth:
-            self._extend()
-
-    def prw_path(self) -> PrwPath:
-        """The walk associated with this environment (S_K is its horizon)."""
-        if self._path is None:
-            self._path = path_from_sticks(self.sticks)
-        return self._path
 
     def to_json(self) -> str:
         return json.dumps({"sticks": list(map(float, self.sticks)),
@@ -216,10 +200,20 @@ class SieveEnvironment:
 
     @staticmethod
     def from_json(text: str) -> "SieveEnvironment":
+        """A frozen environment; ValueError unless the text holds a nonempty
+        list of sticks strictly inside (0, 1) and, if present, their cut points."""
         obj = json.loads(text)
-        env = SieveEnvironment(None, None, sticks=obj["sticks"])
-        stored = np.asarray(obj.get("cutpoints", ()), dtype=float)
-        if len(stored) and not np.array_equal(stored, env.cutpoints):
+        if not isinstance(obj, dict) or not isinstance(obj.get("sticks"), list):
+            raise ValueError("an environment is an object with a list 'sticks'")
+        try:
+            sticks = np.asarray(obj["sticks"], dtype=float)
+            stored = np.asarray(obj.get("cutpoints", []), dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError("sticks and cutpoints must be lists of numbers") from None
+        if sticks.ndim != 1 or not sticks.size or not np.all((sticks > 0.0) & (sticks < 1.0)):
+            raise ValueError("sticks must be a nonempty list of numbers strictly inside (0, 1)")
+        env = SieveEnvironment(None, None, sticks=sticks)
+        if stored.size and not np.array_equal(stored, env.cutpoints):
             raise ValueError("stored cutpoints are inconsistent with sticks")
         return env
 
@@ -353,21 +347,23 @@ def rho(source, x: float) -> int:
     """Number of boxes with probability >= 1/x.
 
     For a deterministic scheme the boundary is settled in exact rational
-    arithmetic.  For a sieve environment the count is evaluated in the log
-    domain as #{k : T_k <= log x} on the environment's walk arrays, which
-    makes it equal, bit for bit, to the visit count N(log x) of the
-    associated perturbed random walk on the same realisation.
+    arithmetic.  For a sieve environment the box probabilities
+    p*_k = V_{k-1} (1 - W_k) are counted directly, after extending the
+    environment until V_K < 1/x, past which no box can reach 1/x.  The
+    visit count N(log x) of the walk built from the same sticks
+    (prw.path_from_sticks) is an independent count of the same boxes.
     """
-    if x <= 0.0:
-        raise ValueError("x must be > 0")
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
     if isinstance(source, DeterministicScheme):
         return source.last_index_ge(Fraction(1) / Fraction(x))
     if isinstance(source, SieveEnvironment):
-        depth = math.log(x)
-        if depth < 0.0:
-            return 0
-        source.ensure_log_depth(depth)
-        return source.prw_path().count_visits(depth)
+        threshold = 1.0 / x
+        while not source.num_boxes or source.cutpoints[-1] >= threshold:
+            source._extend()
+        v = source.cutpoints
+        probs = np.concatenate(([1.0], v[:-1])) * (1.0 - source.sticks)
+        return int(np.count_nonzero(probs >= threshold))
     raise TypeError("source must be a DeterministicScheme or SieveEnvironment")
 
 

@@ -242,9 +242,9 @@ def simulate_path(law: StepLaw, horizon: float, rng: RngStream) -> PrwPath:
 def path_from_sticks(sticks) -> PrwPath:
     """Walk driven by realised stick factors: xi = |log W|, eta = |log(1-W)|.
 
-    This is the shared-arithmetic bridge between a sieve environment and its
-    associated walk: both sides use exactly these cumulative sums, so counting
-    identities hold bitwise on shared realisations.
+    T_k = -log(V_{k-1} (1 - W_k)), so on the sticks of a sieve environment
+    the visit count N(log x) counts the boxes of probability >= 1/x by sums
+    of logs, independently of occupancy.rho's products.
     """
     w = np.asarray(sticks, dtype=float)
     xi = -np.log(w)

@@ -48,6 +48,7 @@ from sievesim.occupancy import (
     occupy_sieve,
     rho,
 )
+from sievesim.prw import path_from_sticks
 from sievesim.sampling import (
     RngStream,
     StickLaw,
@@ -73,7 +74,7 @@ def test_c1a_counting_identity_on_shared_realisations():
     bad = 0
     for i in range(50):
         env = build_environment(StickLaw.beta(1.0), 2**-40, RngStream(SEED, i))
-        path = env.prw_path()
+        path = path_from_sticks(env.sticks)
         xs = np.exp(RngStream(SEED + 1, i).gen.uniform(0.05, 25.0, size=50))
         bad += sum(rho(env, float(x)) != path.count_visits(math.log(float(x))) for x in xs)
     assert report("c1a box-count identity", bad == 0,

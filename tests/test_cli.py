@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -277,6 +280,47 @@ def test_oracle_verb(tmp_path, capsys):
     env_path = write(tmp_path, "env.json", env.to_json())
     assert main(["oracle", "--spec", str(env_path), "--seed", "3"]) == 0
     assert "50 points" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, seed", [
+    ("{}", "3"),
+    ("[1, 2]", "3"),
+    ('{"sticks": []}', "3"),
+    ('{"sticks": "abc"}', "3"),
+    ('{"sticks": [0.5, 0.0]}', "3"),
+    ('{"sticks": [1.5, 0.5]}', "3"),
+    ('{"sticks": [0.5, NaN]}', "3"),
+    ('{"sticks": [[0.5], [0.5]]}', "3"),
+    ('{"sticks": [0.5, 0.5], "cutpoints": [0.5, 0.3]}', "3"),
+    ('{"sticks": [0.5, 0.5], "cutpoints": "abc"}', "3"),
+    ("not json", "3"),
+    ('{"sticks": [0.5, 0.5]}', "-1"),
+], ids=["empty_object", "list", "no_sticks", "string_sticks", "stick_0", "stick_above_1",
+        "stick_nan", "nested_sticks", "inconsistent_cutpoints", "string_cutpoints",
+        "not_json", "seed_negative"])
+def test_bad_oracle_input_exits_2(tmp_path, capsys, text, seed):
+    env_path = write(tmp_path, "env.json", text)
+    assert main(["oracle", "--spec", str(env_path), "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {env_path}:0:") and "Traceback" not in err
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # scipy is a test-only dependency: with it blocked, selftest and a run
+    # that takes normal_cdf and the theta != 1 gap law both succeed
+    spec = write(tmp_path, "esf.cfg", "target = ESF_FLT\ntheta = 2.5\nn_values = 1e6\n"
+                 "replicates = 20\ngrid = 0.5, 1.0\nseed = 5\n"
+                 "threshold.ks = 1.0\nthreshold.eq_ks = 1.0\n")
+    code = ("import sys\nsys.modules['scipy'] = None\nfrom sievesim.cli import main\n"
+            "assert main(['selftest']) == 0\n"
+            f"sys.exit(main(['run', '--spec', {str(spec)!r}, '--out', {str(tmp_path / 'out')!r}]))\n")
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "selftest: all-pass" in result.stdout and "verdict: all-pass" in result.stdout
 
 
 def test_selftest_verb(capsys):

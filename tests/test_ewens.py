@@ -14,7 +14,13 @@ from conftest import (
     partitions,
     sample_cycles_crp,
 )
-from sievesim.ewens import CycleCounts, _poch_chunks, c_process, sample_cycles_feller
+from sievesim.ewens import (
+    CycleCounts,
+    _log_gap_remainder,
+    _next_indicator,
+    c_process,
+    sample_cycles_feller,
+)
 from sievesim.harness import (
     DEFAULT_THRESHOLDS,
     _cycle_stat,
@@ -172,19 +178,49 @@ def test_feller_cycle_count_law_at_n_1e4(theta):
     assert ks_two_sample(sparse, dense) < bound
 
 
-def test_feller_above_theta_16_takes_pochhammer_in_chunks():
-    # theta > 16 splits poch(x, theta) into factors that cannot overflow; the
-    # bound is scipy's own: its poch is off by up to 1.6e-11 relative for x
-    # between about 20 and 1e4
-    for x in (1.0, 7.5, 1e3, 1e6):
-        assert math.prod(_poch_chunks(x, 37.5)) == pytest.approx(float(mpmath.rf(x, 37.5)),
-                                                                 rel=1e-10)
-    assert all(map(math.isfinite, _poch_chunks(2.0**53, 37.5)))
+def test_gap_remainder_matches_mpmath():
+    # R(x) = log(poch(x, theta)/x^theta) across the recurrence, the switch to
+    # the asymptotic form at max(32, 8 theta) and up to 2^53; a difference of
+    # lgamma values loses every digit of R at large x, and scipy's poch is
+    # off by up to 1.6e-11.  Then theta = 20, whose poch would overflow near
+    # 2^53, keeps its exact mean cycle count.
+    xs = [1.0, 1.5, 2.0, 7.5, 15.0, 31.0, 32.0, 33.0, 159.0, 160.0, 161.0, 299.0, 300.0,
+          301.0] + [float(round(10.0**e)) for e in np.arange(0.25, 16.0, 0.25)] + [2.0**53]
+    with mpmath.workdps(50):
+        for theta in (0.05, 0.7, 2.5, 20.0, 37.5):
+            for x in xs:
+                mx, mt = mpmath.mpf(x), mpmath.mpf(theta)
+                exact = float(mpmath.loggamma(mx + mt) - mpmath.loggamma(mx) - mt * mpmath.log(mx))
+                assert abs(_log_gap_remainder(x, theta) - exact) <= 1e-14 * abs(exact), (theta, x)
     n, theta, draws = 10**4, 20.0, 2000
     rng = RngStream(22, 0)
     k = np.array([sample_cycles_feller(n, theta, rng).num_cycles() for _ in range(draws)], float)
     p = theta / (theta + np.arange(n))
     assert abs(k.mean() - np.sum(p)) < 4 * math.sqrt(np.sum(p * (1 - p)) / draws)
+
+
+@pytest.mark.parametrize("theta", [0.7, 2.5, 20.0])
+def test_next_indicator_is_exact_at_n_1e12(theta):
+    # J is exact when G_i(J) <= u < G_i(J - 1), with G_i(j) = poch(i)/poch(j)
+    # at 50 digits: the first 100 decisions along fixed Feller walks that no
+    # shortcut settles
+    n, decisions, rep = 10**12, [], 0
+    while len(decisions) < 100:
+        rng, i = RngStream(23, rep), 1
+        while i <= n:
+            u = rng.gen.random()
+            j = _next_indicator(i, n, theta, u)
+            if 0.0 < u < i / (i + theta):
+                decisions.append((i, u, j))
+            i = j
+        rep += 1
+    with mpmath.workdps(50):
+        def gap(i, j):
+            return mpmath.rf(i, theta) / mpmath.rf(j, theta)
+
+        for i, u, j in decisions:
+            assert j == n + 1 or gap(i, j) <= u, (i, u, j)
+            assert j == i + 1 or gap(i, j - 1) > u, (i, u, j)
 
 
 def test_sieve_equality_beyond_the_dense_range():

@@ -134,10 +134,11 @@ def test_environment_depth_matches_first_passage_oracle():
 
 def test_environment_extension_is_bitwise_consistent():
     env = build_environment(StickLaw.beta(1.0), 2**-10, RngStream(4, 0))
+    before = env.sticks.copy()
     rho(env, 1e9)  # forces lazy extension well past the initial depth
-    fresh = path_from_sticks(env.sticks)
-    assert np.array_equal(fresh.s_values, env.prw_path().s_values)
-    assert np.array_equal(fresh.t_values, env.prw_path().t_values)
+    assert env.num_boxes > len(before) and np.array_equal(env.sticks[:len(before)], before)
+    assert env.cutpoints[-1] < 1e-9  # no later box can reach 1/x
+    assert np.array_equal(env.cutpoints, np.cumprod(env.sticks))
 
 
 def test_frozen_environment_raises_on_extension():
@@ -145,7 +146,7 @@ def test_frozen_environment_raises_on_extension():
     frozen = SieveEnvironment.from_json(env.to_json())
     assert np.array_equal(frozen.sticks, env.sticks)
     with pytest.raises(RuntimeError):
-        frozen.ensure_log_depth(1e6)
+        rho(frozen, 1e300)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +229,11 @@ def test_lazy_extension_matches_per_box_thinning(law, n):
         return SieveEnvironment(law, rng, sticks=law.sample(rng, 3)), rng
 
     env, rng = three_sticks()
-    assert len(env.prw_path().t_values) == 3  # a walk built before the extension
     occ = occupy_sieve(env, n, rng)
     ref_env, ref_rng = three_sticks()
     assert occ.counts == _per_box_occupy(ref_env, n, ref_rng)
     assert occ.total() == n
     assert env.num_boxes > 3 and np.array_equal(env.sticks, ref_env.sticks)
-    fresh = path_from_sticks(env.sticks)
-    assert np.array_equal(env.prw_path().s_values, fresh.s_values)
-    assert np.array_equal(env.prw_path().t_values, fresh.t_values)
     assert np.array_equal(env.cutpoints, np.cumprod(env.sticks))
 
 
@@ -317,7 +314,7 @@ def test_rho_equals_visit_count_exactly():
     # the counting identity on shared realisations, 50 environments x 50 x
     for i in range(50):
         env = build_environment(StickLaw.beta(1.0), 2**-40, RngStream(12, i))
-        path = env.prw_path()
+        path = path_from_sticks(env.sticks)
         xs = np.exp(RngStream(13, i).gen.uniform(0.05, 25.0, size=50))
         for x in xs:
             assert rho(env, float(x)) == path.count_visits(math.log(float(x)))
