@@ -186,6 +186,11 @@ def _selftest_checks():
         lambda: ks_two_sample([1.0, 2.0], [1.0, 2.0]) == 0.0)
     add("ks of disjoint singletons",
         lambda: ks_two_sample([0.0], [1.0]) == 1.0)
+    add("streams are numpy's SeedSequence-seeded PCG64",
+        lambda: all(np.array_equal(
+            RngStream(seed, i).gen.random(4),
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
+            .random(4)) for seed, i in ((0, 0), (2**32 + 5, 1023), (1234, 2**40 + 4161))))
     add("inverse ratio atom at alpha = t = 1/2 is 1/2",
         lambda: abs(float(np.mean(limits.sample_inverse_ratio(0.5, 0.5, RngStream(5, 0), 10**5)
                                   == 0.0)) - 0.5) < 0.01)

@@ -4,6 +4,7 @@ indicator to the next, and the cycle process C_n(t)."""
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,10 +65,24 @@ def _log_gap_remainder(x: float, theta: float) -> float:
     tails' difference (Tricomi and Erdelyi, Pacific J. Math. 1, 1951), and
     log1p(z) - z = -z^2/(2 + z) + 2 (s^3/3 + s^5/5 + ...), s = z/(2 + z), has
     no cancellation."""
+    if x < max(32.0, 8.0 * theta):
+        return _log_gap_remainder_below(x, theta)
+    return _log_gap_remainder_from(0.0, x, theta)
+
+
+@lru_cache(maxsize=4096)
+def _log_gap_remainder_below(x: float, theta: float) -> float:
+    """R(x) below the switch, memoised: a Feller walk probes the same few
+    small x over and over, and each takes up to 8 theta recurrence steps."""
     below = 0.0
     while x < max(32.0, 8.0 * theta):
         below += theta * math.log1p(1.0 / x) - math.log1p(theta / x)
         x += 1.0
+    return _log_gap_remainder_from(below, x, theta)
+
+
+def _log_gap_remainder_from(below: float, x: float, theta: float) -> float:
+    """below + R(x) for x at or above the switch, by the asymptotic form."""
     z = theta / x
     s = z / (2.0 + z)
     s2 = s * s

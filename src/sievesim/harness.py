@@ -701,10 +701,13 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
         raise ConfigurationError(f"{target} needs n_values")
     report = ExperimentReport(spec)
     regimes = {}
-    t_start = time.time()
+    replicates = 0
+    t_start = time.perf_counter()
 
     def draw(stat, stream_base):
         """One n's replicate columns, and each replicate's full result."""
+        nonlocal replicates
+        replicates += spec.replicates
         results = _run_replicates(partial(_stat_replicate, stat, spec.seed, stream_base),
                                   spec.replicates, jobs)
         if stat.func is not _sieve_stat:
@@ -740,6 +743,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
     elif target == "P33":
         report.rows.append({"stat": "visit_increment_bound_verdict", "value": None,
                             "threshold": None, "passed": all(row["ok"] for row in report.rows)})
-    report.metadata = {"seed": spec.seed, "runtime_s": time.time() - t_start,
+    runtime = time.perf_counter() - t_start
+    report.metadata = {"seed": spec.seed, "runtime_s": runtime, "replicates": replicates,
+                       "replicates_per_s": replicates / runtime,
                        "binomial_regimes": regimes, "version": __version__}
     return report

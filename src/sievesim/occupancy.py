@@ -5,6 +5,7 @@ approximation bound."""
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -227,17 +228,21 @@ def build_environment(law: StickLaw, min_mass_resolved: float, rng: RngStream) -
     """
     if not 0.0 < min_mass_resolved < 1.0:
         raise ValueError("min_mass_resolved must lie in (0, 1)")
-    sticks = law.sample(rng, _EXTENSION_BLOCK)
-    while True:
-        # cumprod runs sequentially, so a longer prefix repeats the earlier
-        # cut points bit for bit; every stick is below 1, so they never rise
-        # and the last one tells whether any is below the target
-        v = np.cumprod(sticks)
-        if v[-1] < min_mass_resolved:
-            # stop exactly at the first stick that resolves the target mass
-            k = int(np.argmax(v < min_mass_resolved)) + 1
-            return SieveEnvironment(law, rng, sticks=sticks[:k])
-        sticks = np.concatenate([sticks, law.sample(rng, _EXTENSION_BLOCK)])
+    blocks = [law.sample(rng, _EXTENSION_BLOCK)]
+    v = np.cumprod(blocks[0])
+    # every stick is below 1, so the cut points never rise and the last one
+    # tells whether any is below the target
+    while v[-1] >= min_mass_resolved:
+        blocks.append(law.sample(rng, _EXTENSION_BLOCK))
+        # cumprod runs sequentially, so starting the block's product from the
+        # last cut point gives the cut points of all sticks bit for bit
+        carried = blocks[-1].copy()
+        carried[0] *= v[-1]
+        v = np.cumprod(carried)
+    # stop exactly at the first stick that resolves the target mass
+    k = _EXTENSION_BLOCK * (len(blocks) - 1) + int(np.argmax(v < min_mass_resolved)) + 1
+    sticks = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return SieveEnvironment(law, rng, sticks=sticks[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +338,9 @@ def k_process(occ: OccupancyResult, grid) -> KProcess:
     grid = np.asarray(ts)
     if occ.n == 0:
         return KProcess(grid, np.zeros(len(ts), dtype=np.int64), 0)
-    vals = occ.count_values()
-    caps = np.array([floor_power(occ.n, t) for t in ts], dtype=np.int64)
-    return KProcess(grid, np.searchsorted(vals, caps, side="right"), int(len(vals)))
+    vals = sorted(occ.counts.values())
+    values = [bisect_right(vals, floor_power(occ.n, t)) for t in ts]
+    return KProcess(grid, np.array(values, dtype=np.int64), len(vals))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from conftest import (
     partitions,
     sample_cycles_crp,
 )
+from sievesim import ewens
 from sievesim.ewens import (
     CycleCounts,
     _log_gap_remainder,
@@ -197,6 +198,24 @@ def test_gap_remainder_matches_mpmath():
     k = np.array([sample_cycles_feller(n, theta, rng).num_cycles() for _ in range(draws)], float)
     p = theta / (theta + np.arange(n))
     assert abs(k.mean() - np.sum(p)) < 4 * math.sqrt(np.sum(p * (1 - p)) / draws)
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.7, 2.5, 20.0, 37.5])
+def test_memoised_gap_remainder_is_bit_identical(theta):
+    # R is memoised below its switch to the asymptotic form at max(32, 8 theta),
+    # where a Feller walk probes the same x over and over; visit x downwards,
+    # upwards and downwards again, so the cache fills in every order, and
+    # compare each value with a fresh run of the recurrence
+    memo = ewens._log_gap_remainder_below
+    switch = max(32.0, 8.0 * theta)
+    below = [float(x) for x in range(1, math.ceil(switch))] + [1.5, switch - 0.5]
+    memo.cache_clear()
+    for x in below[::-1] + below + below[::-1]:
+        assert _log_gap_remainder(x, theta) == memo.__wrapped__(x, theta), (theta, x)
+    assert memo.cache_info().currsize == len(below)
+    for x in (switch, switch + 1.0, 1e6):  # the asymptotic form is not cached
+        _log_gap_remainder(x, theta)
+    assert memo.cache_info().currsize == len(below)
 
 
 @pytest.mark.parametrize("theta", [0.7, 2.5, 20.0])

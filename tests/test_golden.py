@@ -7,8 +7,9 @@ The specs cover each step law the walk draws (exp, pareto with one and
 several blocks, const, independent and shared log sticks), the Feller
 coupling with its sieve half (ESF_FLT, and EQ at n = 1e12 with theta != 1),
 the sieve at depths where floor_power takes its exact-integer path, P21's
-exact sup path, and exppareto sticks in both the ratio (T22) and the process
-(A3) mode.
+exact sup path, exppareto sticks in both the ratio (T22) and the process
+(A3) mode, and a seed above 2^32 whose replicate streams cross the edge of a
+1,024-id block of `RngStream` seeding words.
 """
 
 import hashlib
@@ -71,15 +72,31 @@ GOLDEN = {
         "target = EQ\ntheta = 1.5\nn_values = 1e12\ngrid = 0.5, 1.0\n"
         "replicates = 40\nseed = 14\n",
         "ebc0384f37a7521353a1967b500b55b67c06b9e1df5d687d48906f09c06e1b6a"),
+    # recorded with numpy's SeedSequence building every stream, before the
+    # seeding words were hashed a block of ids at a time: a two-word seed,
+    # and replicate ids 0..1199, which cross the block edge at 1024
+    "A1_wide_seed": (
+        "target = A1\nstick = beta\ntheta = 1.0\nn_values = 1e4, 1e9\ngrid = 0.5, 1.0\n"
+        "centering = linear\nreplicates = 600\nseed = 4294967301\n",
+        "0d5ea081d7c381cf315cd408d41ad4a6241b2a7f57ad5763851369d999ad155a"),
 }
+
+
+def _run_csv(tmp_path, name, *args) -> bytes:
+    spec_path = tmp_path / f"{name}.cfg"
+    spec_path.write_text(GOLDEN[name][0])
+    out = tmp_path / ("out" + "".join(args))
+    assert main(["run", "--spec", str(spec_path), "--out", str(out), "--no-timestamp",
+                 *args]) in (0, 1)
+    return (out / f"{name}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_cli_csv_matches_pinned_digest(tmp_path, name):
-    text, digest = GOLDEN[name]
-    spec_path = tmp_path / f"{name}.cfg"
-    spec_path.write_text(text)
-    assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out"),
-                 "--no-timestamp"]) in (0, 1)
-    csv = (tmp_path / "out" / f"{name}.csv").read_bytes()
-    assert hashlib.sha256(csv).hexdigest() == digest
+    assert hashlib.sha256(_run_csv(tmp_path, name)).hexdigest() == GOLDEN[name][1]
+
+
+def test_workers_starting_mid_block_reproduce_the_serial_csv(tmp_path):
+    """At --jobs 2 each worker's first replicate sits inside a block of ids
+    (chunks of 600 // 16 = 37), so it builds that block's seeding words itself."""
+    assert _run_csv(tmp_path, "A1_wide_seed", "--jobs", "2") == _run_csv(tmp_path, "A1_wide_seed")

@@ -125,7 +125,8 @@ def test_reports_are_bit_reproducible():
     rep2 = run_experiment(spec)
     assert list(rep1.csv_lines(timestamp=False)) == list(rep2.csv_lines(timestamp=False))
     j1, j2 = json.loads(rep1.to_json()), json.loads(rep2.to_json())
-    j1["metadata"].pop("runtime_s"), j2["metadata"].pop("runtime_s")
+    for j in (j1, j2):
+        j["metadata"].pop("runtime_s"), j["metadata"].pop("replicates_per_s")
     assert j1 == j2
 
 
@@ -245,8 +246,11 @@ def test_dispatcher_covers_every_target():
         rep = run_experiment(spec)
         assert rep.rows, spec.target
         metadata_keys.add(tuple(sorted(rep.metadata)))
+        assert rep.metadata["replicates"] >= spec.replicates, spec.target
+        assert rep.metadata["replicates_per_s"] > 0.0, spec.target
     assert {spec.target for spec in specs} == set(TARGETS)
-    assert metadata_keys == {("binomial_regimes", "runtime_s", "seed", "version")}
+    assert metadata_keys == {("binomial_regimes", "replicates", "replicates_per_s", "runtime_s",
+                              "seed", "version")}
 
 
 def test_ratio_t22_smoke():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import levy_stable
 
@@ -15,6 +17,7 @@ from conftest import (
 from sievesim.harness import ks_one_sample, ks_two_sample
 from sievesim.sampling import (
     RngStream,
+    _block_state,
     ScratchSlot,
     StickLaw,
     binomial_regime,
@@ -38,6 +41,48 @@ def test_stream_determinism_and_independence():
     d = RngStream(124, 5).gen.random(1000)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def _numpy_stream(seed, stream_id):
+    """The oracle: PCG64 seeded through numpy's own SeedSequence."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
+def _same_draws(seed, stream_id):
+    return np.array_equal(RngStream(seed, stream_id).gen.random(8),
+                          _numpy_stream(seed, stream_id).random(8))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 1])
+def test_stream_draws_what_seedsequence_seeds(seed):
+    # block edges, one- and two-word ids, the reference base 2^40 and a
+    # three-word id; seeds of one to five words
+    for stream_id in (0, 1023, 1024, 2**20 + 7, 2**32 - 1, 2**32, 2**40 + 4096 + 65,
+                      2**64 - 1):
+        assert _same_draws(seed, stream_id), (seed, stream_id)
+
+
+def test_evicted_stream_blocks_are_rebuilt():
+    blocks = _block_state.cache_info().maxsize + 3
+    pairs = [(seed, 1024 * block + offset) for block in range(blocks)
+             for seed in (5, 2**33 + 1) for offset in (0, 517, 1023)]
+    _block_state.cache_clear()
+    for seed, stream_id in pairs[::2] + pairs[1::2] + pairs[::-1]:
+        assert _same_draws(seed, stream_id), (seed, stream_id)
+    assert _block_state.cache_info().misses > 2 * blocks  # some blocks were built twice
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**80), st.integers(0, 2**70))
+def test_stream_matches_seedsequence_property(seed, stream_id):
+    assert _same_draws(seed, stream_id)
+
+
+@pytest.mark.parametrize("seed, stream_id", [(-1, 0), (0, -1), (-(2**40), 7), (3, -(2**33))])
+def test_negative_seed_or_stream_id_raises(seed, stream_id):
+    with pytest.raises(ValueError):
+        RngStream(seed, stream_id)
 
 
 def test_scratch_slot_keeps_its_largest_buffer():
