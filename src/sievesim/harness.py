@@ -13,7 +13,6 @@ import pathlib
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -73,6 +72,7 @@ _SIEVE_STREAM_BASE = 1 << 20
 _REFERENCE_STREAM_BASE = 1 << 40
 _GRID_STREAMS = 64
 _MIN_MASS = 2.0**-80  # the sieve environment resolves every box above this mass
+_SIEVE_COUNTERS = ("boxes_built", "boxes_resolved", "lazy_extensions")
 _REFERENCE_BLOCK = {("A3", False): 0, ("T22", False): 0, ("T22", True): 4096,
                     ("A3", True): 8192, ("B3", False): 16384, ("B4", False): 16384}
 
@@ -272,8 +272,11 @@ class ExperimentReport:
         return all(row.get("passed") is not False for row in self.rows)
 
     def add_raw(self, n, t, raw_values, normalized_values):
-        for r, (rv, nv) in enumerate(zip(raw_values, normalized_values)):
-            self.raw.append((self.spec.target, n, t, r, float(rv), float(nv)))
+        """Append one column: a row per replicate r, numbered from 0."""
+        target = self.spec.target
+        raw = np.asarray(raw_values, dtype=float).tolist()
+        normalized = np.asarray(normalized_values, dtype=float).tolist()
+        self.raw += [(target, n, t, r, rv, nv) for r, (rv, nv) in enumerate(zip(raw, normalized))]
 
     def to_json(self) -> str:
         body = {
@@ -293,7 +296,9 @@ class ExperimentReport:
             yield f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')} sievesim {__version__}"
         yield "target,n,t,replicate,raw,normalized"
         for target, n, t, r, rv, nv in self.raw:
-            yield f"{target},{n!r},{t!r},{r},{rv!r},{nv!r}"
+            if r == 0:  # a new column: its target,n,t prefix is formatted once
+                prefix = f"{target},{n!r},{t!r},"
+            yield f"{prefix}{r},{rv!r},{nv!r}"
 
     def write_csv(self, out_dir, stem: str, timestamp: bool = True):
         out = pathlib.Path(out_dir)
@@ -328,6 +333,7 @@ class Normalization:
 def _run_replicates(worker, replicates: int, jobs: int):
     if jobs <= 1:
         return [worker(r) for r in range(replicates)]
+    from multiprocessing import get_context  # serial runs never import it
     ctx = get_context("spawn")
     chunk = max(1, replicates // (jobs * 8))
     with ctx.Pool(jobs) as pool:
@@ -345,14 +351,18 @@ def _stat_replicate(stat: partial, seed: int, stream_base: int, rep: int):
 
 
 def _sieve_stat(law: StickLaw, n: int, grid: tuple, sup: bool, rng: RngStream):
-    """K_n(t) on the grid, K_n, the binomial draws per regime and, with sup
-    (P21), the exact sup_t |K_n(t)/K_n - t|."""
+    """K_n(t) on the grid, K_n, the binomial draws per regime, with sup (P21)
+    the exact sup_t |K_n(t)/K_n - t|, and the _SIEVE_COUNTERS: sticks built
+    to the mass floor, the last box thinned and the sticks a lazy extension
+    added past the floor."""
     regimes = {}
     env = build_environment(law, _MIN_MASS, rng)
+    built = env.num_boxes
     occ = occupy_sieve(env, n, rng, regimes)
     kp = k_process(occ, grid)
     sup = _ratio_sup_deviation(occ.count_values(), n) if sup else None
-    return kp.values.tolist(), kp.k_total, regimes, sup
+    counters = (built, max(occ.counts, default=0), env.num_boxes - built)
+    return kp.values, kp.k_total, regimes, sup, counters
 
 
 def _cycle_stat(n: int, theta: float, grid: tuple, rng: RngStream) -> list:
@@ -701,6 +711,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
         raise ConfigurationError(f"{target} needs n_values")
     report = ExperimentReport(spec)
     regimes = {}
+    sieve = dict.fromkeys(_SIEVE_COUNTERS, 0)
     replicates = 0
     t_start = time.perf_counter()
 
@@ -712,9 +723,11 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
                                   spec.replicates, jobs)
         if stat.func is not _sieve_stat:
             return np.asarray(results, dtype=float), results
-        for _, _, regs, _ in results:
+        for _, _, regs, _, _ in results:
             for k, v in regs.items():
                 regimes[k] = regimes.get(k, 0) + v
+        for k, column in zip(_SIEVE_COUNTERS, zip(*[r[4] for r in results])):
+            sieve[k] += sum(column)
         return np.asarray([r[0] for r in results], dtype=float), results
 
     law, n_values, step = spec.law(), spec.n_values, _process_step
@@ -746,5 +759,5 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
     runtime = time.perf_counter() - t_start
     report.metadata = {"seed": spec.seed, "runtime_s": runtime, "replicates": replicates,
                        "replicates_per_s": replicates / runtime,
-                       "binomial_regimes": regimes, "version": __version__}
+                       "binomial_regimes": regimes, "sieve": sieve, "version": __version__}
     return report

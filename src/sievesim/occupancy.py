@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .sampling import RngStream, StickLaw, sample_binomial
@@ -66,6 +65,7 @@ def floor_power(n: int, t: float) -> int:
 
 
 def _floor_power_guarded(n: int, t: float) -> int:
+    import mpmath  # only near-integer powers need it
     frac = Fraction(t)  # floats are exact dyadic rationals
     if frac.denominator <= 1024 and n < (1 << 62):
         p, q = frac.numerator, frac.denominator
@@ -147,6 +147,7 @@ class DeterministicScheme:
         p = self.prob(k)
         if min(p, thr) > 1e-290 and abs(p - thr) > 1e-12 * thr:
             return 1 if p > thr else -1
+        import mpmath  # only near ties need it
         with mpmath.workprec(256):
             q = mpmath.mpf(self.q)
             t = mpmath.mpf(threshold.numerator) / threshold.denominator
@@ -171,16 +172,17 @@ _EXTENSION_BLOCK = 32
 class SieveEnvironment:
     """Realised stick-breaking environment.
 
-    Keeps the realised sticks W_k, which give box k the probability
-    p*_k = V_{k-1} (1 - W_k); the cut points V_k are derived on demand.
-    Extension is lazy; a deserialised environment is frozen (no law/stream
-    attached) and raises if more sticks are needed.
+    Keeps the realised sticks W_k as a list of floats; they give box k the
+    probability p*_k = V_{k-1} (1 - W_k), and the cut points V_k are derived
+    on demand.  Extension is lazy and appends to that list; a deserialised
+    environment is frozen (no law/stream attached) and raises if more sticks
+    are needed.
     """
 
     def __init__(self, law: StickLaw | None, rng: RngStream | None, sticks=()):
         self.law = law
         self.rng = rng
-        self.sticks = np.asarray(sticks, dtype=float)
+        self.sticks = list(sticks)
 
     @property
     def cutpoints(self) -> np.ndarray:
@@ -193,11 +195,10 @@ class SieveEnvironment:
     def _extend(self, count: int = _EXTENSION_BLOCK):
         if self.law is None or self.rng is None:
             raise RuntimeError("frozen environment exhausted; no law attached to extend")
-        self.sticks = np.concatenate([self.sticks, self.law.sample(self.rng, count)])
+        self.sticks.extend(self.law.sample(self.rng, count).tolist())
 
     def to_json(self) -> str:
-        return json.dumps({"sticks": list(map(float, self.sticks)),
-                           "cutpoints": list(map(float, self.cutpoints))})
+        return json.dumps({"sticks": self.sticks, "cutpoints": self.cutpoints.tolist()})
 
     @staticmethod
     def from_json(text: str) -> "SieveEnvironment":
@@ -213,7 +214,7 @@ class SieveEnvironment:
             raise ValueError("sticks and cutpoints must be lists of numbers") from None
         if sticks.ndim != 1 or not sticks.size or not np.all((sticks > 0.0) & (sticks < 1.0)):
             raise ValueError("sticks must be a nonempty list of numbers strictly inside (0, 1)")
-        env = SieveEnvironment(None, None, sticks=sticks)
+        env = SieveEnvironment(None, None, sticks=sticks.tolist())
         if stored.size and not np.array_equal(stored, env.cutpoints):
             raise ValueError("stored cutpoints are inconsistent with sticks")
         return env
@@ -228,21 +229,17 @@ def build_environment(law: StickLaw, min_mass_resolved: float, rng: RngStream) -
     """
     if not 0.0 < min_mass_resolved < 1.0:
         raise ValueError("min_mass_resolved must lie in (0, 1)")
-    blocks = [law.sample(rng, _EXTENSION_BLOCK)]
-    v = np.cumprod(blocks[0])
-    # every stick is below 1, so the cut points never rise and the last one
-    # tells whether any is below the target
-    while v[-1] >= min_mass_resolved:
-        blocks.append(law.sample(rng, _EXTENSION_BLOCK))
-        # cumprod runs sequentially, so starting the block's product from the
-        # last cut point gives the cut points of all sticks bit for bit
-        carried = blocks[-1].copy()
-        carried[0] *= v[-1]
-        v = np.cumprod(carried)
-    # stop exactly at the first stick that resolves the target mass
-    k = _EXTENSION_BLOCK * (len(blocks) - 1) + int(np.argmax(v < min_mass_resolved)) + 1
-    sticks = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    return SieveEnvironment(law, rng, sticks=sticks[:k])
+    sticks, v = [], 1.0
+    while True:
+        block = law.sample(rng, _EXTENSION_BLOCK).tolist()
+        # the running product V_k, one stick at a time (the order numpy's
+        # cumprod multiplies in), up to the first stick that resolves the mass
+        for k, w in enumerate(block):
+            v *= w
+            if v < min_mass_resolved:
+                sticks += block[:k + 1]
+                return SieveEnvironment(law, rng, sticks)
+        sticks += block
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +284,12 @@ def occupy_sieve(env: SieveEnvironment, n: int, rng: RngStream,
         raise ValueError("n must be >= 0")
     counts = {}
     remaining = n
-    cond = (1.0 - env.sticks).tolist()  # 1 - W_k, box k at index k - 1
+    sticks = env.sticks  # W_k at index k - 1; a lazy extension appends to it
     k = 0
     while remaining > 0:
-        if k == len(cond):
+        if k == len(sticks):
             env._extend()
-            cond = (1.0 - env.sticks).tolist()
-        z = sample_binomial(remaining, cond[k], rng, regime_counter)
+        z = sample_binomial(remaining, 1.0 - sticks[k], rng, regime_counter)
         k += 1
         if z > 0:
             counts[k] = z
@@ -325,8 +321,8 @@ def occupy_scheme(scheme: DeterministicScheme, n: int, rng: RngStream,
 class KProcess:
     """K_n(t) = #{i : 1 <= Z_{n,i} <= floor(n**t)} sampled on a grid."""
 
-    grid: np.ndarray
-    values: np.ndarray
+    grid: list
+    values: list
     k_total: int
 
 
@@ -335,12 +331,10 @@ def k_process(occ: OccupancyResult, grid) -> KProcess:
     ts = [float(t) for t in grid]
     if any(t < 0.0 or t > 1.0 for t in ts):
         raise ValueError("grid must lie in [0, 1]")
-    grid = np.asarray(ts)
     if occ.n == 0:
-        return KProcess(grid, np.zeros(len(ts), dtype=np.int64), 0)
+        return KProcess(ts, [0] * len(ts), 0)
     vals = sorted(occ.counts.values())
-    values = [bisect_right(vals, floor_power(occ.n, t)) for t in ts]
-    return KProcess(grid, np.array(values, dtype=np.int64), len(vals))
+    return KProcess(ts, [bisect_right(vals, floor_power(occ.n, t)) for t in ts], len(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +361,7 @@ def rho(source, x: float) -> int:
         while not source.num_boxes or source.cutpoints[-1] >= threshold:
             source._extend()
         v = source.cutpoints
-        probs = np.concatenate(([1.0], v[:-1])) * (1.0 - source.sticks)
+        probs = np.concatenate(([1.0], v[:-1])) * (1.0 - np.asarray(source.sticks))
         return int(np.count_nonzero(probs >= threshold))
     raise TypeError("source must be a DeterministicScheme or SieveEnvironment")
 

@@ -191,7 +191,9 @@ def _open_unit(gen, size):
     u = gen.random(size)
     if size is None:
         return u if u > 0.0 else 0.5
-    if not u.all():
+    # counting nonzeros is cheaper than u.all(); the mask is built only when
+    # a zero was drawn
+    if np.count_nonzero(u) < u.size:
         u[u == 0.0] = 0.5
     return u
 
@@ -352,26 +354,22 @@ def sample_binomial(n: int, p: float, rng: RngStream, regime_counter: dict | Non
         raise ValueError("n must be >= 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    # binomial_regime, inlined (this runs once per box of every replicate)
-    # and keeping the variance for the Gaussian branch
+    # binomial_regime, inlined (this runs once per box of every replicate):
+    # each branch counts its regime and returns its draw
     if n == 0 or p == 0.0 or p == 1.0:
-        regime = "degenerate"
-    else:
-        q = 1.0 - p
-        var = n * p * q
-        if var > BINOMIAL_GAUSSIAN_VARIANCE:
-            regime = "gaussian"
-        elif n * min(p, q) <= BINOMIAL_INVERSION_LIMIT:
-            regime = "inversion"
-        else:
-            regime = "btpe"
-    if regime_counter is not None:
-        regime_counter[regime] = regime_counter.get(regime, 0) + 1
-    if regime == "degenerate":
+        if regime_counter is not None:
+            regime_counter["degenerate"] = regime_counter.get("degenerate", 0) + 1
         return n if p == 1.0 else 0
-    if regime == "gaussian":
-        x = int(round(n * p + math.sqrt(var) * rng.gen.standard_normal()))
-        return min(max(x, 0), n)
+    q = 1.0 - p
+    var = n * p * q
+    if var > BINOMIAL_GAUSSIAN_VARIANCE:
+        if regime_counter is not None:
+            regime_counter["gaussian"] = regime_counter.get("gaussian", 0) + 1
+        x = round(n * p + math.sqrt(var) * rng.gen.standard_normal())
+        return 0 if x < 0 else n if x > n else x
+    if regime_counter is not None:
+        regime = "inversion" if n * (p if p < q else q) <= BINOMIAL_INVERSION_LIMIT else "btpe"
+        regime_counter[regime] = regime_counter.get(regime, 0) + 1
     return int(rng.gen.binomial(n, p))
 
 

@@ -82,7 +82,7 @@ def test_c1a_counting_identity_on_shared_realisations():
 
 
 def test_c1b_thinning_vs_naive_placement():
-    env = SieveEnvironment(None, None, sticks=np.full(41, 0.5))  # p*_k = 2^-k
+    env = SieveEnvironment(None, None, sticks=[0.5] * 41)  # p*_k = 2^-k
     reps, n = 10**5, 100
     rng = RngStream(SEED, 101)
     thinned = np.zeros((reps, 2), dtype=np.int64)

@@ -323,6 +323,20 @@ def test_runtime_imports_no_scipy(tmp_path):
     assert "selftest: all-pass" in result.stdout and "verdict: all-pass" in result.stdout
 
 
+def test_cli_import_leaves_mpmath_and_multiprocessing_out():
+    # mpmath settles near-integer powers and near ties, multiprocessing runs
+    # --jobs > 1: a run that needs neither never imports them
+    code = ("import sys\nimport sievesim.cli\n"
+            "print(sorted({'mpmath', 'multiprocessing'} & set(sys.modules)))\n")
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_selftest_verb(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -6,7 +6,8 @@ alters drawn values on purpose re-records them and says why.
 The specs cover each step law the walk draws (exp, pareto with one and
 several blocks, const, independent and shared log sticks), the Feller
 coupling with its sieve half (ESF_FLT, and EQ at n = 1e12 with theta != 1),
-the sieve at depths where floor_power takes its exact-integer path, P21's
+the sieve at depths where floor_power takes its exact-integer path (with
+theta = 1, and with theta = 2 over several stick blocks), P21's
 exact sup path, exppareto sticks in both the ratio (T22) and the process
 (A3) mode, and a seed above 2^32 whose replicate streams cross the edge of a
 1,024-id block of `RngStream` seeding words.
@@ -79,6 +80,13 @@ GOLDEN = {
         "target = A1\nstick = beta\ntheta = 1.0\nn_values = 1e4, 1e9\ngrid = 0.5, 1.0\n"
         "centering = linear\nreplicates = 600\nseed = 4294967301\n",
         "0d5ea081d7c381cf315cd408d41ad4a6241b2a7f57ad5763851369d999ad155a"),
+    # recorded before the sieve replicate moved from numpy arrays to Python
+    # floats: theta = 2 resolves 2^-80 in about four 32-stick blocks, and
+    # n = 1e16 thins through Gaussian, BTPE and inversion binomials
+    "A1_theta2_deep": (
+        "target = A1\nstick = beta\ntheta = 2.0\nn_values = 1e16\n"
+        "grid = 0.25, 0.5, 0.75, 1.0\nreplicates = 40\nseed = 15\n",
+        "12d93593b59d82b3faffa3c4d0809dfa71598a8476ca9cd3c8da22db40f58f43"),
 }
 
 

@@ -13,6 +13,7 @@ from sievesim.harness import (
     ConfigurationError,
     TARGETS,
     ExperimentSpec,
+    _SIEVE,
     Normalization,
     ks_one_sample,
     ks_two_sample,
@@ -248,9 +249,18 @@ def test_dispatcher_covers_every_target():
         metadata_keys.add(tuple(sorted(rep.metadata)))
         assert rep.metadata["replicates"] >= spec.replicates, spec.target
         assert rep.metadata["replicates_per_s"] > 0.0, spec.target
+        sieve = rep.metadata["sieve"]
+        assert set(sieve) == {"boxes_built", "boxes_resolved", "lazy_extensions"}
+        # one binomial draw per box thinned, and thinning ends at the last box
+        assert sieve["boxes_resolved"] == sum(rep.metadata["binomial_regimes"].values())
+        if spec.target in _SIEVE + ("P21", "EQ", "ESF_FLT"):
+            assert (sieve["boxes_built"] + sieve["lazy_extensions"]
+                    >= sieve["boxes_resolved"] > 0), spec.target
+        else:
+            assert set(sieve.values()) == {0}, spec.target
     assert {spec.target for spec in specs} == set(TARGETS)
     assert metadata_keys == {("binomial_regimes", "replicates", "replicates_per_s", "runtime_s",
-                              "seed", "version")}
+                              "seed", "sieve", "version")}
 
 
 def test_ratio_t22_smoke():

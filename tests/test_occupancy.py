@@ -80,7 +80,7 @@ def test_k_process_is_nondecreasing_and_ends_at_k_n(n, theta, seed, ts):
     kp = k_process(occ, sorted(ts) + [1.0])
     assert np.all(np.diff(kp.values) >= 0)
     assert kp.values[-1] == kp.k_total == len(occ.counts)
-    assert kp.values.tolist() == [sum(1 for z in occ.counts.values() if z <= floor_power(n, t))
+    assert kp.values == [sum(1 for z in occ.counts.values() if z <= floor_power(n, t))
                                   for t in sorted(ts) + [1.0]]
 
 
@@ -89,25 +89,41 @@ def test_k_process_is_nondecreasing_and_ends_at_k_n(n, theta, seed, ts):
 # ---------------------------------------------------------------------------
 
 
-def _stickwise_environment(law, mass, rng):
-    """The first sticks whose running product drops below mass, multiplied
-    one at a time; the stream is read in the same 32-stick blocks."""
-    sticks, v = [], 1.0
-    while True:
-        for w in law.sample(rng, 32).tolist():
-            sticks.append(w)
-            v *= w
-            if v < mass:
-                return sticks
+def _cumprod_environment(law, mass, rng):
+    """Whole 32-stick blocks until numpy's cumprod over all sticks drawn
+    drops below mass, cut at the first cut point below it."""
+    sticks = law.sample(rng, 32)
+    while np.cumprod(sticks)[-1] >= mass:
+        sticks = np.concatenate([sticks, law.sample(rng, 32)])
+    return sticks[:int(np.argmax(np.cumprod(sticks) < mass)) + 1].tolist()
+
+
+_LAWS = {"beta": StickLaw.beta, "exppareto": StickLaw.exp_pareto}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from(["beta", "exppareto"]), st.floats(0.3, 3.0), st.integers(1, 200),
        st.integers(0, 2**32 - 1))
 def test_build_environment_stops_at_the_first_resolving_stick(kind, param, log2_mass, seed):
-    law = StickLaw.beta(param) if kind == "beta" else StickLaw.exp_pareto(param)
+    law = _LAWS[kind](param)
     env = build_environment(law, 2.0**-log2_mass, RngStream(seed, 0))
-    assert env.sticks.tolist() == _stickwise_environment(law, 2.0**-log2_mass, RngStream(seed, 0))
+    assert env.sticks == _cumprod_environment(law, 2.0**-log2_mass, RngStream(seed, 0))
+
+
+@pytest.mark.parametrize("kind,param", [("beta", 1.0), ("beta", 2.5), ("exppareto", 1.5)])
+@pytest.mark.parametrize("boundary", [32, 64])
+@pytest.mark.parametrize("last_of_block", [True, False])
+def test_build_environment_resolves_at_a_block_edge(kind, param, boundary, last_of_block):
+    """The resolving stick is the last of a block (the mass sits just above
+    that block's final cut point) or the first of the next (the mass equals
+    it, which does not resolve: V_k must drop strictly below the mass)."""
+    law = _LAWS[kind](param)
+    v = np.cumprod(law.sample(RngStream(31, 0), boundary + 32))
+    edge = float(v[boundary - 1])
+    mass = math.nextafter(edge, 1.0) if last_of_block else edge
+    env = build_environment(law, mass, RngStream(31, 0))
+    assert env.num_boxes == (boundary if last_of_block else boundary + 1)
+    assert env.sticks == _cumprod_environment(law, mass, RngStream(31, 0))
 
 
 def test_environment_stopping_rule_and_mass():
@@ -163,7 +179,7 @@ def test_occupy_trivial():
 
 def test_single_ball_box_distribution():
     # P{ball lands in box k} = p*_k for the realised environment
-    env = SieveEnvironment(None, None, sticks=np.full(31, 0.5))  # p*_k = 2^-k
+    env = SieveEnvironment(None, None, sticks=[0.5] * 31)  # p*_k = 2^-k
     rng = RngStream(7, 1)
     draws = 20000
     hits = np.zeros(8)
@@ -178,7 +194,7 @@ def test_single_ball_box_distribution():
 
 def test_thinning_matches_naive_placement_chi_square():
     # joint law of (Z1, Z2) from sequential thinning vs per-ball placement
-    env = SieveEnvironment(None, None, sticks=np.full(41, 0.5))  # p*_k = 2^-k
+    env = SieveEnvironment(None, None, sticks=[0.5] * 41)  # p*_k = 2^-k
     reps, n = 30000, 100
     rng = RngStream(8, 1)
     thinned = np.zeros((reps, 2), dtype=np.int64)
@@ -213,7 +229,7 @@ def _per_box_occupy(env, n, rng):
         k += 1
         while env.num_boxes < k:
             env._extend()
-        z = sample_binomial(remaining, 1.0 - float(env.sticks[k - 1]), rng)
+        z = sample_binomial(remaining, 1.0 - env.sticks[k - 1], rng)
         if z > 0:
             counts[k] = z
             remaining -= z
@@ -226,14 +242,14 @@ def _per_box_occupy(env, n, rng):
 def test_lazy_extension_matches_per_box_thinning(law, n):
     def three_sticks():
         rng = RngStream(21, 0)
-        return SieveEnvironment(law, rng, sticks=law.sample(rng, 3)), rng
+        return SieveEnvironment(law, rng, sticks=law.sample(rng, 3).tolist()), rng
 
     env, rng = three_sticks()
     occ = occupy_sieve(env, n, rng)
     ref_env, ref_rng = three_sticks()
     assert occ.counts == _per_box_occupy(ref_env, n, ref_rng)
     assert occ.total() == n
-    assert env.num_boxes > 3 and np.array_equal(env.sticks, ref_env.sticks)
+    assert env.num_boxes > 3 and env.sticks == ref_env.sticks
     assert np.array_equal(env.cutpoints, np.cumprod(env.sticks))
 
 
@@ -264,12 +280,12 @@ def test_k_process_examples():
     kp = k_process(occ, [0.3, 1.0])
     assert kp.values[-1] == 3 and kp.k_total == 3
     flat = k_process(OccupancyResult({1: 1, 5: 1, 9: 1}, 3), [0.0, 0.4, 1.0])
-    assert np.all(flat.values == 3)  # all singletons: constant in t
+    assert flat.values == [3, 3, 3]  # all singletons: constant in t
     # counts {1, 3, 10} at n=100: floor(100^0) = 1 keeps only the singleton,
     # floor(100^0.5) = 10 already covers every occupied box
     hand = k_process(OccupancyResult({4: 1, 5: 3, 6: 10}, 100), [0.0, 0.5, 1.0])
-    assert hand.values.tolist() == [1, 3, 3]
-    assert k_process(OccupancyResult({}, 0), [0.0, 1.0]).values.tolist() == [0, 0]
+    assert hand.values == [1, 3, 3]
+    assert k_process(OccupancyResult({}, 0), [0.0, 1.0]).values == [0, 0]
 
 
 def test_k_process_monotone_and_bounded():
