@@ -27,15 +27,14 @@ from .limits import (
     sample_inverse_reversal,
 )
 from .occupancy import (
-    WINDOW_BOX_CAP,
     DeterministicScheme,
+    _ratio_sup_deviation,
     approximation_bound_rhs,
     approximation_sup,
     bound_constant_x0,
     build_environment,
     k_process,
     occupy_sieve,
-    window_box_count,
 )
 from .prw import StepLaw, lln_sup_deviation, max_window_count, simulate_path, visit_process
 from .sampling import (
@@ -215,10 +214,6 @@ class ExperimentSpec:
             raise ConfigurationError("P33 needs x_values and y_values >= 0")
         if self.target == "P41" and (self.replicates < 100 or any(n < 3 for n in self.n_values)):
             raise ConfigurationError("P41 needs replicates >= 100 and n_values >= 3")
-        if self.target == "P41" and any(window_box_count(law, int(n)) > WINDOW_BOX_CAP
-                                        for n in self.n_values):
-            raise ConfigurationError(f"P41's window sup scans at most {WINDOW_BOX_CAP} boxes: "
-                                     "lower q or n_values")
         if (self.target in ("A3", "T22", "B3", "B4") and len(self.n_values) > 1
                 and len(self.grid) > _GRID_STREAMS):
             raise ConfigurationError(f"{self.target} with several n values takes at most "
@@ -488,29 +483,6 @@ def _covariance_rows(n, grid, normalized_by_t, tol):
                          "threshold": tol,
                          "passed": bool(abs(cov - expected_cov) < tol)})
     return rows
-
-
-def _ratio_sup_deviation(count_values: np.ndarray, n: int) -> float:
-    """Exact sup over t in [0,1] of |K_n(t)/K_n - t|.
-
-    Between jumps of K the deviation drifts linearly; at a jump location both
-    the left limit and the new plateau are candidates, and so are the
-    endpoints.
-    """
-    k_total = len(count_values)
-    logn = math.log(n)
-    locs = np.where(count_values <= 1, 0.0,
-                    np.log(np.maximum(count_values, 1)) / logn)
-    locs, counts = np.unique(locs, return_counts=True)
-    cum = np.cumsum(counts)
-    best = 0.0
-    prev_ratio = 0.0
-    for loc, c in zip(locs, cum):
-        best = max(best, abs(prev_ratio - loc))          # just before the jump
-        prev_ratio = c / k_total
-        best = max(best, abs(prev_ratio - loc))          # at the jump
-    best = max(best, abs(prev_ratio - 1.0))              # tail drift to t = 1
-    return best
 
 
 # ---------------------------------------------------------------------------

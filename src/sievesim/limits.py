@@ -65,22 +65,20 @@ def _passage_pair(alpha: float, level: float, rng: RngStream, size: int):
     return lo, hi
 
 
-def sample_inverse_reversal(alpha: float, t: float, rng: RngStream, size=None):
+def sample_inverse_reversal(alpha: float, t: float, rng: RngStream, size: int) -> np.ndarray:
     """Exact draws of W^<-(1) - W^<-((1-t)-) from single subordinator paths;
     at t = 1 these are the draws of sample_inverse_subordinator_marginal."""
-    lo, hi = _passage_pair(alpha, 1.0 - min(t, 1.0), rng, 1 if size is None else int(size))
-    out = hi - lo
-    return float(out[0]) if size is None else out
+    lo, hi = _passage_pair(alpha, 1.0 - min(t, 1.0), rng, int(size))
+    return hi - lo
 
 
-def sample_inverse_ratio(alpha: float, t: float, rng: RngStream, size=None):
+def sample_inverse_ratio(alpha: float, t: float, rng: RngStream, size: int) -> np.ndarray:
     """Exact draws of 1 - W^<-((1-t)-) / W^<-(1) from single subordinator
     paths.  A jump that crosses both levels gives the atom at 0, of mass
     I_{1-t}(alpha, 1-alpha) (the regularised incomplete beta function)."""
-    lo, hi = _passage_pair(alpha, 1.0 - min(t, 1.0), rng, 1 if size is None else int(size))
+    lo, hi = _passage_pair(alpha, 1.0 - min(t, 1.0), rng, int(size))
     # hi == lo where the jump crosses both levels: the atom at 0
-    out = 1.0 - np.divide(lo, hi, out=np.ones_like(hi), where=hi > lo)
-    return float(out[0]) if size is None else out
+    return 1.0 - np.divide(lo, hi, out=np.ones_like(hi), where=hi > lo)
 
 
 def normal_cdf(x):

@@ -28,8 +28,6 @@ __all__ = [
     "bound_constant_x0",
     "approximation_bound_rhs",
     "approximation_sup",
-    "window_box_count",
-    "WINDOW_BOX_CAP",
 ]
 
 
@@ -140,20 +138,12 @@ class DeterministicScheme:
         """Sign of p_k - threshold, exactly (thr = float(threshold)).
 
         The float p_k (a few ulps off) decides when it is clear of thr by
-        1e-12; a 256-bit evaluation decides when the two differ in the first
-        240 bits; only a closer tie needs p_k's rational value, whose size
-        grows with k.
+        1e-12; only a closer tie needs p_k's rational value, whose size grows
+        with k.
         """
         p = self.prob(k)
         if min(p, thr) > 1e-290 and abs(p - thr) > 1e-12 * thr:
             return 1 if p > thr else -1
-        import mpmath  # only near ties need it
-        with mpmath.workprec(256):
-            q = mpmath.mpf(self.q)
-            t = mpmath.mpf(threshold.numerator) / threshold.denominator
-            diff = (1 - q) * q ** (k - 1) - t
-            if abs(diff) > mpmath.ldexp(t, -240):
-                return 1 if diff > 0 else -1
         exact = self._prob_fraction(k)
         return (exact > threshold) - (exact < threshold)
 
@@ -387,49 +377,16 @@ def bound_constant_x0() -> float:
     return 0.5 * (lo + hi)
 
 
-# the most boxes _sup_rho_window scans; 98,239 boxes take 45 s of CPU on a
-# 2-vCPU Xeon host, less than P41's 100 replicates of approximation_sup there
-WINDOW_BOX_CAP = 100000
-
-
-def window_box_count(scheme: DeterministicScheme, n: int) -> int:
-    """Last k with e p_k n >= 1: the boxes _sup_rho_window scans.
-
-    p_k = (1-q) q^(k-1) gives k = 1 + floor(log(e n (1-q)) / -log q); the
-    scan's own float test then settles the boundary.
-    """
-    reaches = lambda k: math.e * scheme.prob(k) * n >= 1.0
-    k = max(0, 1 + math.floor((1.0 + math.log(n) + math.log1p(-scheme.q)) / -math.log(scheme.q)))
-    while reaches(k + 1):
-        k += 1
-    while k >= 1 and not reaches(k):
-        k -= 1
-    return k
-
-
 def _sup_rho_window(scheme: DeterministicScheme, n: int) -> int:
-    """sup over t in [0,1] of rho(e * n**(1-t)) - rho(n**(1-t) / e).
+    """sup over t in [0,1] of rho(e * n**(1-t)) - rho(n**(1-t) / e), in closed form.
 
-    The count of boxes inside the moving window changes only where a window
-    edge crosses some p_k, so scanning entry points y = 1/(e p_k) (plus the
-    endpoints and points just below each exit) is exact.  Deeper boxes
-    never enter the window.
+    With s = log n**(1-t) in [0, log n], box k lies in the window iff
+    s - 1 < -log p_k <= s + 1, and consecutive -log p_k are d = -log q apart,
+    so a window of width 2 holds at most ceil(2/d) boxes, and never more than
+    the K = rho(e n) boxes it can reach.  It holds min(K, ceil(2/d)) at
+    s = -log p_K - 1, or at s = 0 when every reachable box has -log p_k <= 1.
     """
-    def window_count(y: float) -> int:
-        if y <= 0.0:
-            return 0
-        return rho(scheme, math.e * y) - rho(scheme, y / math.e)
-
-    boxes = window_box_count(scheme, n)
-    if boxes > WINDOW_BOX_CAP:
-        raise RuntimeError("scheme has too many boxes above the window floor")
-    candidates = [1.0, float(n)]
-    for k in range(1, boxes + 1):
-        p = scheme.prob(k)
-        for y in (1.0 / (math.e * p), math.e / p):
-            if 1.0 <= y <= n:
-                candidates.extend([y, np.nextafter(y, 0.0), np.nextafter(y, np.inf)])
-    return max(window_count(min(max(y, 1.0), float(n))) for y in candidates)
+    return min(rho(scheme, math.e * n), math.ceil(-2.0 / math.log(scheme.q)))
 
 
 def _integral_term(scheme: DeterministicScheme, n: int) -> float:
@@ -461,16 +418,41 @@ def approximation_bound_rhs(scheme: DeterministicScheme, n: int) -> float:
     return term1 + term2 + term3 + term4
 
 
+def _k_jumps(count_values: np.ndarray, n: int) -> np.ndarray:
+    """Where K_n(t) jumps: by one at t = log(c)/log(n) for each occupied count
+    c (weakly, so the jump value is attained), at t = 0 for c = 1."""
+    logn = math.log(n)
+    return np.where(count_values <= 1, 0.0, np.log(np.maximum(count_values, 1)) / logn)
+
+
+def _ratio_sup_deviation(count_values: np.ndarray, n: int) -> float:
+    """Exact sup over t in [0,1] of |K_n(t)/K_n - t|.
+
+    Between jumps of K the deviation drifts linearly; at a jump location both
+    the left limit and the new plateau are candidates, and so are the
+    endpoints.
+    """
+    k_total = len(count_values)
+    locs, counts = np.unique(_k_jumps(count_values, n), return_counts=True)
+    cum = np.cumsum(counts)
+    best = 0.0
+    prev_ratio = 0.0
+    for loc, c in zip(locs, cum):
+        best = max(best, abs(prev_ratio - loc))          # just before the jump
+        prev_ratio = c / k_total
+        best = max(best, abs(prev_ratio - loc))          # at the jump
+    best = max(best, abs(prev_ratio - 1.0))              # tail drift to t = 1
+    return best
+
+
 def _sup_abs_difference(count_values: np.ndarray, g_locations: np.ndarray, n: int) -> int:
     """Exact sup over t in [0,1] of |K_n(t) - g(t)| for the two step functions.
 
-    K jumps by one at t = log(c)/log(n) for each occupied count c (weakly, so
-    the jump value is attained); g jumps at the supplied locations.  Both are
+    K jumps where _k_jumps says; g jumps at the supplied locations.  Both are
     right-continuous, so the sup is realised on the plateau values visited by
     a merged event walk.
     """
-    logn = math.log(n)
-    k_locs = np.where(count_values <= 1, 0.0, np.log(np.maximum(count_values, 1)) / logn)
+    k_locs = _k_jumps(count_values, n)
     events = np.concatenate([
         np.stack([k_locs, np.ones(len(k_locs))], axis=1),
         np.stack([g_locations, -np.ones(len(g_locations))], axis=1),

@@ -186,11 +186,9 @@ class ScratchSlot(threading.local):
         return tuple(a[:size] for a in self._arrays)
 
 
-def _open_unit(gen, size):
+def _open_unit(gen, size: int) -> np.ndarray:
     """Uniforms in the open interval (0, 1); the endpoint 0 is remapped."""
     u = gen.random(size)
-    if size is None:
-        return u if u > 0.0 else 0.5
     # counting nonzeros is cheaper than u.all(); the mask is built only when
     # a zero was drawn
     if np.count_nonzero(u) < u.size:
@@ -243,14 +241,12 @@ class StickLaw:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample(self, rng: RngStream, size=None):
+    def sample(self, rng: RngStream, size: int) -> np.ndarray:
         u = _open_unit(rng.gen, size)
         if self.kind == "beta":
             w = u ** (1.0 / self.theta)
         else:
             w = np.exp(-(u ** (-1.0 / self.alpha)))
-        if size is None:
-            return float(min(max(w, _STICK_BOTTOM), _STICK_TOP))
         # w is a fresh array here, so it is clamped in place
         return np.minimum(np.maximum(w, _STICK_BOTTOM, out=w), _STICK_TOP, out=w)
 
@@ -399,18 +395,17 @@ def _kanter(alpha: float, u):
     return num / np.sin(u) ** (1.0 / alpha)
 
 
-def sample_standard_positive_stable(alpha: float, rng: RngStream, size=None):
+def sample_standard_positive_stable(alpha: float, rng: RngStream, size: int) -> np.ndarray:
     """Standard positive stable draw D with E exp(-z D) = exp(-z**alpha), by
     Kanter's representation D = K(U) E**(-(1-alpha)/alpha)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     u = rng.gen.uniform(0.0, math.pi, size)
     e = rng.gen.exponential(1.0, size)
-    d = _kanter(alpha, u) * e ** (-((1.0 - alpha) / alpha))
-    return float(d) if size is None else d
+    return _kanter(alpha, u) * e ** (-((1.0 - alpha) / alpha))
 
 
-def sample_spectrally_negative_stable(alpha: float, rng: RngStream, size=None):
+def sample_spectrally_negative_stable(alpha: float, rng: RngStream, size: int) -> np.ndarray:
     """Strictly stable draw with only negative jumps, alpha in (1, 2).
 
     Realised as scale * X where X is strictly stable with skewness beta = -1
@@ -423,8 +418,7 @@ def sample_spectrally_negative_stable(alpha: float, rng: RngStream, size=None):
         raise ValueError("alpha must lie in (1, 2)")
     x = _chambers_mallows_stuck(alpha, -1.0, rng, size)
     sigma = (math.gamma(1.0 - alpha) * math.cos(0.5 * math.pi * alpha)) ** (1.0 / alpha)
-    out = sigma * x
-    return float(out) if size is None else out
+    return sigma * x
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +426,8 @@ def sample_spectrally_negative_stable(alpha: float, rng: RngStream, size=None):
 # ---------------------------------------------------------------------------
 
 
-def sample_inverse_subordinator_marginal(alpha: float, t: float, rng: RngStream, size=None):
+def sample_inverse_subordinator_marginal(alpha: float, t: float, rng: RngStream,
+                                         size: int) -> np.ndarray:
     """Exact draw of the first-passage time W_alpha^<-(t).
 
     Uses the reduction W_alpha^<-(t) = t**alpha / (Gamma(1-alpha) * D**alpha)

@@ -3,9 +3,11 @@ partition enumeration, the Chinese-restaurant Ewens sampler, a per-ball
 placement reference, the exact expected occupancy of the geometric scheme,
 the lattice inverse-subordinator path, the Chambers-Mallows-Stuck positive
 stable construction, the subordinator marginal, the spectrally negative
-characteristic function, and the null-model calibration guard.  The oracles stay independent of the library code paths
-they check; the guard deliberately pushes the library's own limit-law draws
-through its KS statistics.  `sievesim run` reaches none of them."""
+characteristic function, the box scan of P41's window term, and the
+null-model calibration guard.  The oracles stay independent of the library
+code paths they check; the guard deliberately pushes the library's own
+limit-law draws through its KS statistics.  `sievesim run` reaches none of
+them."""
 
 import math
 
@@ -15,6 +17,7 @@ from scipy.special import gammaln
 from sievesim.ewens import CycleCounts
 from sievesim.harness import _REFERENCE_STREAM_BASE, ks_one_sample, ks_two_sample
 from sievesim.limits import normal_cdf, sample_inverse_ratio
+from sievesim.occupancy import rho
 from sievesim.sampling import (
     RngStream,
     _chambers_mallows_stuck,
@@ -204,19 +207,18 @@ def sample_inverse_subordinator_path(alpha: float, grid, step: float, rng: RngSt
     return out
 
 
-def cms_positive_stable(alpha: float, rng: RngStream, size=None):
+def cms_positive_stable(alpha: float, rng: RngStream, size: int):
     """Standard positive stable draw by the general Chambers-Mallows-Stuck
     formula at total positive skew: a construction independent of the
     library's Kanter sampler."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     # rescale from Laplace exponent z^alpha / cos(pi alpha / 2)
-    d = _chambers_mallows_stuck(alpha, 1.0, rng, size) \
+    return _chambers_mallows_stuck(alpha, 1.0, rng, size) \
         * math.cos(0.5 * math.pi * alpha) ** (1.0 / alpha)
-    return float(d) if size is None else d
 
 
-def sample_positive_stable(alpha: float, rng: RngStream, size=None):
+def sample_positive_stable(alpha: float, rng: RngStream, size: int):
     """Subordinator marginal W_alpha(1) with Laplace exponent Gamma(1-alpha) z**alpha."""
     d = sample_standard_positive_stable(alpha, rng, size)
     return math.gamma(1.0 - alpha) ** (1.0 / alpha) * d
@@ -229,6 +231,44 @@ def spectrally_negative_cf(alpha: float, u):
     phase = math.cos(0.5 * math.pi * alpha) + 1j * math.sin(0.5 * math.pi * alpha) * np.sign(u)
     out = np.exp(-np.abs(u) ** alpha * g * phase)
     return complex(out) if out.shape == () else out
+
+
+def window_box_count(scheme, n: int) -> int:
+    """Last k with e p_k n >= 1: the boxes sup_rho_window_scan scans.
+
+    p_k = (1-q) q^(k-1) gives k = 1 + floor(log(e n (1-q)) / -log q); the
+    scan's own float test then settles the boundary.
+    """
+    reaches = lambda k: math.e * scheme.prob(k) * n >= 1.0
+    k = max(0, 1 + math.floor((1.0 + math.log(n) + math.log1p(-scheme.q)) / -math.log(scheme.q)))
+    while reaches(k + 1):
+        k += 1
+    while k >= 1 and not reaches(k):
+        k -= 1
+    return k
+
+
+def sup_rho_window_scan(scheme, n: int) -> int:
+    """sup over t in [0,1] of rho(e * n**(1-t)) - rho(n**(1-t) / e), by a box scan.
+
+    The count of boxes inside the moving window changes only where a window
+    edge crosses some p_k, so scanning entry points y = 1/(e p_k) (plus the
+    endpoints and points just below each exit) is exact.  Deeper boxes
+    never enter the window.  About six rho calls per box: an oracle for the
+    library's closed form, slow near q = 1.
+    """
+    def window_count(y: float) -> int:
+        if y <= 0.0:
+            return 0
+        return rho(scheme, math.e * y) - rho(scheme, y / math.e)
+
+    candidates = [1.0, float(n)]
+    for k in range(1, window_box_count(scheme, n) + 1):
+        p = scheme.prob(k)
+        for y in (1.0 / (math.e * p), math.e / p):
+            if 1.0 <= y <= n:
+                candidates.extend([y, np.nextafter(y, 0.0), np.nextafter(y, np.inf)])
+    return max(window_count(min(max(y, 1.0), float(n))) for y in candidates)
 
 
 def calibration_guard(seed: int = 0) -> list:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sievesim.cli import SpecFileError, main, parse_spec_file
 from sievesim.harness import TARGETS, ExperimentSpec
-from sievesim.occupancy import build_environment
+from sievesim.occupancy import approximation_bound_rhs, build_environment
 from sievesim.sampling import RngStream, StickLaw
 
 P21_SPEC = """\
@@ -159,7 +159,6 @@ _VALUE_ERROR_LINE = {"target = B1\nn_values = 100\nreplicates = 2.7\n": 3,
     "target = B4\nxi = pareto\nxi_param = 0.5\nn_values = -5\n",
     "target = B1\nn_values = 100\ngrid = 1, 0.5\n",
     "target = P21\nn_values = 1\n",                             # log n = 0
-    "target = P41\nq = 0.99999\nn_values = 1e6\nreplicates = 100\n",  # 330,257 window boxes
     "target = B1\nn_values = 100\nreplicates = 2.7\n",
     "target = B1\nn_values = 100\nseed = 1.9\n",
 ], ids=["A3_beta_stick", "B3_exp_steps", "B4_index_1", "A1_n_below_1", "P21_no_n",
@@ -169,7 +168,7 @@ _VALUE_ERROR_LINE = {"target = B1\nn_values = 100\nreplicates = 2.7\n": 3,
         "A1_theta_0", "T22_alpha_0.02", "B4_index_0.02", "B1_empty_grid", "A1_n_inf",
         "P31_n_inf", "P41_n_inf", "A1_n_nan", "seed_negative", "P33_y_negative",
         "P33_x_negative", "P33_y_nan", "P32_b_inf", "B4_n_negative",
-        "B1_grid_decreasing", "P21_n_1", "P41_q_near_1", "replicates_2.7", "seed_1.9"])
+        "B1_grid_decreasing", "P21_n_1", "replicates_2.7", "seed_1.9"])
 def test_bad_spec_exits_2_before_any_replicate(tmp_path, capsys, monkeypatch, spec_text):
     def no_replicates(*args):
         raise AssertionError("a replicate was drawn")
@@ -183,6 +182,17 @@ def test_bad_spec_exits_2_before_any_replicate(tmp_path, capsys, monkeypatch, sp
     err = capsys.readouterr().err
     assert err.startswith(f"error: {spec_path}:{line}:") and "Traceback" not in err
     assert not list(tmp_path.glob("out/*.csv"))
+
+
+def test_p41_near_q_1_builds_and_bounds_without_a_replicate(tmp_path, monkeypatch):
+    # 330,257 boxes reach P41's window: its closed form needs none of them
+    def no_replicates(*args):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr("sievesim.harness._run_replicates", no_replicates)
+    spec = parse_spec_file(write(tmp_path, "p41.cfg",
+                                 "target = P41\nq = 0.99999\nn_values = 1e6\nreplicates = 100\n"))
+    assert approximation_bound_rhs(spec.law(), 10**6) > 0.0
 
 
 # one short valid spec per target, which _spec_files then mutates; n <= 1e4
@@ -324,8 +334,8 @@ def test_runtime_imports_no_scipy(tmp_path):
 
 
 def test_cli_import_leaves_mpmath_and_multiprocessing_out():
-    # mpmath settles near-integer powers and near ties, multiprocessing runs
-    # --jobs > 1: a run that needs neither never imports them
+    # mpmath serves only near-integer powers, multiprocessing runs --jobs > 1:
+    # a run that needs neither never imports them
     code = ("import sys\nimport sievesim.cli\n"
             "print(sorted({'mpmath', 'multiprocessing'} & set(sys.modules)))\n")
     env = dict(os.environ)

@@ -154,7 +154,7 @@ def test_stable_marginal_self_similarity():
 def test_ratio_law_edge_times():
     assert np.all(sample_inverse_ratio(0.5, 0.0, RngStream(7, 0), 100) == 0.0)
     assert np.all(sample_inverse_ratio(0.5, 1.0, RngStream(7, 1), 100) == 1.0)
-    assert sample_inverse_reversal(0.5, 0.0, RngStream(7, 2)) == 0.0
+    assert np.all(sample_inverse_reversal(0.5, 0.0, RngStream(7, 2), 100) == 0.0)
 
 
 def _ks_critical(n, m):

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2_contingency
 
-from conftest import expected_occupancy_oracle, naive_placement
+from conftest import (
+    expected_occupancy_oracle,
+    naive_placement,
+    sup_rho_window_scan,
+    window_box_count,
+)
 from sievesim.harness import ConfigurationError, ExperimentSpec, run_experiment
 from sievesim.occupancy import (
     DeterministicScheme,
@@ -23,7 +28,6 @@ from sievesim.occupancy import (
     occupy_scheme,
     occupy_sieve,
     rho,
-    window_box_count,
     _integral_term,
     _sup_rho_window,
 )
@@ -312,8 +316,8 @@ def test_rho_geometric_boundaries():
 
 @pytest.mark.parametrize("q", [0.5, 0.25, 0.3, 0.9, 0.999])
 def test_rho_geometric_equals_the_rational_search(q):
-    # rho's float and 256-bit shortcuts must give the rational count at every
-    # near tie x = 1/p_k, its neighbours, and the exact ties p_k = threshold
+    # rho's float shortcut must give the rational count at every near tie
+    # x = 1/p_k, its neighbours, and the exact ties p_k = threshold
     g = DeterministicScheme.geometric(q)
     fq = Fraction(q)
     probs = [(1 - fq) * fq**k for k in range(120)]  # p_1 .. p_120
@@ -380,6 +384,27 @@ def test_sup_window_matches_dense_grid():
         dense = max(rho(g, math.e * n ** (1.0 - t)) - rho(g, n ** (1.0 - t) / math.e)
                     for t in ts)
         assert scanned == dense
+
+
+# the scan settles a near tie in rationals at nearly every box, so its cost
+# grows faster than its box count: 1,016 boxes take about 2 s
+_SCAN_BOXES = 1200
+
+
+@pytest.mark.parametrize("q", [2.0**-60, 0.05, 0.1353352832366127, 0.5, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("n", [3, 10, 1000, 10**6, 10**9])
+def test_sup_window_closed_form_equals_the_scan(q, n):
+    # q = 0.1353352832366127 puts -2/log q at exactly 1.0
+    g = DeterministicScheme.geometric(q)
+    if window_box_count(g, n) > _SCAN_BOXES:
+        pytest.skip(f"the scan is slow past {_SCAN_BOXES} boxes")
+    assert _sup_rho_window(g, n) == sup_rho_window_scan(g, n)
+
+
+def test_sup_window_near_q_1_keeps_the_scan_values():
+    # the box scan gives these over 330,257 and 125,123 boxes, in minutes of CPU
+    assert _sup_rho_window(DeterministicScheme.geometric(0.99999), 10**6) == 199999
+    assert _sup_rho_window(DeterministicScheme.geometric(0.9999), 10**9) == 19999
 
 
 @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.999, 0.9999])

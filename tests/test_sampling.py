@@ -261,7 +261,7 @@ def test_positive_stable_stability_identity(alpha):
 
 def test_positive_stable_rejects_bad_alpha():
     with pytest.raises(ValueError):
-        sample_positive_stable(1.2, RngStream(0, 0))
+        sample_positive_stable(1.2, RngStream(0, 0), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -358,4 +358,4 @@ def test_inverse_path_validation():
     with pytest.raises(ValueError):
         sample_inverse_subordinator_path(0.5, [1.0], -1.0, RngStream(0, 0))
     with pytest.raises(ValueError):
-        sample_inverse_subordinator_marginal(0.5, 0.0, RngStream(0, 0))
+        sample_inverse_subordinator_marginal(0.5, 0.0, RngStream(0, 0), 10)
