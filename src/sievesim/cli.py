@@ -1,6 +1,6 @@
 """Command-line entry point: run experiments from key-value spec files,
-replay stored environments against the walk identity, run the quick selftest
-suite, and emit plot data as CSV.
+replay stored environments against the walk identity, and run the quick
+selftest suite.
 
 Exit codes: 0 all checks passed, 1 some verdict failed, 2 configuration or
 spec-file error.
@@ -85,7 +85,7 @@ def parse_spec_file(path) -> ExperimentSpec:
         raise SpecFileError(path, 0, str(exc)) from None
 
 
-def _cmd_run(args, emit_only: bool = False) -> int:
+def _cmd_run(args) -> int:
     spec = parse_spec_file(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -93,11 +93,8 @@ def _cmd_run(args, emit_only: bool = False) -> int:
         report = run_experiment(spec, jobs=args.jobs)
     except ConfigurationError as exc:
         raise SpecFileError(args.spec, 0, str(exc)) from None
-    stem = Path(args.spec).stem
-    if emit_only:
-        print(f"wrote {report.write_csv(args.out, stem, timestamp=not args.no_timestamp)}")
-        return 0
-    csv_path, json_path = report.write(args.out, stem, timestamp=not args.no_timestamp)
+    csv_path, json_path = report.write(args.out, Path(args.spec).stem,
+                                       timestamp=not args.no_timestamp)
     print(f"wrote {csv_path} and {json_path}")
     failed = [row for row in report.rows if row.get("passed") is False]
     for row in failed:
@@ -215,9 +212,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sievesim",
         description="Occupancy-scheme and perturbed-random-walk experiment runner")
-    parser.add_argument("verb", choices=["run", "oracle", "selftest", "emit-plot-data"])
+    parser.add_argument("verb", choices=["run", "oracle", "selftest"])
     parser.add_argument("--spec", type=str, default=None,
-                        help="experiment spec file (run/emit) or environment JSON (oracle)")
+                        help="experiment spec file (run) or environment JSON (oracle)")
     parser.add_argument("--out", type=str, default=".",
                         help="output directory for CSV and report")
     parser.add_argument("--seed", type=int, default=None, help="override the spec seed")
@@ -236,7 +233,7 @@ def main(argv=None) -> int:
             return 2
         if args.verb == "oracle":
             return _cmd_oracle(args)
-        return _cmd_run(args, emit_only=(args.verb == "emit-plot-data"))
+        return _cmd_run(args)
     except (SpecFileError, ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

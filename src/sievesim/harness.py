@@ -295,16 +295,11 @@ class ExperimentReport:
                 prefix = f"{target},{n!r},{t!r},"
             yield f"{prefix}{r},{rv!r},{nv!r}"
 
-    def write_csv(self, out_dir, stem: str, timestamp: bool = True):
+    def write(self, out_dir, stem: str, timestamp: bool = True):
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / f"{stem}.csv"
+        csv_path, json_path = out / f"{stem}.csv", out / f"{stem}.json"
         csv_path.write_text("\n".join(self.csv_lines(timestamp)) + "\n")
-        return csv_path
-
-    def write(self, out_dir, stem: str, timestamp: bool = True):
-        csv_path = self.write_csv(out_dir, stem, timestamp)
-        json_path = csv_path.with_suffix(".json")
         json_path.write_text(self.to_json() + "\n")
         return csv_path, json_path
 

@@ -7,6 +7,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,8 +33,10 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# floor(n**t) with an extended-precision guard
+# floor(n**t), exact near integers
 # ---------------------------------------------------------------------------
+
+_FLOOR_CONTEXT = Context(prec=60, rounding=ROUND_FLOOR)
 
 
 @lru_cache(maxsize=1024)
@@ -42,10 +45,11 @@ def floor_power(n: int, t: float) -> int:
     ask for the same few (n, t) pairs again and again.
 
     Double-precision exp/log can misplace the floor when n**t sits within
-    ~1e-9 (relative) of an integer, so that band is recomputed with 60-digit
-    arithmetic; if the high-precision value is itself indistinguishable from
-    an integer and t is a small dyadic rational, the floor is settled by
-    exact integer exponentiation.
+    ~1e-9 (relative) of an integer, so that band is settled exactly.  A double
+    t is p/2^k; for 2^k <= 1024 the floor is k nested integer square roots of
+    n**p, since floor(sqrt(floor(x))) = floor(sqrt(x)).  A longer t makes n**t
+    an integer only at n = 1, and 60-digit decimal ln, product and exp place
+    its floor.
     """
     n = int(n)
     if n < 1:
@@ -57,25 +61,16 @@ def floor_power(n: int, t: float) -> int:
     if t == 1.0:
         return n
     y = math.exp(t * math.log(n))
-    if abs(y - round(y)) < 1e-9 * y:
-        return _floor_power_guarded(n, t)
-    return int(math.floor(y))
-
-
-def _floor_power_guarded(n: int, t: float) -> int:
-    import mpmath  # only near-integer powers need it
-    frac = Fraction(t)  # floats are exact dyadic rationals
-    if frac.denominator <= 1024 and n < (1 << 62):
-        p, q = frac.numerator, frac.denominator
-        npow = n**p
-        c = int(mpmath.floor(mpmath.power(n, t)))
-        while (c + 1) ** q <= npow:
-            c += 1
-        while c >= 1 and c**q > npow:
-            c -= 1
-        return max(c, 1)
-    with mpmath.workdps(60):
-        return max(int(mpmath.floor(mpmath.power(n, mpmath.mpf(t)))), 1)
+    if abs(y - round(y)) >= 1e-9 * y:
+        return int(math.floor(y))
+    p, q = t.as_integer_ratio()
+    if q <= 1024:
+        c = n**p
+        while q > 1:
+            c, q = math.isqrt(c), q >> 1
+        return c
+    ctx = _FLOOR_CONTEXT
+    return int(ctx.exp(ctx.multiply(ctx.ln(n), Decimal(t))))
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +177,10 @@ class SieveEnvironment:
     def num_boxes(self) -> int:
         return len(self.sticks)
 
-    def _extend(self, count: int = _EXTENSION_BLOCK):
+    def _extend(self):
         if self.law is None or self.rng is None:
             raise RuntimeError("frozen environment exhausted; no law attached to extend")
-        self.sticks.extend(self.law.sample(self.rng, count).tolist())
+        self.sticks.extend(self.law.sample(self.rng, _EXTENSION_BLOCK).tolist())
 
     def to_json(self) -> str:
         return json.dumps({"sticks": self.sticks, "cutpoints": self.cutpoints.tolist()})
@@ -287,8 +282,7 @@ def occupy_sieve(env: SieveEnvironment, n: int, rng: RngStream,
     return OccupancyResult(counts, n)
 
 
-def occupy_scheme(scheme: DeterministicScheme, n: int, rng: RngStream,
-                  regime_counter: dict | None = None) -> OccupancyResult:
+def occupy_scheme(scheme: DeterministicScheme, n: int, rng: RngStream) -> OccupancyResult:
     """Sequential-thinning occupancy for the geometric scheme, where
     p_k / (tail from k) = 1 - q for every box."""
     n = int(n)
@@ -300,7 +294,7 @@ def occupy_scheme(scheme: DeterministicScheme, n: int, rng: RngStream,
     k = 0
     while remaining > 0:
         k += 1
-        z = sample_binomial(remaining, cond, rng, regime_counter)
+        z = sample_binomial(remaining, cond, rng)
         if z > 0:
             counts[k] = z
             remaining -= z
@@ -311,7 +305,6 @@ def occupy_scheme(scheme: DeterministicScheme, n: int, rng: RngStream,
 class KProcess:
     """K_n(t) = #{i : 1 <= Z_{n,i} <= floor(n**t)} sampled on a grid."""
 
-    grid: list
     values: list
     k_total: int
 
@@ -322,9 +315,9 @@ def k_process(occ: OccupancyResult, grid) -> KProcess:
     if any(t < 0.0 or t > 1.0 for t in ts):
         raise ValueError("grid must lie in [0, 1]")
     if occ.n == 0:
-        return KProcess(ts, [0] * len(ts), 0)
+        return KProcess([0] * len(ts), 0)
     vals = sorted(occ.counts.values())
-    return KProcess(ts, [bisect_right(vals, floor_power(occ.n, t)) for t in ts], len(vals))
+    return KProcess([bisect_right(vals, floor_power(occ.n, t)) for t in ts], len(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -449,25 +442,30 @@ def _sup_abs_difference(count_values: np.ndarray, g_locations: np.ndarray, n: in
     """Exact sup over t in [0,1] of |K_n(t) - g(t)| for the two step functions.
 
     K jumps where _k_jumps says; g jumps at the supplied locations.  Both are
-    right-continuous, so the sup is realised on the plateau values visited by
-    a merged event walk.
+    right-continuous, so the sup is realised on the plateaus: the running sum
+    of +1 (K) and -1 (g) events, stably sorted by location, read at the last
+    event of each location.
     """
     k_locs = _k_jumps(count_values, n)
-    events = np.concatenate([
-        np.stack([k_locs, np.ones(len(k_locs))], axis=1),
-        np.stack([g_locations, -np.ones(len(g_locations))], axis=1),
-    ])
-    events = events[np.argsort(events[:, 0], kind="stable")]
-    best = 0
-    d = 0
-    i = 0
-    while i < len(events):
-        loc = events[i, 0]
-        while i < len(events) and events[i, 0] == loc:
-            d += int(events[i, 1])
-            i += 1
-        best = max(best, abs(d))
-    return best
+    locs = np.concatenate([k_locs, g_locations])
+    steps = np.repeat(np.array([1, -1], dtype=np.int64), [len(k_locs), len(g_locations)])
+    order = np.argsort(locs, kind="stable")
+    locs, d = locs[order], np.cumsum(steps[order])
+    plateau = np.diff(locs, append=np.inf) != 0.0  # the last event at each location
+    return int(np.abs(d[plateau]).max(initial=0))
+
+
+@lru_cache(maxsize=64)
+def _g_jumps(scheme: DeterministicScheme, n: int) -> np.ndarray:
+    """Where g(t) = rho(n) - rho(n^(1-t)-) jumps, read-only and memoised like
+    floor_power, since every replicate of a (scheme, n) asks for it: once per
+    box with 1/n < p_k <= 1, at t = 1 + log(p_k)/log(n), clipped to [0, 1]."""
+    logn = math.log(n)
+    k_lo = scheme.last_index_gt(Fraction(1) / Fraction(n))
+    locs = np.array([1.0 + math.log(scheme.prob(k)) / logn for k in range(1, k_lo + 1)])
+    locs = np.clip(locs, 0.0, 1.0)
+    locs.flags.writeable = False
+    return locs
 
 
 def approximation_sup(scheme: DeterministicScheme, n: int, rng: RngStream) -> int:
@@ -477,9 +475,5 @@ def approximation_sup(scheme: DeterministicScheme, n: int, rng: RngStream) -> in
     union of their jump locations.  Its mean over replicates estimates the
     left side of the bound that approximation_bound_rhs envelopes.
     """
-    logn = math.log(n)
-    # g jumps once per box with 1/n < p_k <= 1, at t = 1 + log(p_k)/log(n)
-    k_lo = scheme.last_index_gt(Fraction(1) / Fraction(n))
-    g_locs = np.array([1.0 + math.log(scheme.prob(k)) / logn for k in range(1, k_lo + 1)])
     occ = occupy_scheme(scheme, n, rng)
-    return _sup_abs_difference(occ.count_values(), np.clip(g_locs, 0.0, 1.0), n)
+    return _sup_abs_difference(occ.count_values(), _g_jumps(scheme, n), n)

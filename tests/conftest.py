@@ -3,8 +3,9 @@ partition enumeration, the Chinese-restaurant Ewens sampler, a per-ball
 placement reference, the exact expected occupancy of the geometric scheme,
 the lattice inverse-subordinator path, the Chambers-Mallows-Stuck positive
 stable construction, the subordinator marginal, the spectrally negative
-characteristic function, the box scan of P41's window term, and the
-null-model calibration guard.  The oracles stay independent of the library
+characteristic function, the box scan of P41's window term, a walk over
+the merged jumps of P41's two step functions, and the null-model
+calibration guard.  The oracles stay independent of the library
 code paths they check; the guard deliberately pushes the library's own
 limit-law draws through its KS statistics.  `sievesim run` reaches none of
 them."""
@@ -269,6 +270,21 @@ def sup_rho_window_scan(scheme, n: int) -> int:
             if 1.0 <= y <= n:
                 candidates.extend([y, np.nextafter(y, 0.0), np.nextafter(y, np.inf)])
     return max(window_count(min(max(y, 1.0), float(n))) for y in candidates)
+
+
+def sup_abs_difference_walk(k_locs, g_locs) -> int:
+    """sup over t of |K(t) - g(t)| for two right-continuous step functions that
+    jump by one at k_locs and g_locs: walk the merged jumps in location order,
+    settle every jump at a location, then read the plateau."""
+    events = sorted([(float(t), 1) for t in k_locs] + [(float(t), -1) for t in g_locs])
+    best = d = i = 0
+    while i < len(events):
+        loc = events[i][0]
+        while i < len(events) and events[i][0] == loc:
+            d += events[i][1]
+            i += 1
+        best = max(best, abs(d))
+    return best
 
 
 def calibration_guard(seed: int = 0) -> list:

@@ -92,14 +92,6 @@ def test_run_seed_override_changes_output(tmp_path):
     assert (tmp_path / "s1" / "p21.csv").read_bytes() != (tmp_path / "s2" / "p21.csv").read_bytes()
 
 
-def test_emit_plot_data_writes_csv_only(tmp_path):
-    spec_path = write(tmp_path, "p21.cfg", P21_SPEC)
-    code = main(["emit-plot-data", "--spec", str(spec_path), "--out", str(tmp_path / "plot")])
-    assert code == 0
-    assert (tmp_path / "plot" / "p21.csv").exists()
-    assert not (tmp_path / "plot" / "p21.json").exists()
-
-
 def test_malformed_spec_exits_2(tmp_path, capsys):
     spec_path = write(tmp_path, "bad.cfg", "target = B1\nnope = 1\n")
     assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
@@ -316,13 +308,20 @@ def test_bad_oracle_input_exits_2(tmp_path, capsys, text, seed):
 
 
 def test_runtime_imports_no_scipy(tmp_path):
-    # scipy is a test-only dependency: with it blocked, selftest and a run
-    # that takes normal_cdf and the theta != 1 gap law both succeed
+    # scipy and mpmath are test-only dependencies: with both blocked, selftest,
+    # a run that takes normal_cdf and the theta != 1 gap law, and an A1 run
+    # whose 1e12**t lands near an integer in both floor_power tiers (t = 0.25
+    # and 0.5 by integer square roots, t = 0.3333333333333333 by decimal) succeed
     spec = write(tmp_path, "esf.cfg", "target = ESF_FLT\ntheta = 2.5\nn_values = 1e6\n"
                  "replicates = 20\ngrid = 0.5, 1.0\nseed = 5\n"
                  "threshold.ks = 1.0\nthreshold.eq_ks = 1.0\n")
-    code = ("import sys\nsys.modules['scipy'] = None\nfrom sievesim.cli import main\n"
+    a1 = write(tmp_path, "a1.cfg", "target = A1\nstick = beta\ntheta = 1.0\nn_values = 1e12\n"
+               "grid = 0.25, 0.3333333333333333, 0.5, 1.0\ncentering = linear\n"
+               "replicates = 20\nseed = 5\nthreshold.ks = 1.0\nthreshold.cov_tol = 1.0\n")
+    code = ("import sys\nsys.modules['scipy'] = None\nsys.modules['mpmath'] = None\n"
+            "from sievesim.cli import main\n"
             "assert main(['selftest']) == 0\n"
+            f"assert main(['run', '--spec', {str(a1)!r}, '--out', {str(tmp_path / 'a1')!r}]) == 0\n"
             f"sys.exit(main(['run', '--spec', {str(spec)!r}, '--out', {str(tmp_path / 'out')!r}]))\n")
     env = dict(os.environ)
     src = Path(__file__).resolve().parent.parent / "src"
@@ -334,8 +333,7 @@ def test_runtime_imports_no_scipy(tmp_path):
 
 
 def test_cli_import_leaves_mpmath_and_multiprocessing_out():
-    # mpmath serves only near-integer powers, multiprocessing runs --jobs > 1:
-    # a run that needs neither never imports them
+    # the runtime never imports mpmath, and multiprocessing runs only --jobs > 1
     code = ("import sys\nimport sievesim.cli\n"
             "print(sorted({'mpmath', 'multiprocessing'} & set(sys.modules)))\n")
     env = dict(os.environ)

@@ -6,11 +6,13 @@ alters drawn values on purpose re-records them and says why.
 The specs cover each step law the walk draws (exp, pareto with one and
 several blocks, const, independent and shared log sticks), the Feller
 coupling with its sieve half (ESF_FLT, and EQ at n = 1e12 with theta != 1),
-the sieve at depths where floor_power takes its exact-integer path (with
-theta = 1, and with theta = 2 over several stick blocks), P21's
-exact sup path, exppareto sticks in both the ratio (T22) and the process
-(A3) mode, and a seed above 2^32 whose replicate streams cross the edge of a
-1,024-id block of `RngStream` seeding words.
+the sieve at depths where floor_power settles near-integer powers (with
+theta = 1, with theta = 2 over several stick blocks, and on a grid that
+reaches both its integer square-root and its decimal tier), P21's and P41's
+exact sup paths (P41 also where a box probability ties 1/n exactly),
+exppareto sticks in both the ratio (T22) and the process (A3) mode, and a
+seed above 2^32 whose replicate streams cross the edge of a 1,024-id block
+of `RngStream` seeding words.
 """
 
 import hashlib
@@ -87,6 +89,22 @@ GOLDEN = {
         "target = A1\nstick = beta\ntheta = 2.0\nn_values = 1e16\n"
         "grid = 0.25, 0.5, 0.75, 1.0\nreplicates = 40\nseed = 15\n",
         "12d93593b59d82b3faffa3c4d0809dfa71598a8476ca9cd3c8da22db40f58f43"),
+    # the next three were recorded while floor_power still used mpmath and
+    # P41 still rebuilt g's jumps and walked its events in Python, each
+    # replicate: at q = 0.5, p_10 = 1/1024 ties 1/n, which g's jumps exclude
+    "P41_tie": (
+        "target = P41\nq = 0.5\nn_values = 1e3, 1024\nreplicates = 100\nseed = 16\n",
+        "f88de305845e24b69bb4efc24107c9d85c814f1208de25dc68ba1dee4aeccbef"),
+    "P41_q099": (
+        "target = P41\nq = 0.99\nn_values = 1e4\nreplicates = 100\nseed = 17\n",
+        "aaede64bee9892b7e2f096e4393a8a1e5b76ec740cd7adcc6bbf1a006122d58a"),
+    # 1e12**t is within 1e-9 of an integer at every grid point: t = 0.25 and
+    # 0.5 take the integer square roots, t = 0.3333333333333333 the decimal tier
+    "A1_decimal_tier": (
+        "target = A1\nstick = beta\ntheta = 1.0\nn_values = 1e12\n"
+        "grid = 0.25, 0.3333333333333333, 0.5, 1.0\ncentering = linear\n"
+        "replicates = 40\nseed = 18\n",
+        "813b3f3b6b673362114ee34dc4d1470bd99f1bbfa827bdf27a54561e970c569f"),
 }
 
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from scipy.stats import chi2_contingency
 from conftest import (
     expected_occupancy_oracle,
     naive_placement,
+    sup_abs_difference_walk,
     sup_rho_window_scan,
     window_box_count,
 )
@@ -28,7 +30,10 @@ from sievesim.occupancy import (
     occupy_scheme,
     occupy_sieve,
     rho,
+    _g_jumps,
     _integral_term,
+    _k_jumps,
+    _sup_abs_difference,
     _sup_rho_window,
 )
 from sievesim.prw import path_from_sticks, simulate_path, StepLaw
@@ -51,6 +56,29 @@ def test_floor_power_endpoints_and_guard():
         floor_power(0, 0.5)
     with pytest.raises(ValueError):
         floor_power(10, 1.5)
+
+
+def test_floor_power_integer_tier_at_and_above_2_62():
+    assert floor_power(2**62, 0.5) == 2**31
+    assert floor_power(2**64, 0.5) == 2**32
+    assert floor_power(3**40, 0.25) == 3**10
+
+
+@pytest.mark.parametrize("d", [3, 5, 6, 7, 9, 10])
+def test_floor_power_decimal_tier_matches_50_digit_mpmath(d):
+    """t = j/d as a double has a denominator above 1024, so a perfect d-th
+    power n = m^d puts n**t within 1e-9 of an integer in the decimal tier; its
+    neighbours m^d +- 1 sit just inside or outside that band."""
+    checked = 0
+    with mpmath.workdps(50):
+        for m in range(2, min(120, int(2 ** (62 / d)))):
+            for n in (m**d - 1, m**d, m**d + 1):
+                for t in (j / d for j in range(1, d) if 2 * j != d):  # 1/2 is dyadic
+                    assert Fraction(t).denominator > 1024
+                    y = math.exp(t * math.log(n))
+                    checked += abs(y - round(y)) < 1e-9 * y
+                    assert floor_power(n, t) == int(mpmath.floor(mpmath.power(n, mpmath.mpf(t))))
+    assert checked >= 100
 
 
 @st.composite
@@ -429,6 +457,27 @@ def test_bound_rhs_and_lhs_geometric():
         approximation_bound_rhs(g, 2)
     with pytest.raises(ConfigurationError):
         ExperimentSpec(target="P41", n_values=(100,), replicates=10, seed=0)
+
+
+def test_sup_abs_difference_equals_the_jump_walk():
+    """The vectorised sup equals a walk over the merged jumps, also where K's
+    and g's jumps share a location and where g's arrive unsorted."""
+    rng = np.random.default_rng(41)
+    for _ in range(500):
+        n = int(rng.integers(3, 10**6))
+        counts = np.sort(rng.integers(1, 50, size=rng.integers(1, 40)))
+        k_locs = _k_jumps(counts, n)
+        g_locs = np.concatenate([rng.choice(k_locs, size=rng.integers(0, 10)),
+                                 rng.integers(0, 9, size=rng.integers(0, 20)) / 8.0])
+        assert _sup_abs_difference(counts, g_locs, n) == sup_abs_difference_walk(k_locs, g_locs)
+
+
+def test_g_jumps_are_memoised_read_only_and_exclude_the_tie():
+    g = DeterministicScheme.geometric(0.5)
+    locs = _g_jumps(g, 1024)
+    assert locs is _g_jumps(g, 1024) and not locs.flags.writeable
+    # p_k = 2^-k > 1/1024 for k <= 9; p_10 = 1/n is no jump of g
+    assert np.allclose(locs, 1.0 - np.arange(1, 10) / 10.0)
 
 
 def test_bound_lhs_single_box_and_stderr_shrink():
