@@ -181,6 +181,12 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
                 raise ConfigurationError(f"{name} must be finite")
+        for kind, value in self.thresholds.items():
+            if kind not in DEFAULT_THRESHOLDS:
+                raise ConfigurationError(f"unknown threshold {kind!r}: the thresholds are "
+                                         f"{', '.join(DEFAULT_THRESHOLDS)}")
+            if not math.isfinite(value):
+                raise ConfigurationError(f"threshold {kind} must be finite")
         for name, allowed in _CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigurationError(f"{name} must be one of {', '.join(allowed)}, "
@@ -341,18 +347,17 @@ def _stat_replicate(stat: partial, seed: int, stream_base: int, rep: int):
 
 
 def _sieve_stat(law: StickLaw, n: int, grid: tuple, sup: bool, rng: RngStream):
-    """K_n(t) on the grid, K_n, the binomial draws per regime, with sup (P21)
-    the exact sup_t |K_n(t)/K_n - t|, and the _SIEVE_COUNTERS: sticks built
-    to the mass floor, the last box thinned and the sticks a lazy extension
-    added past the floor."""
-    regimes = {}
+    """K_n(t) on the grid, K_n, with sup (P21) the exact sup_t |K_n(t)/K_n - t|,
+    and the _SIEVE_COUNTERS: sticks built to the mass floor, the last box
+    thinned (one binomial draw per box up to it) and the sticks a lazy
+    extension added past the floor."""
     env = build_environment(law, _MIN_MASS, rng)
     built = env.num_boxes
-    occ = occupy_sieve(env, n, rng, regimes)
+    occ = occupy_sieve(env, n, rng)
     kp = k_process(occ, grid)
     sup = _ratio_sup_deviation(occ.count_values(), n) if sup else None
     counters = (built, max(occ.counts, default=0), env.num_boxes - built)
-    return kp.values, kp.k_total, regimes, sup, counters
+    return kp.values, kp.k_total, sup, counters
 
 
 def _cycle_stat(n: int, theta: float, grid: tuple, rng: RngStream) -> list:
@@ -543,7 +548,7 @@ def _ratio_step(spec, law, i_n, nf, draw, report):
                            i_n * spec.replicates)
     totals = np.asarray([r[1] for r in results], dtype=float)  # K_n >= 1 as n >= 1
     if target == "P21":
-        sups = np.asarray([r[3] for r in results])
+        sups = np.asarray([r[2] for r in results])
         report.add_raw(n, 1.0, sups, sups)
         report.rows.append(_row(n, None, "p21_median_sup", float(np.median(sups))))
         return
@@ -677,7 +682,6 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
     if not spec.n_values and target != "P33":
         raise ConfigurationError(f"{target} needs n_values")
     report = ExperimentReport(spec)
-    regimes = {}
     sieve = dict.fromkeys(_SIEVE_COUNTERS, 0)
     replicates = 0
     t_start = time.perf_counter()
@@ -690,10 +694,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
                                   spec.replicates, jobs)
         if stat.func is not _sieve_stat:
             return np.asarray(results, dtype=float), results
-        for _, _, regs, _, _ in results:
-            for k, v in regs.items():
-                regimes[k] = regimes.get(k, 0) + v
-        for k, column in zip(_SIEVE_COUNTERS, zip(*[r[4] for r in results])):
+        for k, column in zip(_SIEVE_COUNTERS, zip(*[r[3] for r in results])):
             sieve[k] += sum(column)
         return np.asarray([r[0] for r in results], dtype=float), results
 
@@ -726,5 +727,5 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
     runtime = time.perf_counter() - t_start
     report.metadata = {"seed": spec.seed, "runtime_s": runtime, "replicates": replicates,
                        "replicates_per_s": replicates / runtime,
-                       "binomial_regimes": regimes, "sieve": sieve, "version": __version__}
+                       "sieve": sieve, "version": __version__}
     return report

@@ -255,8 +255,7 @@ class OccupancyResult:
         return OccupancyResult({int(k): int(v) for k, v in obj["counts"]}, int(obj["n"]))
 
 
-def occupy_sieve(env: SieveEnvironment, n: int, rng: RngStream,
-                 regime_counter: dict | None = None) -> OccupancyResult:
+def occupy_sieve(env: SieveEnvironment, n: int, rng: RngStream) -> OccupancyResult:
     """Place n balls by sequential binomial thinning.
 
     Conditionally on landing beyond the first k-1 boxes, a ball falls into
@@ -274,7 +273,7 @@ def occupy_sieve(env: SieveEnvironment, n: int, rng: RngStream,
     while remaining > 0:
         if k == len(sticks):
             env._extend()
-        z = sample_binomial(remaining, 1.0 - sticks[k], rng, regime_counter)
+        z = sample_binomial(remaining, 1.0 - sticks[k], rng)
         k += 1
         if z > 0:
             counts[k] = z
@@ -419,23 +418,17 @@ def _k_jumps(count_values: np.ndarray, n: int) -> np.ndarray:
 
 
 def _ratio_sup_deviation(count_values: np.ndarray, n: int) -> float:
-    """Exact sup over t in [0,1] of |K_n(t)/K_n - t|.
+    """Exact sup over t in [0,1] of |K_n(t)/K_n - t|, for K_n >= 1.
 
     Between jumps of K the deviation drifts linearly; at a jump location both
-    the left limit and the new plateau are candidates, and so are the
-    endpoints.
+    the left limit and the new plateau are candidates, and so is the tail
+    drift to t = 1.
     """
-    k_total = len(count_values)
     locs, counts = np.unique(_k_jumps(count_values, n), return_counts=True)
-    cum = np.cumsum(counts)
-    best = 0.0
-    prev_ratio = 0.0
-    for loc, c in zip(locs, cum):
-        best = max(best, abs(prev_ratio - loc))          # just before the jump
-        prev_ratio = c / k_total
-        best = max(best, abs(prev_ratio - loc))          # at the jump
-    best = max(best, abs(prev_ratio - 1.0))              # tail drift to t = 1
-    return best
+    after = np.cumsum(counts) / len(count_values)
+    before = np.concatenate(([0.0], after[:-1]))
+    return float(max(np.abs(before - locs).max(), np.abs(after - locs).max(),
+                     abs(after[-1] - 1.0)))
 
 
 def _sup_abs_difference(count_values: np.ndarray, g_locations: np.ndarray, n: int) -> int:

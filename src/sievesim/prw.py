@@ -67,8 +67,9 @@ class StepLaw:
             raise ValueError(f"unknown dependence: {self.dependence!r}")
 
     @staticmethod
-    def exp_exp(rate_xi=1.0, rate_eta=1.0):
-        return StepLaw(("exp", rate_xi), ("exp", rate_eta))
+    def exp_exp():
+        """Unit-rate exponential xi and eta, independent."""
+        return StepLaw(("exp", 1.0), ("exp", 1.0))
 
     @staticmethod
     def shared_stick(stick: StickLaw):

@@ -4,8 +4,7 @@ and binomials.
 Every sampler is a deterministic function of an explicit :class:`RngStream`,
 so replicate workers that own distinct ``stream_id`` values can run
 concurrently without sharing state.  Exactness guarantees are documented per
-sampler; approximation regimes (the Gaussian-rounded binomial branch) are
-reported through the optional ``regime_counter`` argument.
+sampler; binomials come from numpy's generator at every depth.
 """
 
 import math
@@ -303,11 +302,15 @@ class StickLaw:
         return _gauss_legendre_panels(self.cdf_abs_log1m, breaks)
 
 
-def _gauss_legendre_panels(fn, breaks, panels_per_piece=24, order=24):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+_GL_PANELS = 24  # panels per piece between breaks
+_GL_ORDER = 24   # Gauss-Legendre nodes per panel
+
+
+def _gauss_legendre_panels(fn, breaks):
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
     total = 0.0
     for lo, hi in zip(breaks[:-1], breaks[1:]):
-        edges = np.linspace(lo, hi, panels_per_piece + 1)
+        edges = np.linspace(lo, hi, _GL_PANELS + 1)
         for p0, p1 in zip(edges[:-1], edges[1:]):
             mid = 0.5 * (p0 + p1)
             half = 0.5 * (p1 - p0)
@@ -319,54 +322,42 @@ def _gauss_legendre_panels(fn, breaks, panels_per_piece=24, order=24):
 # binomial sampling
 # ---------------------------------------------------------------------------
 
-# Regime thresholds: exact inversion below 30 expected successes, exact
-# BTPE-class accept-reject up to variance 1e7, Gaussian rounding above.  The
-# Gaussian branch is only reachable for boxes whose counts are millions deep,
-# far from the small-count statistics.
+# numpy's generator inverts the CDF up to 30 expected successes (or failures)
+# and draws by BTPE (Kachitvichyanukul and Schmeiser, Commun. ACM 31(2), 1988)
+# above.  Past 2^60 trials its draws overstate the variance (by 2% at 2^61,
+# 6-8% at 2^62), so a larger n is drawn as a sum over chunks of at most 2^60.
 BINOMIAL_INVERSION_LIMIT = 30.0
-BINOMIAL_GAUSSIAN_VARIANCE = 1.0e7
+BINOMIAL_CHUNK = 1 << 60
 
 
 def binomial_regime(n: int, p: float) -> str:
-    """Which sampling branch sample_binomial uses for (n, p)."""
+    """Which branch numpy's sampler takes for one draw of (n, p)."""
     if n == 0 or p <= 0.0 or p >= 1.0:
         return "degenerate"
-    if n * p * (1.0 - p) > BINOMIAL_GAUSSIAN_VARIANCE:
-        return "gaussian"
     if n * min(p, 1.0 - p) <= BINOMIAL_INVERSION_LIMIT:
         return "inversion"
     return "btpe"
 
 
-def sample_binomial(n: int, p: float, rng: RngStream, regime_counter: dict | None = None) -> int:
-    """Binomial(n, p) draw; exact except in the Gaussian-rounded regime.
+def sample_binomial(n: int, p: float, rng: RngStream) -> int:
+    """Binomial(n, p) draw by numpy's sampler, as a Python int.
 
-    The inversion and BTPE regimes delegate to numpy's generator, whose
-    internal switch matches the thresholds above.  n may be as large as
-    2**62; results are returned as Python ints so totals stay exact.
+    n <= 2^60 takes one numpy draw; a larger n (up to 2^62 in the sieve)
+    takes one per full chunk of 2^60 trials, then one for the rest.  The
+    degenerate cases draw nothing.
     """
     n = int(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    # binomial_regime, inlined (this runs once per box of every replicate):
-    # each branch counts its regime and returns its draw
     if n == 0 or p == 0.0 or p == 1.0:
-        if regime_counter is not None:
-            regime_counter["degenerate"] = regime_counter.get("degenerate", 0) + 1
         return n if p == 1.0 else 0
-    q = 1.0 - p
-    var = n * p * q
-    if var > BINOMIAL_GAUSSIAN_VARIANCE:
-        if regime_counter is not None:
-            regime_counter["gaussian"] = regime_counter.get("gaussian", 0) + 1
-        x = round(n * p + math.sqrt(var) * rng.gen.standard_normal())
-        return 0 if x < 0 else n if x > n else x
-    if regime_counter is not None:
-        regime = "inversion" if n * (p if p < q else q) <= BINOMIAL_INVERSION_LIMIT else "btpe"
-        regime_counter[regime] = regime_counter.get(regime, 0) + 1
-    return int(rng.gen.binomial(n, p))
+    x = 0
+    while n > BINOMIAL_CHUNK:
+        x += int(rng.gen.binomial(BINOMIAL_CHUNK, p))
+        n -= BINOMIAL_CHUNK
+    return x + int(rng.gen.binomial(n, p))
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,19 @@ def sup_abs_difference_walk(k_locs, g_locs) -> int:
     return best
 
 
+def ratio_sup_walk(k_locs, k_total: int) -> float:
+    """sup over t of |K(t)/K - t| for K jumping by one at each of k_locs: walk
+    the distinct locations in order, reading the left limit and the new
+    plateau at each, then the drift to t = 1."""
+    locs, counts = np.unique(k_locs, return_counts=True)
+    best = prev_ratio = 0.0
+    for loc, c in zip(locs, np.cumsum(counts)):
+        best = max(best, abs(prev_ratio - loc))
+        prev_ratio = c / k_total
+        best = max(best, abs(prev_ratio - loc))
+    return max(best, abs(prev_ratio - 1.0))
+
+
 def calibration_guard(seed: int = 0) -> list:
     """Push limit-law draws through the same KS pipeline.
 

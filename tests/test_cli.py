@@ -153,6 +153,8 @@ _VALUE_ERROR_LINE = {"target = B1\nn_values = 100\nreplicates = 2.7\n": 3,
     "target = P21\nn_values = 1\n",                             # log n = 0
     "target = B1\nn_values = 100\nreplicates = 2.7\n",
     "target = B1\nn_values = 100\nseed = 1.9\n",
+    "target = A1\nn_values = 1e4\nthreshold.cov = 1.0\n",       # the key is cov_tol
+    "target = A1\nn_values = 1e4\nthreshold.ks = nan\n",
 ], ids=["A3_beta_stick", "B3_exp_steps", "B4_index_1", "A1_n_below_1", "P21_no_n",
         "A1_no_n", "mode_typo", "centering_typo", "dependence_typo", "xi_unknown",
         "P33_no_x", "P33_one_replicate", "P32_negative_b", "P41_n_below_3",
@@ -160,7 +162,8 @@ _VALUE_ERROR_LINE = {"target = B1\nn_values = 100\nreplicates = 2.7\n": 3,
         "A1_theta_0", "T22_alpha_0.02", "B4_index_0.02", "B1_empty_grid", "A1_n_inf",
         "P31_n_inf", "P41_n_inf", "A1_n_nan", "seed_negative", "P33_y_negative",
         "P33_x_negative", "P33_y_nan", "P32_b_inf", "B4_n_negative",
-        "B1_grid_decreasing", "P21_n_1", "replicates_2.7", "seed_1.9"])
+        "B1_grid_decreasing", "P21_n_1", "replicates_2.7", "seed_1.9", "threshold_misspelt",
+        "threshold_nan"])
 def test_bad_spec_exits_2_before_any_replicate(tmp_path, capsys, monkeypatch, spec_text):
     def no_replicates(*args):
         raise AssertionError("a replicate was drawn")

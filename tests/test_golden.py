@@ -52,14 +52,19 @@ GOLDEN = {
         "target = ESF_FLT\ntheta = 1.0\nn_values = 1000, 5000\ngrid = 0.5, 1.0\n"
         "replicates = 40\nseed = 7\n",
         "5e23ed100e5b85351d5ef6ae5677964ac2ab351b92e8d821686fc914a1073280"),
+    # A1, P21_sup, A3_exppareto, EQ_deep, A1_wide_seed, A1_theta2_deep and
+    # A1_decimal_tier were re-recorded when sample_binomial stopped rounding a
+    # Gaussian for draws of variance above 1e7: numpy's sampler now draws
+    # every box (220 to 2,203 such draws per spec had been Gaussian).
+    # T22_ratio_exppareto had 55 too, yet its ratios came out the same.
     "A1": (
         "target = A1\nstick = beta\ntheta = 1.0\nn_values = 1e8, 1e12\n"
         "grid = 0.25, 0.5, 0.75, 1.0\ncentering = linear\nreplicates = 40\nseed = 8\n",
-        "6b5111df061865dc19e33719948cd7de4ac555f7e073ec370ce77b8dc35a0300"),
+        "6e0621ddfb14d4d3c868371a91f8062114ce7801d95d2fdfdcd9461441a048dc"),
     "P21_sup": (
         "target = P21\nstick = beta\ntheta = 1.0\nn_values = 1e4, 1e12\ngrid = 1.0\n"
         "replicates = 40\nseed = 11\n",
-        "08320ea14cb8f672d2aaf98583dc3050743f5d3f6647bb520ff1c77e9400b60d"),
+        "a769195c2d1c3877419e8f94760169495919f26690cb262c1445b53550f3ba02"),
     "T22_ratio_exppareto": (
         "target = T22\nmode = ratio\nstick = exppareto\nalpha = 0.5\nn_values = 1e12\n"
         "grid = 0.5, 1.0\nreplicates = 40\nseed = 12\n",
@@ -67,28 +72,29 @@ GOLDEN = {
     "A3_exppareto": (
         "target = A3\nstick = exppareto\nalpha = 1.5\nn_values = 1e8, 1e12\n"
         "grid = 0.5, 1.0\nreplicates = 40\nseed = 13\n",
-        "31e16765581d18c4fa84b803f0452f2ecc1e0e791c901a03a91cb49344052266"),
+        "61f23cfe52304c96a203898c446844551106070b2215d7f4b6cca03760b72892"),
     # recorded when EQ began to draw its cycles with the Feller coupling
     # instead of the Chinese restaurant, whose n uniforms per replicate put
     # n = 1e12 out of reach
     "EQ_deep": (
         "target = EQ\ntheta = 1.5\nn_values = 1e12\ngrid = 0.5, 1.0\n"
         "replicates = 40\nseed = 14\n",
-        "ebc0384f37a7521353a1967b500b55b67c06b9e1df5d687d48906f09c06e1b6a"),
-    # recorded with numpy's SeedSequence building every stream, before the
-    # seeding words were hashed a block of ids at a time: a two-word seed,
-    # and replicate ids 0..1199, which cross the block edge at 1024
+        "12406cca0a2c414f99b484c66d68272824c1d8552b3b365a84f4cd45cd9ccc7b"),
+    # first recorded with numpy's SeedSequence building every stream, before
+    # the seeding words were hashed a block of ids at a time, and re-recorded
+    # with the one binomial sampler, which SeedSequence streams reproduce too:
+    # a two-word seed, and replicate ids 0..1199, which cross the block edge
+    # at 1024
     "A1_wide_seed": (
         "target = A1\nstick = beta\ntheta = 1.0\nn_values = 1e4, 1e9\ngrid = 0.5, 1.0\n"
         "centering = linear\nreplicates = 600\nseed = 4294967301\n",
-        "0d5ea081d7c381cf315cd408d41ad4a6241b2a7f57ad5763851369d999ad155a"),
-    # recorded before the sieve replicate moved from numpy arrays to Python
-    # floats: theta = 2 resolves 2^-80 in about four 32-stick blocks, and
-    # n = 1e16 thins through Gaussian, BTPE and inversion binomials
+        "0c97d895b6dbc9ec904d6c0b704a88677bdebdea0a558601efacf6d599471096"),
+    # theta = 2 resolves 2^-80 in about four 32-stick blocks, and n = 1e16
+    # thins through BTPE and inversion binomials
     "A1_theta2_deep": (
         "target = A1\nstick = beta\ntheta = 2.0\nn_values = 1e16\n"
         "grid = 0.25, 0.5, 0.75, 1.0\nreplicates = 40\nseed = 15\n",
-        "12d93593b59d82b3faffa3c4d0809dfa71598a8476ca9cd3c8da22db40f58f43"),
+        "d5032802d1055885b4274d080b68ef40598bea6f7a357f15fa7e02f063522bb1"),
     # the next three were recorded while floor_power still used mpmath and
     # P41 still rebuilt g's jumps and walked its events in Python, each
     # replicate: at q = 0.5, p_10 = 1/1024 ties 1/n, which g's jumps exclude
@@ -104,7 +110,7 @@ GOLDEN = {
         "target = A1\nstick = beta\ntheta = 1.0\nn_values = 1e12\n"
         "grid = 0.25, 0.3333333333333333, 0.5, 1.0\ncentering = linear\n"
         "replicates = 40\nseed = 18\n",
-        "813b3f3b6b673362114ee34dc4d1470bd99f1bbfa827bdf27a54561e970c569f"),
+        "8816f68f07ed76b3205117cdb807ee5eec22fe69b4c61ff6da6de4f060037af8"),
 }
 
 

@@ -22,7 +22,7 @@ from sievesim.harness import (
 from sievesim.limits import centering_prw, normal_cdf
 from sievesim.occupancy import DeterministicScheme, approximation_sup
 from sievesim.prw import lln_sup_deviation, max_window_count, simulate_path
-from sievesim.sampling import RngStream, StickLaw
+from sievesim.sampling import RngStream, StickLaw, sample_binomial
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,6 @@ def test_sieve_runner_degenerate_grid_point():
     row0 = [r for r in rep.rows if r.get("t") == 0.0][0]
     assert row0["stat"] == "report_only" and row0["passed"] is None
     assert any(r["stat"] == "ks_normal" for r in rep.rows)
-    assert rep.metadata["binomial_regimes"]  # sampler regimes recorded
 
 
 def test_ratio_runner_endpoint_identities():
@@ -212,7 +211,14 @@ def test_t22_runner_smoke():
     assert rep.rows[0]["stat"] == "ks_two_sample"
 
 
-def test_dispatcher_covers_every_target():
+def test_dispatcher_covers_every_target(monkeypatch):
+    draws = []
+
+    def counted_binomial(n, p, rng):
+        draws.append(n)
+        return sample_binomial(n, p, rng)
+
+    monkeypatch.setattr("sievesim.occupancy.sample_binomial", counted_binomial)
     small = dict(n_values=(200.0,), replicates=12, grid=(0.5, 1.0), seed=9,
                  thresholds={"ks": 1.0, "ratio_ks": 1.0, "eq_ks": 1.0, "cov_tol": 10.0,
                              "p21_final": 10.0})
@@ -244,6 +250,7 @@ def test_dispatcher_covers_every_target():
     ]
     metadata_keys = set()
     for spec in specs:
+        draws.clear()
         rep = run_experiment(spec)
         assert rep.rows, spec.target
         metadata_keys.add(tuple(sorted(rep.metadata)))
@@ -251,16 +258,16 @@ def test_dispatcher_covers_every_target():
         assert rep.metadata["replicates_per_s"] > 0.0, spec.target
         sieve = rep.metadata["sieve"]
         assert set(sieve) == {"boxes_built", "boxes_resolved", "lazy_extensions"}
-        # one binomial draw per box thinned, and thinning ends at the last box
-        assert sieve["boxes_resolved"] == sum(rep.metadata["binomial_regimes"].values())
         if spec.target in _SIEVE + ("P21", "EQ", "ESF_FLT"):
+            # one binomial draw per box thinned, and thinning ends at the last box
+            assert sieve["boxes_resolved"] == len(draws), spec.target
             assert (sieve["boxes_built"] + sieve["lazy_extensions"]
                     >= sieve["boxes_resolved"] > 0), spec.target
         else:
             assert set(sieve.values()) == {0}, spec.target
     assert {spec.target for spec in specs} == set(TARGETS)
-    assert metadata_keys == {("binomial_regimes", "replicates", "replicates_per_s", "runtime_s",
-                              "seed", "sieve", "version")}
+    assert metadata_keys == {("replicates", "replicates_per_s", "runtime_s", "seed", "sieve",
+                              "version")}
 
 
 def test_ratio_t22_smoke():

@@ -12,6 +12,7 @@ from scipy.stats import chi2_contingency
 from conftest import (
     expected_occupancy_oracle,
     naive_placement,
+    ratio_sup_walk,
     sup_abs_difference_walk,
     sup_rho_window_scan,
     window_box_count,
@@ -33,6 +34,7 @@ from sievesim.occupancy import (
     _g_jumps,
     _integral_term,
     _k_jumps,
+    _ratio_sup_deviation,
     _sup_abs_difference,
     _sup_rho_window,
 )
@@ -470,6 +472,19 @@ def test_sup_abs_difference_equals_the_jump_walk():
         g_locs = np.concatenate([rng.choice(k_locs, size=rng.integers(0, 10)),
                                  rng.integers(0, 9, size=rng.integers(0, 20)) / 8.0])
         assert _sup_abs_difference(counts, g_locs, n) == sup_abs_difference_walk(k_locs, g_locs)
+
+
+def test_ratio_sup_equals_the_jump_walk():
+    """P21's vectorised sup equals the walk over K's jumps float for float,
+    with tied counts, counts of 1 (jumps at t = 0) and n up to 2^62."""
+    rng = np.random.default_rng(43)
+    for i in range(2000):
+        n = (1 << 62) if i % 4 == 0 else int(rng.integers(2, 10**12))
+        high = min(n, int(rng.choice([3, 50, 10**6, n])))
+        counts = np.sort(rng.integers(1, high, size=rng.integers(1, 60), endpoint=True))
+        expected = ratio_sup_walk(_k_jumps(counts, n), len(counts))
+        assert _ratio_sup_deviation(counts, n) == expected
+    assert _ratio_sup_deviation(np.array([1 << 62]), 1 << 62) == 1.0
 
 
 def test_g_jumps_are_memoised_read_only_and_exclude_the_tie():

@@ -180,7 +180,7 @@ def test_binomial_pmf_total_variation():
 @pytest.mark.parametrize("n,p,expected_regime", [
     (50, 0.1, "inversion"),
     (10**4, 0.3, "btpe"),
-    (10**9, 0.5, "gaussian"),
+    (10**9, 0.5, "btpe"),
 ])
 def test_binomial_regime_moments(n, p, expected_regime):
     assert binomial_regime(n, p) == expected_regime
@@ -196,36 +196,39 @@ def test_binomial_regime_moments(n, p, expected_regime):
     assert abs(xs.var(ddof=1) - var) < 3.0 * se_var
 
 
-_REGIME_EDGES = [
-    (0, 0.3), (10**6, 0.0), (10**6, 1.0),
+@pytest.mark.parametrize("n,p", [
     (60, 0.5), (61, 0.5), (120, 0.75), (121, 0.75),        # n min(p, 1-p) = 30 | 30.25
-    (40_000_000, 0.5), (40_000_004, 0.5),                  # n p (1-p) = 1e7 | 1e7 + 1
-    (1 << 62, 0.5), (1 << 62, 1e-20), (1 << 62, 5e-18), (1 << 62, 1.0 - 2**-53),
-]
+    (40_000_004, 0.5), (10**9, 0.5), (10**16, 0.3), (1 << 60, 0.5), (1 << 60, 1e-17),
+])
+def test_sample_binomial_is_one_numpy_draw_up_to_2_60(n, p):
+    # the draw sequence the golden digests rest on, also where the sampler
+    # once rounded a Gaussian (n p (1-p) > 1e7)
+    for stream_id in range(3):
+        expected = int(RngStream(12, stream_id).gen.binomial(n, p))
+        assert sample_binomial(n, p, RngStream(12, stream_id)) == expected
 
 
-@pytest.mark.parametrize("n,p", _REGIME_EDGES)
-def test_sample_binomial_counts_the_regime_binomial_regime_names(n, p):
-    counter = {}
-    sample_binomial(n, p, RngStream(11, 0), counter)
-    assert counter == {binomial_regime(n, p): 1}
+def test_sample_binomial_above_2_60_sums_chunks_of_2_60():
+    for stream_id in range(3):
+        gen = RngStream(13, stream_id).gen
+        expected = int(gen.binomial(1 << 60, 0.5)) + int(gen.binomial(1, 0.5))
+        assert sample_binomial((1 << 60) + 1, 0.5, RngStream(13, stream_id)) == expected
 
 
-@pytest.mark.parametrize("n,p", [(40_000_004, 0.5), (1 << 62, 0.5), (1 << 62, 1e-11)])
-def test_gaussian_branch_rounds_mean_plus_sd_times_one_normal(n, p):
-    assert binomial_regime(n, p) == "gaussian"
-    z = RngStream(12, 0).gen.standard_normal()
-    expected = min(max(int(round(n * p + math.sqrt(n * p * (1.0 - p)) * z)), 0), n)
-    assert sample_binomial(n, p, RngStream(12, 0)) == expected
+def test_chunked_binomial_variance_at_2_62():
+    # one numpy draw at n = 2^62 reads a standardised variance of 1.06 to 1.08
+    n, p, draws = 1 << 62, 0.5, 10**5
+    rng = RngStream(14, 0)
+    z = np.array([sample_binomial(n, p, rng) - (n >> 1) for _ in range(draws)], dtype=float)
+    z /= math.sqrt(n * p * (1.0 - p))
+    assert abs(z.var(ddof=1) - 1.0) < 4.0 * math.sqrt(2.0 / (draws - 1))
 
 
 def test_binomial_huge_n_stays_exact_integer():
     rng = RngStream(10, 0)
-    counter = {}
     n = 1 << 62
-    x = sample_binomial(n, 0.5, rng, counter)
+    x = sample_binomial(n, 0.5, rng)
     assert isinstance(x, int) and 0 <= x <= n
-    assert counter == {"gaussian": 1}
     y = sample_binomial(n, 1e-18, rng)  # about 4.6 expected successes
     assert 0 <= y < 100
 
