@@ -1,6 +1,5 @@
-"""Command-line entry point: run experiments from key-value spec files,
-replay stored environments against the walk identity, and run the quick
-selftest suite.
+"""Command-line entry point: run experiments from key-value spec files and
+replay stored environments against the walk identity.
 
 Exit codes: 0 all checks passed, 1 some verdict failed, 2 configuration or
 spec-file error.
@@ -14,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import ConfigurationError, ExperimentSpec, ks_two_sample, run_experiment
+from .harness import ConfigurationError, ExperimentSpec, run_experiment
 from .occupancy import SieveEnvironment, rho
 from .prw import path_from_sticks
 from .sampling import RngStream
@@ -29,10 +28,8 @@ class SpecFileError(Exception):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
-_LIST_KEYS = {"n_values", "grid", "x_values", "y_values"}
-_INT_KEYS = {"replicates", "seed"}
-_FLOAT_KEYS = {"theta", "alpha", "xi_param", "eta_param", "q", "b", "c"}
-_STR_KEYS = {"target", "mode", "stick", "xi", "eta", "dependence", "centering"}
+# every key but threshold.<name> is an ExperimentSpec field, parsed by its type
+_KEY_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentSpec) if f.type is not dict}
 
 
 def parse_spec_file(path) -> ExperimentSpec:
@@ -58,19 +55,17 @@ def parse_spec_file(path) -> ExperimentSpec:
         try:
             if key.startswith("threshold."):
                 thresholds[key.split(".", 1)[1]] = float(value)
-            elif key in _LIST_KEYS:
+            elif key not in _KEY_TYPES:
+                raise SpecFileError(path, line_no, f"unknown key {key!r}")
+            elif _KEY_TYPES[key] is tuple:
                 fields[key] = tuple(float(v) for v in value.split(",") if v.strip())
-            elif key in _INT_KEYS:
+            elif _KEY_TYPES[key] is int:
                 number = float(value)
                 if not number.is_integer():  # also nan and the infinities
                     raise SpecFileError(path, line_no, f"{key} must be an integer, not {value}")
                 fields[key] = int(number)
-            elif key in _FLOAT_KEYS:
-                fields[key] = float(value)
-            elif key in _STR_KEYS:
-                fields[key] = value
-            else:
-                raise SpecFileError(path, line_no, f"unknown key {key!r}")
+            else:  # float or str
+                fields[key] = _KEY_TYPES[key](value)
         except SpecFileError:
             raise
         except ValueError as exc:
@@ -133,86 +128,11 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _selftest_checks():
-    """Quick deterministic checks, one per core trivial contract."""
-    from . import ewens, limits, occupancy, prw, sampling
-
-    rng = RngStream(1234, 0)
-    checks = []
-
-    def add(name, fn):
-        checks.append((name, fn))
-
-    add("beta(1) stick is uniform-mean",
-        lambda: abs(float(np.mean(sampling.StickLaw.beta(1.0).sample(RngStream(1, 0), 100000))) - 0.5) < 0.005)
-    add("binomial degenerate n=0", lambda: sampling.sample_binomial(0, 0.3, rng) == 0)
-    add("binomial certain success", lambda: sampling.sample_binomial(10**6, 1.0, rng) == 10**6)
-    add("positive stable Laplace transform at 1",
-        lambda: abs(float(np.mean(np.exp(-sampling.sample_standard_positive_stable(0.5, RngStream(2, 0), 100000)))) - math.exp(-1.0)) < 0.005)
-    add("geometric rho(8) = 3",
-        lambda: occupancy.rho(occupancy.DeterministicScheme.geometric(0.5), 8.0) == 3)
-    add("rho vanishes below first box",
-        lambda: occupancy.rho(occupancy.DeterministicScheme.geometric(0.5), 1.5) == 0)
-    add("single ball occupies one box",
-        lambda: occupancy.occupy_sieve(
-            occupancy.build_environment(sampling.StickLaw.beta(1.0), 2**-40, RngStream(3, 0)),
-            1, RngStream(3, 1)).total() == 1)
-    add("x0 defining equation",
-        lambda: abs(occupancy.bound_constant_x0() - occupancy.bound_constant_x0()**0.75 - 1.0) < 1e-10)
-    unit = prw.StepLaw(("const", 1.0), ("const", 0.5))
-    add("deterministic walk N(2) = 2",
-        lambda: prw.simulate_path(unit, 2.0, rng).count_visits(2.0) == 2)
-    add("renewals vanish left of zero",
-        lambda: prw.simulate_path(prw.StepLaw.exp_exp(), 0.0, rng).count_renewals(-1.0) == 0)
-    add("unit-step renewal floor",
-        lambda: prw.simulate_path(unit, 3.5, rng).count_renewals(3.5) == 4)
-    add("feller n=1 single fixed point",
-        lambda: ewens.sample_cycles_feller(1, 2.0, rng).counts == {1: 1})
-    add("identity permutation cycle process is flat",
-        lambda: list(ewens.c_process(ewens.CycleCounts(5, 1.0, {1: 5}), [0.0, 0.5, 1.0])) == [5, 5, 5])
-    add("normal cdf at zero", lambda: limits.normal_cdf(0.0) == 0.5)
-    add("normal cdf symmetry",
-        lambda: abs(limits.normal_cdf(1.7) + limits.normal_cdf(-1.7) - 1.0) < 1e-12)
-    add("exact normalizer c(8) = 4",
-        lambda: abs(limits.normalizer_c(8.0, 1.5) - 4.0) < 1e-12)
-    add("centering vanishes at t=0",
-        lambda: limits.centering_u_v(sampling.StickLaw.beta(1.0), 1000, 0.0) == (0.0, 0.0))
-    add("prw centering below constant support",
-        lambda: limits.centering_prw(("const", 2.0), 1.0, 1.0, 1.0) == 0.0)
-    add("ks of identical samples",
-        lambda: ks_two_sample([1.0, 2.0], [1.0, 2.0]) == 0.0)
-    add("ks of disjoint singletons",
-        lambda: ks_two_sample([0.0], [1.0]) == 1.0)
-    add("streams are numpy's SeedSequence-seeded PCG64",
-        lambda: all(np.array_equal(
-            RngStream(seed, i).gen.random(4),
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
-            .random(4)) for seed, i in ((0, 0), (2**32 + 5, 1023), (1234, 2**40 + 4161))))
-    add("inverse ratio atom at alpha = t = 1/2 is 1/2",
-        lambda: abs(float(np.mean(limits.sample_inverse_ratio(0.5, 0.5, RngStream(5, 0), 10**5)
-                                  == 0.0)) - 0.5) < 0.01)
-    return checks
-
-
-def _cmd_selftest(_args) -> int:
-    failures = 0
-    for name, fn in _selftest_checks():
-        try:
-            ok = bool(fn())
-        except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
-            ok = False
-            print(f"ERROR {name}: {exc}")
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        failures += 0 if ok else 1
-    print(f"selftest: {'all-pass' if failures == 0 else f'{failures} failed'}")
-    return 0 if failures == 0 else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sievesim",
         description="Occupancy-scheme and perturbed-random-walk experiment runner")
-    parser.add_argument("verb", choices=["run", "oracle", "selftest"])
+    parser.add_argument("verb", choices=["run", "oracle"])
     parser.add_argument("--spec", type=str, default=None,
                         help="experiment spec file (run) or environment JSON (oracle)")
     parser.add_argument("--out", type=str, default=".",
@@ -226,8 +146,6 @@ def main(argv=None) -> int:
         print("--jobs must be >= 1", file=sys.stderr)
         return 2
     try:
-        if args.verb == "selftest":
-            return _cmd_selftest(args)
         if args.spec is None:
             print(f"{args.verb} requires --spec", file=sys.stderr)
             return 2

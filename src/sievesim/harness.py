@@ -11,7 +11,7 @@ import json
 import math
 import pathlib
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -75,9 +75,6 @@ _SIEVE_COUNTERS = ("boxes_built", "boxes_resolved", "lazy_extensions")
 _REFERENCE_BLOCK = {("A3", False): 0, ("T22", False): 0, ("T22", True): 4096,
                     ("A3", True): 8192, ("B3", False): 16384, ("B4", False): 16384}
 
-# every numeric field; a nan or an infinity in any of them is a spec error
-_FINITE = ("n_values", "x_values", "y_values", "theta", "alpha", "xi_param", "eta_param",
-           "q", "b", "c")
 _CHOICES = {"mode": ("process", "ratio"), "stick": ("beta", "exppareto"),
             "xi": ("exp", "pareto", "const", "logstick"), "eta": ("exp", "const", "log1mstick"),
             "dependence": ("independent", "sharedstick"), "centering": ("u", "linear")}
@@ -150,7 +147,7 @@ class ExperimentSpec:
     replicates: int = 200
     grid: tuple = (1.0,)
     seed: int = 0
-    mode: str = "process"          # process | ratio (sieve targets)
+    mode: str = "process"          # process | ratio (sieve targets and P21)
     stick: str = "beta"            # beta | exppareto
     theta: float = 1.0
     alpha: float = 0.5
@@ -191,6 +188,9 @@ class ExperimentSpec:
             if getattr(self, name) not in allowed:
                 raise ConfigurationError(f"{name} must be one of {', '.join(allowed)}, "
                                          f"not {getattr(self, name)!r}")
+        if self.mode == "ratio" and self.target not in _SIEVE + ("P21",):
+            raise ConfigurationError(f"{self.target} has no ratio mode: mode = ratio applies "
+                                     f"to {', '.join(_SIEVE)} and P21")
         if self.target in _TAIL_INDEX:
             name, bracket, lo, hi = _TAIL_INDEX[self.target]
             value = getattr(self, name)
@@ -260,6 +260,10 @@ class ExperimentSpec:
         return default[self.target] if isinstance(default, dict) else default
 
 
+# every numeric field; a nan or an infinity in any of them is a spec error
+_FINITE = tuple(f.name for f in fields(ExperimentSpec) if f.type in (float, tuple))
+
+
 @dataclass
 class ExperimentReport:
     """Summary rows, raw per-replicate statistics and run metadata."""
@@ -327,6 +331,7 @@ class Normalization:
 
 
 def _run_replicates(worker, replicates: int, jobs: int):
+    jobs = min(jobs, replicates)  # a worker beyond the replicate count would idle
     if jobs <= 1:
         return [worker(r) for r in range(replicates)]
     from multiprocessing import get_context  # serial runs never import it
@@ -457,12 +462,21 @@ def _row(n, t, stat, value, threshold=None, **extra) -> dict:
             "passed": None if threshold is None else bool(value < threshold), **extra}
 
 
-def _ks_row(n, t, stat, sample, threshold, reference=None, sd=None) -> dict:
-    """KS verdict row: sample against the reference draws or, without them,
-    against the centred normal law with standard deviation sd."""
-    value = (ks_two_sample(sample, reference) if reference is not None
-             else ks_one_sample(sample, lambda x: normal_cdf(x / sd)))
-    return _row(n, t, stat, value, threshold,
+def _limit_row(spec, ratio, i_n, j, n, t, sample) -> dict:
+    """KS verdict row of grid point j against the column's limit law.  A
+    two-sample target (A3, T22, B3, B4) is compared with _reference's draws;
+    every other column with the centred normal law of sd sqrt(t) (the
+    process, ESF_FLT's cycle process) or sqrt(t (1 - t)) (the A1, A2 bridge).
+    """
+    if spec.target in _TAIL_INDEX:
+        value = ks_two_sample(sample, _reference(spec, ratio, i_n, j, t, len(sample)))
+        stat = (("ks_ratio" if spec.target == "T22" else "ks_stable_bridge") if ratio
+                else "ks_two_sample")
+    else:
+        sd = math.sqrt(t * (1.0 - t)) if ratio else math.sqrt(t)
+        value = ks_one_sample(sample, lambda x: normal_cdf(x / sd))
+        stat = "ks_bridge" if ratio else "ks_normal"
+    return _row(n, t, stat, value, spec.threshold("ratio_ks" if ratio else "ks"),
                 mean=float(np.mean(sample)), var=float(np.var(sample)))
 
 
@@ -523,13 +537,8 @@ def _process_step(spec, law, i_n, nf, draw, report):
         report.add_raw(n, t, raw, normalized)
         if t <= 0.0:
             report.rows.append(_row(n, t, "report_only", float(np.mean(normalized))))
-        elif regime < 2:
-            report.rows.append(_ks_row(n, t, "ks_normal", normalized, spec.threshold("ks"),
-                                       sd=math.sqrt(t)))
         else:
-            ref = _reference(spec, False, i_n, j, t, len(normalized))
-            report.rows.append(_ks_row(n, t, "ks_two_sample", normalized,
-                                       spec.threshold("ks"), reference=ref))
+            report.rows.append(_limit_row(spec, False, i_n, j, n, t, normalized))
     if regime < 2:
         report.rows.extend(_covariance_rows(n, spec.grid, normalized_by_t,
                                             spec.threshold("cov_tol")))
@@ -563,14 +572,8 @@ def _ratio_step(spec, law, i_n, nf, draw, report):
         if t <= 0.0 or t >= 1.0:
             extra = {} if target == "T22" else {"max_abs": float(np.max(np.abs(normalized)))}
             report.rows.append(_row(n, t, "report_only", float(np.mean(normalized)), **extra))
-        elif target in ("A1", "A2"):
-            report.rows.append(_ks_row(n, t, "ks_bridge", normalized,
-                                       spec.threshold("ratio_ks"), sd=math.sqrt(t * (1.0 - t))))
         else:
-            ref = _reference(spec, True, i_n, j, t, len(normalized))
-            stat = "ks_ratio" if target == "T22" else "ks_stable_bridge"
-            report.rows.append(_ks_row(n, t, stat, normalized, spec.threshold("ratio_ks"),
-                                       reference=ref))
+            report.rows.append(_limit_row(spec, True, i_n, j, n, t, normalized))
 
 
 def _permutation_step(spec, law, i_n, nf, draw, report):
@@ -598,8 +601,7 @@ def _permutation_step(spec, law, i_n, nf, draw, report):
         if t <= 0.0:
             report.rows.append(_row(n, t, "report_only", float(np.mean(raw))))
         else:
-            report.rows.append(_ks_row(n, t, "ks_normal", normalized, spec.threshold("ks"),
-                                       sd=math.sqrt(t)))
+            report.rows.append(_limit_row(spec, False, i_n, j, n, t, normalized))
 
 
 def _mean_se(values) -> tuple:

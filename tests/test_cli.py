@@ -97,6 +97,9 @@ def test_malformed_spec_exits_2(tmp_path, capsys):
     assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
     assert "bad.cfg:2" in capsys.readouterr().err
     assert main(["run", "--out", str(tmp_path)]) == 2  # --spec required
+    with pytest.raises(SystemExit) as usage:  # run and oracle are the only verbs
+        main(["selftest"])
+    assert usage.value.code == 2
 
 
 @pytest.mark.parametrize("spec_text", [
@@ -155,6 +158,8 @@ _VALUE_ERROR_LINE = {"target = B1\nn_values = 100\nreplicates = 2.7\n": 3,
     "target = B1\nn_values = 100\nseed = 1.9\n",
     "target = A1\nn_values = 1e4\nthreshold.cov = 1.0\n",       # the key is cov_tol
     "target = A1\nn_values = 1e4\nthreshold.ks = nan\n",
+    "target = B3\nxi = pareto\nxi_param = 1.5\nmode = ratio\nn_values = 100\n",
+    "target = ESF_FLT\nmode = ratio\nn_values = 1e3\n",  # only A1..T22 and P21 have it
 ], ids=["A3_beta_stick", "B3_exp_steps", "B4_index_1", "A1_n_below_1", "P21_no_n",
         "A1_no_n", "mode_typo", "centering_typo", "dependence_typo", "xi_unknown",
         "P33_no_x", "P33_one_replicate", "P32_negative_b", "P41_n_below_3",
@@ -163,7 +168,7 @@ _VALUE_ERROR_LINE = {"target = B1\nn_values = 100\nreplicates = 2.7\n": 3,
         "P31_n_inf", "P41_n_inf", "A1_n_nan", "seed_negative", "P33_y_negative",
         "P33_x_negative", "P33_y_nan", "P32_b_inf", "B4_n_negative",
         "B1_grid_decreasing", "P21_n_1", "replicates_2.7", "seed_1.9", "threshold_misspelt",
-        "threshold_nan"])
+        "threshold_nan", "B3_mode_ratio", "ESF_FLT_mode_ratio"])
 def test_bad_spec_exits_2_before_any_replicate(tmp_path, capsys, monkeypatch, spec_text):
     def no_replicates(*args):
         raise AssertionError("a replicate was drawn")
@@ -311,28 +316,50 @@ def test_bad_oracle_input_exits_2(tmp_path, capsys, text, seed):
 
 
 def test_runtime_imports_no_scipy(tmp_path):
-    # scipy and mpmath are test-only dependencies: with both blocked, selftest,
-    # a run that takes normal_cdf and the theta != 1 gap law, and an A1 run
-    # whose 1e12**t lands near an integer in both floor_power tiers (t = 0.25
-    # and 0.5 by integer square roots, t = 0.3333333333333333 by decimal) succeed
-    spec = write(tmp_path, "esf.cfg", "target = ESF_FLT\ntheta = 2.5\nn_values = 1e6\n"
-                 "replicates = 20\ngrid = 0.5, 1.0\nseed = 5\n"
-                 "threshold.ks = 1.0\nthreshold.eq_ks = 1.0\n")
-    a1 = write(tmp_path, "a1.cfg", "target = A1\nstick = beta\ntheta = 1.0\nn_values = 1e12\n"
-               "grid = 0.25, 0.3333333333333333, 0.5, 1.0\ncentering = linear\n"
-               "replicates = 20\nseed = 5\nthreshold.ks = 1.0\nthreshold.cov_tol = 1.0\n")
+    # scipy and mpmath are test-only dependencies: with both blocked, a run
+    # that takes normal_cdf and the theta != 1 gap law, and an A1 run whose
+    # 1e12**t lands near an integer in both floor_power tiers (t = 0.25 and 0.5
+    # by integer square roots, t = 0.3333333333333333 by decimal) pass; runs
+    # that reach the walk's stable reference (B3), the inverse-subordinator
+    # ratio through Kanter's sampler (T22), the geometric scheme and x0 (P41),
+    # the log normaliser and the Gauss-Legendre centering (A2), and the oracle
+    # end in a verdict, whichever it is
+    def spec(name, text):
+        return ["run", "--spec", str(write(tmp_path, f"{name}.cfg", text + "seed = 5\n")),
+                "--out", str(tmp_path / name)]
+
+    passing = [
+        spec("a1", "target = A1\nstick = beta\ntheta = 1.0\nn_values = 1e12\n"
+             "grid = 0.25, 0.3333333333333333, 0.5, 1.0\ncentering = linear\n"
+             "replicates = 20\nthreshold.ks = 1.0\nthreshold.cov_tol = 1.0\n"),
+        spec("esf", "target = ESF_FLT\ntheta = 2.5\nn_values = 1e6\nreplicates = 20\n"
+             "grid = 0.5, 1.0\nthreshold.ks = 1.0\nthreshold.eq_ks = 1.0\n"),
+    ]
+    env_path = write(tmp_path, "env.json",
+                     build_environment(StickLaw.beta(1.0), 2**-40, RngStream(17, 0)).to_json())
+    verdicts = [
+        spec("b3", "target = B3\nxi = pareto\nxi_param = 1.5\nn_values = 1e3\n"
+             "grid = 0.5, 1.0\nreplicates = 20\n"),
+        spec("t22", "target = T22\nmode = ratio\nstick = exppareto\nalpha = 0.5\n"
+             "n_values = 1e4\ngrid = 0.5, 1.0\nreplicates = 20\n"),
+        spec("p41", "target = P41\nq = 0.5\nn_values = 1e3\nreplicates = 100\n"),
+        spec("a2", "target = A2\nstick = exppareto\nalpha = 2.5\ncentering = u\n"
+             "n_values = 1e4\ngrid = 0.5, 1.0\nreplicates = 20\n"),
+        ["oracle", "--spec", str(env_path), "--seed", "3"],
+    ]
     code = ("import sys\nsys.modules['scipy'] = None\nsys.modules['mpmath'] = None\n"
             "from sievesim.cli import main\n"
-            "assert main(['selftest']) == 0\n"
-            f"assert main(['run', '--spec', {str(a1)!r}, '--out', {str(tmp_path / 'a1')!r}]) == 0\n"
-            f"sys.exit(main(['run', '--spec', {str(spec)!r}, '--out', {str(tmp_path / 'out')!r}]))\n")
+            f"print('exit codes', [main(argv) for argv in {passing + verdicts!r}])\n")
     env = dict(os.environ)
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=300)
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "selftest: all-pass" in result.stdout and "verdict: all-pass" in result.stdout
+    assert result.returncode == 0 and "Traceback" not in result.stderr, \
+        result.stdout + result.stderr
+    codes = json.loads(result.stdout.splitlines()[-1].removeprefix("exit codes "))
+    assert codes[:len(passing)] == [0] * len(passing), result.stdout
+    assert all(c in (0, 1) for c in codes[len(passing):]), result.stdout
 
 
 def test_cli_import_leaves_mpmath_and_multiprocessing_out():
@@ -346,10 +373,3 @@ def test_cli_import_leaves_mpmath_and_multiprocessing_out():
                             text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
-
-
-def test_selftest_verb(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "all-pass" in out
-    assert out.count("PASS") >= 20 and "FAIL" not in out

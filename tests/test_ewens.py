@@ -65,6 +65,8 @@ def test_crp_matches_exact_esf():
 def test_feller_trivial_and_three_cycle():
     rng = RngStream(3, 0)
     assert sample_cycles_feller(1, 1.0, rng).counts == {1: 1}
+    # theta != 1 searches G_i(j) in floats instead of the integer ceiling
+    assert sample_cycles_feller(1, 2.0, RngStream(3, 1)).counts == {1: 1}
     # uniform permutation of 3 elements contains a 3-cycle with prob 1/3
     hits = sum(sample_cycles_feller(3, 1.0, rng).counts.get(3, 0) == 1
                for _ in range(10**5))

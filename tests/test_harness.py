@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -137,6 +138,34 @@ def test_parallel_equals_serial():
     rep1 = run_experiment(spec, jobs=1)
     rep2 = run_experiment(spec, jobs=2)
     assert list(rep1.csv_lines(False)) == list(rep2.csv_lines(False))
+
+
+def test_worker_pool_never_outnumbers_the_replicates(monkeypatch):
+    # a stand-in for the spawn context records each pool's size and maps in
+    # this process, so no worker is started
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return [fn(x) for x in iterable]
+
+    monkeypatch.setattr("multiprocessing.get_context", lambda method: SimpleNamespace(Pool=Pool))
+    spec = ExperimentSpec(target="ESF_FLT", n_values=(100.0, 1000.0), replicates=5,
+                          grid=(0.5, 1.0), seed=3)
+    serial = list(run_experiment(spec, jobs=1).csv_lines(False))
+    for jobs, size in ((8, 5), (2, 2)):
+        sizes.clear()
+        assert list(run_experiment(spec, jobs=jobs).csv_lines(False)) == serial
+        assert sizes == [size] * 4  # two draws per n: the cycles and the sieve half
 
 
 def test_csv_format():
