@@ -11,6 +11,7 @@ import json
 import math
 import pathlib
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
@@ -72,6 +73,9 @@ _REFERENCE_STREAM_BASE = 1 << 40
 _GRID_STREAMS = 64
 _MIN_MASS = 2.0**-80  # the sieve environment resolves every box above this mass
 _SIEVE_COUNTERS = ("boxes_built", "boxes_resolved", "lazy_extensions")
+# a run's wall time by phase: replicate draws, limit-law reference draws, the
+# rest of run_experiment, and the report's CSV write (0 until it is written)
+_PHASES = ("simulate", "reference", "statistics", "write")
 _REFERENCE_BLOCK = {("A3", False): 0, ("T22", False): 0, ("T22", True): 4096,
                     ("A3", True): 8192, ("B3", False): 16384, ("B4", False): 16384}
 
@@ -309,7 +313,9 @@ class ExperimentReport:
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         csv_path, json_path = out / f"{stem}.csv", out / f"{stem}.json"
+        start = time.perf_counter()
         csv_path.write_text("\n".join(self.csv_lines(timestamp)) + "\n")
+        self.metadata.setdefault("phases_s", {})["write"] = time.perf_counter() - start
         json_path.write_text(self.to_json() + "\n")
         return csv_path, json_path
 
@@ -330,15 +336,12 @@ class Normalization:
         return normalized
 
 
-def _run_replicates(worker, replicates: int, jobs: int):
-    jobs = min(jobs, replicates)  # a worker beyond the replicate count would idle
-    if jobs <= 1:
+def _run_replicates(worker, replicates: int, jobs: int, pool) -> list:
+    """worker(r) for r = 0 .. replicates - 1: serially, or on `pool`, whose
+    `jobs` workers take them in chunks of an eighth of a worker's share."""
+    if pool is None:
         return [worker(r) for r in range(replicates)]
-    from multiprocessing import get_context  # serial runs never import it
-    ctx = get_context("spawn")
-    chunk = max(1, replicates // (jobs * 8))
-    with ctx.Pool(jobs) as pool:
-        return pool.map(worker, range(replicates), chunksize=chunk)
+    return pool.map(worker, range(replicates), chunksize=max(1, replicates // (jobs * 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,22 +465,27 @@ def _row(n, t, stat, value, threshold=None, **extra) -> dict:
             "passed": None if threshold is None else bool(value < threshold), **extra}
 
 
-def _limit_row(spec, ratio, i_n, j, n, t, sample) -> dict:
-    """KS verdict row of grid point j against the column's limit law.  A
-    two-sample target (A3, T22, B3, B4) is compared with _reference's draws;
-    every other column with the centred normal law of sd sqrt(t) (the
-    process, ESF_FLT's cycle process) or sqrt(t (1 - t)) (the A1, A2 bridge).
+def _limit_row(report, ratio, i_n, j, n, t, sample):
+    """Append the KS verdict row of grid point j against the column's limit
+    law.  A two-sample target (A3, T22, B3, B4) is compared with _reference's
+    draws, whose time counts as the report's reference phase; every other
+    column with the centred normal law of sd sqrt(t) (the process, ESF_FLT's
+    cycle process) or sqrt(t (1 - t)) (the A1, A2 bridge).
     """
+    spec = report.spec
     if spec.target in _TAIL_INDEX:
-        value = ks_two_sample(sample, _reference(spec, ratio, i_n, j, t, len(sample)))
+        start = time.perf_counter()
+        reference = _reference(spec, ratio, i_n, j, t, len(sample))
+        report.metadata["phases_s"]["reference"] += time.perf_counter() - start
+        value = ks_two_sample(sample, reference)
         stat = (("ks_ratio" if spec.target == "T22" else "ks_stable_bridge") if ratio
                 else "ks_two_sample")
     else:
         sd = math.sqrt(t * (1.0 - t)) if ratio else math.sqrt(t)
         value = ks_one_sample(sample, lambda x: normal_cdf(x / sd))
         stat = "ks_bridge" if ratio else "ks_normal"
-    return _row(n, t, stat, value, spec.threshold("ratio_ks" if ratio else "ks"),
-                mean=float(np.mean(sample)), var=float(np.var(sample)))
+    report.rows.append(_row(n, t, stat, value, spec.threshold("ratio_ks" if ratio else "ks"),
+                            mean=float(np.mean(sample)), var=float(np.var(sample))))
 
 
 def _covariance_rows(n, grid, normalized_by_t, tol):
@@ -538,7 +546,7 @@ def _process_step(spec, law, i_n, nf, draw, report):
         if t <= 0.0:
             report.rows.append(_row(n, t, "report_only", float(np.mean(normalized))))
         else:
-            report.rows.append(_limit_row(spec, False, i_n, j, n, t, normalized))
+            _limit_row(report, False, i_n, j, n, t, normalized)
     if regime < 2:
         report.rows.extend(_covariance_rows(n, spec.grid, normalized_by_t,
                                             spec.threshold("cov_tol")))
@@ -573,7 +581,7 @@ def _ratio_step(spec, law, i_n, nf, draw, report):
             extra = {} if target == "T22" else {"max_abs": float(np.max(np.abs(normalized)))}
             report.rows.append(_row(n, t, "report_only", float(np.mean(normalized)), **extra))
         else:
-            report.rows.append(_limit_row(spec, True, i_n, j, n, t, normalized))
+            _limit_row(report, True, i_n, j, n, t, normalized)
 
 
 def _permutation_step(spec, law, i_n, nf, draw, report):
@@ -601,7 +609,7 @@ def _permutation_step(spec, law, i_n, nf, draw, report):
         if t <= 0.0:
             report.rows.append(_row(n, t, "report_only", float(np.mean(raw))))
         else:
-            report.rows.append(_limit_row(spec, False, i_n, j, n, t, normalized))
+            _limit_row(report, False, i_n, j, n, t, normalized)
 
 
 def _mean_se(values) -> tuple:
@@ -678,22 +686,27 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
     draws that n's replicate columns through `draw` (the only place
     replicates run, serially or on `jobs` worker processes) and appends raw
     values and verdict rows; P33 steps through y_values instead.  Trend
-    verdicts over all n close the report.
+    verdicts over all n close the report.  A parallel run opens one worker
+    pool before the first step and closes it however the run ends.
     """
     target = spec.target
     if not spec.n_values and target != "P33":
         raise ConfigurationError(f"{target} needs n_values")
     report = ExperimentReport(spec)
+    phases = report.metadata["phases_s"] = dict.fromkeys(_PHASES, 0.0)
     sieve = dict.fromkeys(_SIEVE_COUNTERS, 0)
     replicates = 0
+    workers = min(jobs, spec.replicates)  # a worker beyond the replicate count would idle
     t_start = time.perf_counter()
 
     def draw(stat, stream_base):
         """One n's replicate columns, and each replicate's full result."""
         nonlocal replicates
         replicates += spec.replicates
+        start = time.perf_counter()
         results = _run_replicates(partial(_stat_replicate, stat, spec.seed, stream_base),
-                                  spec.replicates, jobs)
+                                  spec.replicates, workers, pool)
+        phases["simulate"] += time.perf_counter() - start
         if stat.func is not _sieve_stat:
             return np.asarray(results, dtype=float), results
         for k, column in zip(_SIEVE_COUNTERS, zip(*[r[3] for r in results])):
@@ -713,8 +726,15 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
         step = _permutation_step
     elif target == "P21" or (target in _SIEVE and spec.mode == "ratio"):
         step = _ratio_step
-    for i_n, nf in enumerate(n_values):
-        step(spec, law, i_n, nf, draw, report)
+    pool = None
+    if workers > 1:
+        from multiprocessing import get_context  # serial runs never import it
+        start = time.perf_counter()
+        pool = get_context("spawn").Pool(workers)
+        phases["simulate"] += time.perf_counter() - start  # worker start-up
+    with pool or nullcontext():
+        for i_n, nf in enumerate(n_values):
+            step(spec, law, i_n, nf, draw, report)
     if target == "P21":
         report.rows.append(_trend_row("p21_trend", [row["value"] for row in report.rows],
                                       final=spec.threshold("p21_final")))
@@ -727,7 +747,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
         report.rows.append({"stat": "visit_increment_bound_verdict", "value": None,
                             "threshold": None, "passed": all(row["ok"] for row in report.rows)})
     runtime = time.perf_counter() - t_start
-    report.metadata = {"seed": spec.seed, "runtime_s": runtime, "replicates": replicates,
-                       "replicates_per_s": replicates / runtime,
+    phases["statistics"] = runtime - phases["simulate"] - phases["reference"]
+    report.metadata = {"seed": spec.seed, "runtime_s": runtime, "phases_s": phases,
+                       "replicates": replicates, "replicates_per_s": replicates / runtime,
                        "sieve": sieve, "version": __version__}
     return report

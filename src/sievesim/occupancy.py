@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sampling import RngStream, StickLaw, sample_binomial
+from .sampling import BINOMIAL_CHUNK, RngStream, StickLaw, sample_binomial
 
 __all__ = [
     "floor_power",
@@ -269,12 +269,19 @@ def occupy_sieve(env: SieveEnvironment, n: int, rng: RngStream) -> OccupancyResu
     counts = {}
     remaining = n
     sticks = env.sticks  # W_k at index k - 1; a lazy extension appends to it
+    binomial = rng.gen.binomial
     k = 0
     while remaining > 0:
         if k == len(sticks):
             env._extend()
-        z = sample_binomial(remaining, 1.0 - sticks[k], rng)
+        p = 1.0 - sticks[k]
         k += 1
+        # sample_binomial's draw, inline; it keeps p == 1 (no draw) and the
+        # chunked sum past 2^60 trials
+        if p < 1.0 and remaining <= BINOMIAL_CHUNK:
+            z = int(binomial(remaining, p))
+        else:
+            z = sample_binomial(remaining, p, rng)
         if z > 0:
             counts[k] = z
             remaining -= z

@@ -344,7 +344,9 @@ def sample_binomial(n: int, p: float, rng: RngStream) -> int:
 
     n <= 2^60 takes one numpy draw; a larger n (up to 2^62 in the sieve)
     takes one per full chunk of 2^60 trials, then one for the rest.  The
-    degenerate cases draw nothing.
+    degenerate cases draw nothing.  This is the one definition of the rule:
+    occupancy.occupy_sieve draws n <= 2^60 at p < 1 inline, through the
+    generator's bound binomial, and calls here for the rest.
     """
     n = int(n)
     if n < 0:

@@ -146,7 +146,7 @@ def test_c3_gaussian_limits():
     ewens_ks = []
     for n in (10**4, 10**6):
         task = partial(_stat_replicate, partial(_cycle_stat, n, 1.0, (1.0,)), SEED, 0)
-        vals = np.asarray(_run_replicates(task, 4000, 1), dtype=float)[:, 0]
+        vals = np.asarray(_run_replicates(task, 4000, 1, None), dtype=float)[:, 0]
         norm = (vals - math.log(n)) / math.sqrt(math.log(n))
         ewens_ks.append(ks_one_sample(norm, normal_cdf))
     ok_e = ewens_ks[-1] < 0.12 and ewens_ks[1] < ewens_ks[0]
@@ -285,7 +285,7 @@ def test_c8_t22_marginal_convergence():
     logn = math.log(n)
     stat = partial(_sieve_stat, StickLaw.exp_pareto(0.5), n, (1.0,), False)
     vals = np.asarray([r[0] for r in _run_replicates(partial(_stat_replicate, stat, SEED, 0),
-                                                     4000, 1)], dtype=float)[:, 0]
+                                                     4000, 1, None)], dtype=float)[:, 0]
     norm = vals / logn**0.5
     ref = np.asarray(sample_inverse_subordinator_marginal(
         0.5, 1.0, RngStream(SEED, 1 << 41), 4000))
@@ -303,7 +303,7 @@ def test_c8_t22_marginal_convergence():
 def test_c8_t22_ratio_convergence():
     n = 10**12
     stat = partial(_sieve_stat, StickLaw.exp_pareto(0.5), n, (0.5, 1.0), False)
-    res = _run_replicates(partial(_stat_replicate, stat, SEED, 0), 4000, 1)
+    res = _run_replicates(partial(_stat_replicate, stat, SEED, 0), 4000, 1, None)
     vals = np.asarray([r[0] for r in res], dtype=float)
     totals = np.asarray([r[1] for r in res], dtype=float)
     ratio = vals[:, 0] / totals

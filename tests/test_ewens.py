@@ -37,14 +37,14 @@ def _cycle_columns(n, theta, grid, seed, stream_base, reps):
     """C_n(t) of replicates 0..reps-1, as the harness draws them for EQ and ESF_FLT."""
     stat = partial(_cycle_stat, n, theta, grid)
     return np.asarray(_run_replicates(partial(_stat_replicate, stat, seed, stream_base),
-                                      reps, 1), float)
+                                      reps, 1, None), float)
 
 
 def _box_columns(n, theta, grid, seed, stream_base, reps):
     """K_n(t) of replicates 0..reps-1 of the beta(theta) sieve."""
     stat = partial(_sieve_stat, StickLaw.beta(theta), n, grid, False)
     return np.asarray([r[0] for r in _run_replicates(
-        partial(_stat_replicate, stat, seed, stream_base), reps, 1)], float)
+        partial(_stat_replicate, stat, seed, stream_base), reps, 1, None)], float)
 
 
 def test_crp_trivial_and_large_theta():

@@ -21,9 +21,9 @@ from sievesim.harness import (
     run_experiment,
 )
 from sievesim.limits import centering_prw, normal_cdf
-from sievesim.occupancy import DeterministicScheme, approximation_sup
+from sievesim.occupancy import DeterministicScheme, approximation_sup, occupy_sieve
 from sievesim.prw import lln_sup_deviation, max_window_count, simulate_path
-from sievesim.sampling import RngStream, StickLaw, sample_binomial
+from sievesim.sampling import RngStream, StickLaw
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +128,23 @@ def test_reports_are_bit_reproducible():
     assert list(rep1.csv_lines(timestamp=False)) == list(rep2.csv_lines(timestamp=False))
     j1, j2 = json.loads(rep1.to_json()), json.loads(rep2.to_json())
     for j in (j1, j2):
-        j["metadata"].pop("runtime_s"), j["metadata"].pop("replicates_per_s")
+        for timing in ("runtime_s", "phases_s", "replicates_per_s"):
+            j["metadata"].pop(timing)
     assert j1 == j2
+
+
+def test_report_times_its_phases(tmp_path):
+    spec = ExperimentSpec(target="T22", stick="exppareto", alpha=0.5, n_values=(10**6,),
+                          replicates=50, grid=(0.5, 1.0), seed=8, thresholds={"ks": 1.0})
+    rep = run_experiment(spec)
+    phases = rep.metadata["phases_s"]
+    assert phases["simulate"] > 0.0 and phases["reference"] > 0.0 and phases["write"] == 0.0
+    assert phases["statistics"] >= 0.0
+    assert math.isclose(phases["simulate"] + phases["reference"] + phases["statistics"],
+                        rep.metadata["runtime_s"])
+    _, json_path = rep.write(tmp_path, "t22")
+    written = json.loads(json_path.read_text())["metadata"]["phases_s"]
+    assert written["write"] > 0.0 and written == rep.metadata["phases_s"]
 
 
 def test_parallel_equals_serial():
@@ -141,9 +156,9 @@ def test_parallel_equals_serial():
 
 
 def test_worker_pool_never_outnumbers_the_replicates(monkeypatch):
-    # a stand-in for the spawn context records each pool's size and maps in
-    # this process, so no worker is started
-    sizes = []
+    # a stand-in for the spawn context records each pool's size and closing
+    # and maps in this process, so no worker is started
+    sizes, closed = [], []
 
     class Pool:
         def __init__(self, processes):
@@ -153,6 +168,7 @@ def test_worker_pool_never_outnumbers_the_replicates(monkeypatch):
             return self
 
         def __exit__(self, *exc):
+            closed.append(self)
             return False
 
         def map(self, fn, iterable, chunksize=1):
@@ -163,9 +179,17 @@ def test_worker_pool_never_outnumbers_the_replicates(monkeypatch):
                           grid=(0.5, 1.0), seed=3)
     serial = list(run_experiment(spec, jobs=1).csv_lines(False))
     for jobs, size in ((8, 5), (2, 2)):
-        sizes.clear()
+        sizes.clear(), closed.clear()
         assert list(run_experiment(spec, jobs=jobs).csv_lines(False)) == serial
-        assert sizes == [size] * 4  # two draws per n: the cycles and the sieve half
+        # one pool serves all four draws (the cycles and the sieve half of each
+        # n) and is closed with the run
+        assert sizes == [size] and len(closed) == 1
+    # a draw that raises still closes the pool
+    monkeypatch.setattr(Pool, "map", lambda self, *args, **kwargs: 1 / 0)
+    closed.clear()
+    with pytest.raises(ZeroDivisionError):
+        run_experiment(spec, jobs=2)
+    assert len(closed) == 1
 
 
 def test_csv_format():
@@ -241,13 +265,39 @@ def test_t22_runner_smoke():
 
 
 def test_dispatcher_covers_every_target(monkeypatch):
-    draws = []
+    # the sieve counters against a count taken outside the harness: every
+    # numpy binomial draw on a replicate stream, and every thinning that ends
+    # at a box with 1 - W_k == 1, which takes the balls its draws left
+    # without a draw of its own
+    placed, draw_free = [], []
 
-    def counted_binomial(n, p, rng):
-        draws.append(n)
-        return sample_binomial(n, p, rng)
+    class CountingGenerator:
+        def __init__(self, gen):
+            self._gen = gen
 
-    monkeypatch.setattr("sievesim.occupancy.sample_binomial", counted_binomial)
+        def __getattr__(self, name):
+            return getattr(self._gen, name)
+
+        def binomial(self, n, p, size=None):
+            z = self._gen.binomial(n, p, size)
+            placed.append(int(z))
+            return z
+
+    class CountingStream(RngStream):
+        def __init__(self, seed, stream_id=0):
+            super().__init__(seed, stream_id)
+            self.gen = CountingGenerator(self.gen)
+
+    def occupy_counting_draw_free(env, n, rng):
+        first = len(placed)
+        occ = occupy_sieve(env, n, rng)
+        if sum(placed[first:]) < n:
+            assert 1.0 - env.sticks[len(placed) - first] == 1.0
+            draw_free.append(n)
+        return occ
+
+    monkeypatch.setattr("sievesim.harness.RngStream", CountingStream)
+    monkeypatch.setattr("sievesim.harness.occupy_sieve", occupy_counting_draw_free)
     small = dict(n_values=(200.0,), replicates=12, grid=(0.5, 1.0), seed=9,
                  thresholds={"ks": 1.0, "ratio_ks": 1.0, "eq_ks": 1.0, "cov_tol": 10.0,
                              "p21_final": 10.0})
@@ -279,24 +329,27 @@ def test_dispatcher_covers_every_target(monkeypatch):
     ]
     metadata_keys = set()
     for spec in specs:
-        draws.clear()
+        placed.clear(), draw_free.clear()
         rep = run_experiment(spec)
         assert rep.rows, spec.target
         metadata_keys.add(tuple(sorted(rep.metadata)))
+        assert set(rep.metadata["phases_s"]) == {"simulate", "reference", "statistics", "write"}
         assert rep.metadata["replicates"] >= spec.replicates, spec.target
         assert rep.metadata["replicates_per_s"] > 0.0, spec.target
         sieve = rep.metadata["sieve"]
         assert set(sieve) == {"boxes_built", "boxes_resolved", "lazy_extensions"}
         if spec.target in _SIEVE + ("P21", "EQ", "ESF_FLT"):
-            # one binomial draw per box thinned, and thinning ends at the last box
-            assert sieve["boxes_resolved"] == len(draws), spec.target
+            # one binomial draw per box thinned but a draw-free last box, and
+            # thinning ends at the last box
+            assert sieve["boxes_resolved"] == len(placed) + len(draw_free), spec.target
+            assert draw_free or spec.target != "T22"  # its alpha = 0.5 sticks have some
             assert (sieve["boxes_built"] + sieve["lazy_extensions"]
                     >= sieve["boxes_resolved"] > 0), spec.target
         else:
             assert set(sieve.values()) == {0}, spec.target
     assert {spec.target for spec in specs} == set(TARGETS)
-    assert metadata_keys == {("replicates", "replicates_per_s", "runtime_s", "seed", "sieve",
-                              "version")}
+    assert metadata_keys == {("phases_s", "replicates", "replicates_per_s", "runtime_s", "seed",
+                              "sieve", "version")}
 
 
 def test_ratio_t22_smoke():

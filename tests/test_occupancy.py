@@ -282,6 +282,7 @@ def test_lazy_extension_matches_per_box_thinning(law, n):
     occ = occupy_sieve(env, n, rng)
     ref_env, ref_rng = three_sticks()
     assert occ.counts == _per_box_occupy(ref_env, n, ref_rng)
+    assert rng.gen.random() == ref_rng.gen.random()  # the same draws, chunked ones at 2^62
     assert occ.total() == n
     assert env.num_boxes > 3 and env.sticks == ref_env.sticks
     assert np.array_equal(env.cutpoints, np.cumprod(env.sticks))
@@ -302,6 +303,28 @@ def test_occupy_scheme_geometric():
     rng = RngStream(10, 0)
     occ = occupy_scheme(DeterministicScheme.geometric(0.5), 1000, rng)
     assert occ.total() == 1000
+
+
+@pytest.mark.parametrize("n", [10**12, 2**62])
+def test_occupy_sieve_draws_nothing_at_a_box_with_p_1(n):
+    # 1 - W_k rounds to 1 for some exppareto(0.5) sticks; occupy_sieve's
+    # inline draw must leave such a box to sample_binomial, which takes the
+    # rest without a draw (numpy's binomial(n, 1.0) would consume a double)
+    law = StickLaw.exp_pareto(0.5)
+
+    def environment_and_stream(stream_id):
+        rng = RngStream(31, stream_id)
+        return build_environment(law, 2**-80, rng), rng
+
+    draw_free = 0
+    for stream_id in range(40):
+        env, rng = environment_and_stream(stream_id)
+        ref_env, ref_rng = environment_and_stream(stream_id)
+        counts = occupy_sieve(env, n, rng).counts
+        assert counts == _per_box_occupy(ref_env, n, ref_rng)
+        assert rng.gen.random() == ref_rng.gen.random()
+        draw_free += 1.0 - env.sticks[max(counts) - 1] == 1.0
+    assert draw_free > 0
 
 
 # ---------------------------------------------------------------------------
