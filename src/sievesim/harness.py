@@ -382,9 +382,10 @@ def _window_stat(law: StepLaw, n: float, b: float, c: float, rng: RngStream) -> 
 
 
 def _increment_stat(law: StepLaw, x_values: tuple, y: float, rng: RngStream) -> list:
-    """N(x+y) - N(x) for each x on one path, then nu(y) on a fresh path; the
-    increments are counted before the second walk reuses the first's buffers."""
-    path = simulate_path(law, max(x_values) + y, rng)
+    """N(x+y) - N(x) for each x on one path, then nu(y) on a fresh path from
+    the same stream, after the first walk's whole blocks; the increments are
+    counted before the second walk reuses the first's buffers."""
+    path = simulate_path(law, max(x_values) + y, rng, whole_blocks=True)
     increments = [path.count_visits(x + y) - path.count_visits(x) for x in x_values]
     return increments + [simulate_path(law, y, rng).count_renewals(y)]
 

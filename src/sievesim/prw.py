@@ -76,11 +76,14 @@ class StepLaw:
         return StepLaw(("logstick", stick), ("log1mstick", stick), "sharedstick")
 
     def draw(self, rng: RngStream, out: tuple) -> tuple:
-        """Fill the caller's (xi, eta) buffers with len(xi) steps; returns out.
+        """Fill the caller's (xi, eta) buffers, each to its own length, xi
+        first; returns out.  A shared stick fills both from one W, so its
+        buffers must be equally long.
 
         Each law consumes the stream and rounds exactly as numpy's allocating
         forms do (``exponential``, ``full``, ``random(...) ** p``, ``-log``),
-        so the steps are the same bit for bit.
+        so the steps are the same bit for bit, and a shorter buffer gets a
+        prefix of a longer one's values.
         """
         xi, eta = out
         if self.dependence == "sharedstick":
@@ -98,7 +101,8 @@ class StepLaw:
         if kind == "exp":
             # Generator.exponential(scale) is scale * standard_exponential
             rng.gen.standard_exponential(out=out)
-            out *= 1.0 / par
+            if par != 1.0:
+                out *= 1.0 / par
         elif kind == "const":
             out.fill(float(par))
         elif kind == "pareto":
@@ -193,7 +197,8 @@ class PrwPath:
 _PATH_SCRATCH = ScratchSlot(float, float, float, bool)
 
 
-def simulate_path(law: StepLaw, horizon: float, rng: RngStream) -> PrwPath:
+def simulate_path(law: StepLaw, horizon: float, rng: RngStream, *,
+                  whole_blocks: bool = False) -> PrwPath:
     """Realise the walk until S_k > horizon (so all T_k <= horizon are seen).
 
     Steps are drawn block by block into per-thread scratch buffers, which
@@ -201,33 +206,51 @@ def simulate_path(law: StepLaw, horizon: float, rng: RngStream) -> PrwPath:
     read-only, exactly sized views on those buffers, valid until the next
     simulate_path call on the same thread: copy what must outlive it.  A
     longer walk holds fresh, exactly sized copies of what it keeps.
+
+    Each block draws its xi, then its eta.  An independent law draws eta
+    only for the kept steps of the block where the walk ends, unless
+    ``whole_blocks`` is set, for a caller that draws on from the same stream
+    and must see it advanced by whole blocks; a shared stick always does.
     """
     if horizon < 0.0:
         raise ValueError("horizon must be >= 0")
     m = law.mean_xi()
     block = 64 if not math.isfinite(m) else max(64, int(1.2 * horizon / m) + 32)
-    s, eta, s_prev, beyond = _PATH_SCRATCH.arrays(block + 1)
+    s, eta, prev, beyond = _PATH_SCRATCH.arrays(block + 1)
     s[0] = 0.0
-    xi, eta, s_prev, beyond = s[1:], eta[:block], s_prev[:block], beyond[:block]
+    xi, eta, prev, beyond = s[1:], eta[:block], prev[:block], beyond[:block]
+    shared = law.dependence == "sharedstick"
     s_parts = [np.zeros(1)]
     t_parts = []
     s_last = 0.0
     while s_last <= horizon:
-        law.draw(rng, (xi, eta))
-        # S_{k-1} = s_last + (xi_0 + ... + xi_{k-2}), summed in this order
-        s_prev[0] = 0.0
-        np.cumsum(xi[:-1], out=s_prev[1:])
-        s_prev += s_last
-        s_new = np.add(xi, s_prev, out=xi)
+        law.draw(rng, (xi, eta if shared else eta[:0]))
+        first = not t_parts
+        if first:
+            # from s_last = 0.0, S_k = S_{k-1} + xi_k is numpy's sequential
+            # cumsum bit for bit (x + 0.0 == x): summed in place, s becomes
+            # [0, S_0..S_{block-1}] and S is nondecreasing
+            s_new = np.cumsum(xi, out=xi)
+            s_prev = s[:block]
+            stop = np.searchsorted(s_new, horizon, side="right")
+        else:
+            # S_{k-1} = s_last + (xi_0 + ... + xi_{k-2}), summed in this order
+            s_prev = prev
+            s_prev[0] = 0.0
+            np.cumsum(xi[:-1], out=s_prev[1:])
+            s_prev += s_last
+            s_new = np.add(xi, s_prev, out=xi)
+            # S_k = S_{k-1} + xi_k is rounded apart from S_{k-1}'s sum, so it
+            # may dip by an ulp; the first crossing is found on its mask
+            stop = np.searchsorted(np.greater(s_new, horizon, out=beyond), True)
         # keep indices with S_{k-1} <= horizon, a prefix since S_{k-1} is
         # nondecreasing; later T_k exceed horizon a.s.
         kept = np.searchsorted(s_prev, horizon, side="right")
-        t_new = np.add(eta[:kept], s_prev[:kept], out=eta[:kept])
-        # S_k = S_{k-1} + xi_k is rounded apart from S_{k-1}'s sum, so it may
-        # dip by an ulp; the first crossing is found on its mask
-        stop = np.searchsorted(np.greater(s_new, horizon, out=beyond), True)
         s_last = s_new[min(stop, block - 1)]
-        if not t_parts and s_last > horizon:
+        if not shared:
+            law.draw(rng, (xi[:0], eta if whole_blocks or s_last <= horizon else eta[:kept]))
+        t_new = np.add(eta[:kept], s_prev[:kept], out=eta[:kept])
+        if first and s_last > horizon:
             # one block: s holds [0, S_0..S_stop] contiguously
             s_view, t_view = s[: stop + 2], t_new
             s_view.flags.writeable = t_view.flags.writeable = False

@@ -1,6 +1,7 @@
 """The runtime depends on numpy alone: every module of the package imports
 only the standard library, numpy or the package itself (function-level
-imports included), and pyproject.toml lists numpy as its one dependency."""
+imports included), and pyproject.toml lists numpy as its one dependency.
+The package's settable options are counted and pinned."""
 
 import ast
 import sys
@@ -33,3 +34,29 @@ def test_pyproject_lists_numpy_alone():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == ["numpy>=1.24"]
+
+
+def _is_dataclass(node):
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _settable_options():
+    """(defaulted parameters, dataclass fields) over the package, by AST."""
+    params = fields = 0
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+    return params, fields
+
+
+def test_settable_option_count_is_pinned():
+    # a change that adds or removes an option moves this pin on purpose
+    assert _settable_options() == (12, 45)

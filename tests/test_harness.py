@@ -435,7 +435,7 @@ def _trend_replicate(spec, i, r):
     law = spec.step_law()
     if spec.target == "P33":
         y = spec.y_values[i]
-        path = simulate_path(law, max(spec.x_values) + y, rng)
+        path = simulate_path(law, max(spec.x_values) + y, rng, whole_blocks=True)
         incs = [path.count_visits(x + y) - path.count_visits(x) for x in spec.x_values]
         renewals = simulate_path(law, y, rng).count_renewals(y)
         return [(y, x, inc, renewals) for x, inc in zip(spec.x_values, incs)]

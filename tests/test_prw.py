@@ -198,41 +198,53 @@ def test_visit_counts_beyond_horizon_raise():
 # ---------------------------------------------------------------------------
 
 
+def _allocating_one(spec, rng, size):
+    """One marginal's steps from numpy's allocating calls."""
+    kind, par = spec
+    if kind == "exp":
+        return rng.gen.exponential(1.0 / par, size)
+    if kind == "const":
+        return np.full(size, float(par))
+    if kind == "pareto":
+        u = rng.gen.random(size)
+        u[u == 0.0] = 0.5
+        return u ** (-1.0 / par)
+    w = par.sample(rng, size)
+    return -np.log(w) if kind == "logstick" else -np.log1p(-w)
+
+
 def _allocating_draw(law, rng, size):
     """Steps from numpy's allocating calls: the reference for StepLaw.draw."""
     if law.dependence == "sharedstick":
         w = law.xi[1].sample(rng, size)
         return -np.log(w), -np.log1p(-w)
-
-    def one(kind, par):
-        if kind == "exp":
-            return rng.gen.exponential(1.0 / par, size)
-        if kind == "const":
-            return np.full(size, float(par))
-        if kind == "pareto":
-            u = rng.gen.random(size)
-            u[u == 0.0] = 0.5
-            return u ** (-1.0 / par)
-        w = par.sample(rng, size)
-        return -np.log(w) if kind == "logstick" else -np.log1p(-w)
-
-    return one(*law.xi), one(*law.eta)
+    return _allocating_one(law.xi, rng, size), _allocating_one(law.eta, rng, size)
 
 
-def _allocating_path(law, horizon, rng):
+def _allocating_path(law, horizon, rng, whole_blocks=False):
     """The walk built with fresh arrays for every block and a boolean mask
-    for the kept points: the reference for simulate_path."""
+    for the kept points: the reference for simulate_path.  An independent
+    law draws eta after xi, for the kept steps only in the last block unless
+    whole_blocks is set."""
     m = law.mean_xi()
     block = 64 if not math.isfinite(m) else max(64, int(1.2 * horizon / m) + 32)
+    shared = law.dependence == "sharedstick"
     s_chunks, t_chunks, s_last = [np.zeros(1)], [], 0.0
     while s_last <= horizon:
-        xi, eta = _allocating_draw(law, rng, block)
+        if shared:
+            xi, eta = _allocating_draw(law, rng, block)
+        else:
+            xi = _allocating_one(law.xi, rng, block)
         s_prev = s_last + np.concatenate([[0.0], np.cumsum(xi[:-1])])
         s_new = s_prev + xi
-        t_chunks.append((s_prev + eta)[s_prev <= horizon])
         stop = np.searchsorted(s_new > horizon, True)
         s_chunks.append(s_new[: stop + 1] if stop < block else s_new)
         s_last = s_new[min(stop, block - 1)]
+        keep = s_prev <= horizon
+        if not shared:
+            ends = s_last > horizon and not whole_blocks
+            eta = _allocating_one(law.eta, rng, np.count_nonzero(keep) if ends else block)
+        t_chunks.append((s_prev[: len(eta)] + eta)[keep[: len(eta)]])
     return np.concatenate(s_chunks), np.concatenate(t_chunks)
 
 
@@ -240,6 +252,7 @@ STICK = StickLaw.exp_pareto(1.5)
 BUFFERED_LAWS = {
     "exp_0.3": StepLaw(("exp", 0.3), ("exp", 3.0)),
     "exp_3": StepLaw(("exp", 3.0), ("exp", 0.3)),
+    "exp_1": StepLaw.exp_exp(),
     "const": StepLaw(("const", 2.0), ("const", 0.5)),
     **{f"pareto_{a:g}": StepLaw(("pareto", a), ("exp", 1.0)) for a in (0.5, 1.0, 2.0, 3.0)},
     "logstick": StepLaw(("logstick", StickLaw.beta(2.0)), ("log1mstick", STICK)),
@@ -258,15 +271,21 @@ def test_buffered_draw_equals_allocating_numpy_bit_for_bit(name):
             assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("name", ["exp_0.3", "pareto_1", "pareto_2", "sharedstick"])
+@pytest.mark.parametrize("name", ["exp_0.3", "exp_1", "pareto_1", "pareto_2", "sharedstick"])
 def test_simulate_path_equals_allocating_reference(name):
     law = BUFFERED_LAWS[name]
     # pareto_1 has no mean, so it walks 64-step blocks: about 9 of them to 5000
     for i, horizon in enumerate((0.0, 3.0, 50.0, 5000.0)):
-        path = simulate_path(law, horizon, RngStream(41, i))
-        s, t = _allocating_path(law, horizon, RngStream(41, i))
-        assert path.s_values.tobytes() == s.tobytes()
-        assert path.t_values.tobytes() == t.tobytes()
+        # the stream's next draw pins what the walk consumed: an independent
+        # law's last block draws eta for its kept steps only unless whole
+        # blocks are asked for, and a shared stick always draws whole blocks
+        for whole_blocks in (False, True):
+            rng, ref_rng = RngStream(41, i), RngStream(41, i)
+            path = simulate_path(law, horizon, rng, whole_blocks=whole_blocks)
+            s, t = _allocating_path(law, horizon, ref_rng, whole_blocks)
+            assert path.s_values.tobytes() == s.tobytes()
+            assert path.t_values.tobytes() == t.tobytes()
+            assert rng.gen.random() == ref_rng.gen.random()
 
 
 def test_one_block_path_is_a_read_only_view_until_the_next_call():
