@@ -33,10 +33,12 @@ from .occupancy import (
     approximation_bound_rhs,
     approximation_sup,
     bound_constant_x0,
-    build_environment,
-    k_process,
-    occupy_sieve,
+    occupy_sieve_block,
 )
+# bench/tracing.py binds these three names on this module and raises
+# LookupError if one is missing; no run calls them since the sieve thins in
+# blocks (occupy_sieve_block)
+from .occupancy import build_environment, k_process, occupy_sieve  # noqa: F401
 from .prw import StepLaw, lln_sup_deviation, max_window_count, simulate_path, visit_process
 from .sampling import (
     RngStream,
@@ -66,13 +68,13 @@ _WALK = ("B1", "B2", "B3", "B4")
 
 # Stream layout and its limits: README, Reproducibility.  Replicate r of the
 # i-th n (of the i-th y for P33) draws from stream i * replicates + r (+ 2^20
-# for the sieve half of ESF_FLT and EQ); reference draws take _GRID_STREAMS
-# streams per n.
+# for the sieve half of ESF_FLT and EQ), except that the sieve thins blocks of
+# _SIEVE_BLOCK replicates, each from the stream of its first replicate;
+# reference draws take _GRID_STREAMS streams per n.
 _SIEVE_STREAM_BASE = 1 << 20
 _REFERENCE_STREAM_BASE = 1 << 40
 _GRID_STREAMS = 64
-_MIN_MASS = 2.0**-80  # the sieve environment resolves every box above this mass
-_SIEVE_COUNTERS = ("boxes_built", "boxes_resolved", "lazy_extensions")
+_SIEVE_BLOCK = 1024
 # a run's wall time by phase: replicate draws, limit-law reference draws, the
 # rest of run_experiment, and the report's CSV write (0 until it is written)
 _PHASES = ("simulate", "reference", "statistics", "write")
@@ -336,17 +338,20 @@ class Normalization:
         return normalized
 
 
-def _run_replicates(worker, replicates: int, jobs: int, pool) -> list:
-    """worker(r) for r = 0 .. replicates - 1: serially, or on `pool`, whose
-    `jobs` workers take them in chunks of an eighth of a worker's share."""
+def _run_replicates(worker, units: int, jobs: int, pool) -> list:
+    """worker(u) for u = 0 .. units - 1, each a replicate or a block of sieve
+    replicates: serially, or on `pool`, whose `jobs` workers take them in
+    chunks of an eighth of a worker's share."""
     if pool is None:
-        return [worker(r) for r in range(replicates)]
-    return pool.map(worker, range(replicates), chunksize=max(1, replicates // (jobs * 8)))
+        return [worker(u) for u in range(units)]
+    return pool.map(worker, range(units), chunksize=max(1, units // (jobs * 8)))
 
 
 # ---------------------------------------------------------------------------
 # per-replicate statistics (module level so they pickle for worker pools):
-# replicate r of a column computes stat(RngStream(seed, stream_base + r))
+# replicate r of a column computes stat(RngStream(seed, stream_base + r)),
+# and block b of a sieve column stat(size, RngStream(seed, stream_base + 1024 b))
+# for its replicates 1024 b .. 1024 b + size - 1
 # ---------------------------------------------------------------------------
 
 
@@ -354,18 +359,28 @@ def _stat_replicate(stat: partial, seed: int, stream_base: int, rep: int):
     return stat(RngStream(seed, stream_base + rep))
 
 
-def _sieve_stat(law: StickLaw, n: int, grid: tuple, sup: bool, rng: RngStream):
-    """K_n(t) on the grid, K_n, with sup (P21) the exact sup_t |K_n(t)/K_n - t|,
-    and the _SIEVE_COUNTERS: sticks built to the mass floor, the last box
-    thinned (one binomial draw per box up to it) and the sticks a lazy
-    extension added past the floor."""
-    env = build_environment(law, _MIN_MASS, rng)
-    built = env.num_boxes
-    occ = occupy_sieve(env, n, rng)
-    kp = k_process(occ, grid)
-    sup = _ratio_sup_deviation(occ.count_values(), n) if sup else None
-    counters = (built, max(occ.counts, default=0), env.num_boxes - built)
-    return kp.values, kp.k_total, sup, counters
+def _stat_block(stat: partial, seed: int, stream_base: int, replicates: int, block: int):
+    first = block * _SIEVE_BLOCK
+    return stat(min(_SIEVE_BLOCK, replicates - first), RngStream(seed, stream_base + first))
+
+
+def _sieve_stat(law: StickLaw, n: int, grid: tuple, sup: bool, size: int, rng: RngStream):
+    """One block of sieve replicates: a row per replicate holding K_n(t) on the
+    grid and then K_n, or with sup (P21) only the exact sup_t |K_n(t)/K_n - t|;
+    and the boxes the block thinned (a stick and a binomial variate each)."""
+    rows, last = occupy_sieve_block(law, n, size, rng, None if sup else grid)
+    if sup:  # rows holds each replicate's occupied counts
+        rows = np.array([[_ratio_sup_deviation(counts, n)] for counts in rows])
+    return rows, int(last.sum())
+
+
+def _sieve_columns(stat: partial, seed: int, stream_base: int, replicates: int, jobs: int,
+                   pool) -> tuple:
+    """A sieve statistic's rows for replicates 0 .. replicates - 1, drawn in
+    blocks of _SIEVE_BLOCK, and the boxes thinned over all blocks."""
+    blocks = _run_replicates(partial(_stat_block, stat, seed, stream_base, replicates),
+                             -(-replicates // _SIEVE_BLOCK), jobs, pool)
+    return np.concatenate([rows for rows, _ in blocks]), sum(boxes for _, boxes in blocks)
 
 
 def _cycle_stat(n: int, theta: float, grid: tuple, rng: RngStream) -> list:
@@ -529,7 +544,7 @@ def _process_step(spec, law, i_n, nf, draw, report):
         mean, var, alpha = law.mean_abs_log(), law.var_abs_log(), spec.alpha
         stat = partial(_sieve_stat, law, n, grid, False)
     scale = _scale(spec, n, _process_scale, regime, mean, var, x, alpha)
-    values, _ = draw(stat, i_n * spec.replicates)
+    values = draw(stat, i_n * spec.replicates)
     normalized_by_t = {}
     for j, t in enumerate(spec.grid):
         raw = values[:, j]
@@ -562,14 +577,14 @@ def _ratio_step(spec, law, i_n, nf, draw, report):
     if target in ("A1", "A2", "A3"):
         scale = _scale(spec, n, _bridge_scale, target, law, logn, spec.alpha)
         u1, v1 = centering_u_v(law, n, 1.0)
-    values, results = draw(partial(_sieve_stat, law, n, tuple(spec.grid), target == "P21"),
-                           i_n * spec.replicates)
-    totals = np.asarray([r[1] for r in results], dtype=float)  # K_n >= 1 as n >= 1
+    values = draw(partial(_sieve_stat, law, n, tuple(spec.grid), target == "P21"),
+                  i_n * spec.replicates)
     if target == "P21":
-        sups = np.asarray([r[2] for r in results])
+        sups = values[:, 0]
         report.add_raw(n, 1.0, sups, sups)
         report.rows.append(_row(n, None, "p21_median_sup", float(np.median(sups))))
         return
+    totals = values[:, -1]  # K_n >= 1 as n >= 1
     for j, t in enumerate(spec.grid):
         ratio = values[:, j] / totals
         if target == "T22":
@@ -595,8 +610,8 @@ def _permutation_step(spec, law, i_n, nf, draw, report):
         logn = math.log(n)
         scale = _scale(spec, n, math.sqrt, spec.theta * logn)
     grid, base = tuple(spec.grid), i_n * spec.replicates
-    cycles, _ = draw(partial(_cycle_stat, n, spec.theta, grid), base)
-    boxes, _ = draw(partial(_sieve_stat, law, n, grid, False), _SIEVE_STREAM_BASE + base)
+    cycles = draw(partial(_cycle_stat, n, spec.theta, grid), base)
+    boxes = draw(partial(_sieve_stat, law, n, grid, False), _SIEVE_STREAM_BASE + base)
     for j, t in enumerate(spec.grid):
         raw = cycles[:, j]
         equality = ks_two_sample(raw, boxes[:, j])
@@ -629,7 +644,7 @@ def _bound_step(spec, law, i_n, nf, draw, report):
         n = float(n)
         stat = (partial(_lln_stat, law, n, tuple(spec.grid)) if spec.target == "P31"
                 else partial(_window_stat, law, n, spec.b, spec.c))
-    stats, _ = draw(stat, i_n * spec.replicates)
+    stats = draw(stat, i_n * spec.replicates)
     report.add_raw(n, 1.0, stats, stats)
     if spec.target == "P31":
         report.rows.append({"n": n, "median": float(np.median(stats)),
@@ -650,8 +665,8 @@ def _bound_step(spec, law, i_n, nf, draw, report):
 def _increment_step(spec, law, i_y, y, draw, report):
     """E(N(x+y) - N(x)) <= E nu(y) + 3 combined stderr at one y, each x (P33)."""
     y = float(y)
-    stats, _ = draw(partial(_increment_stat, law, tuple(spec.x_values), y),
-                    i_y * spec.replicates)
+    stats = draw(partial(_increment_stat, law, tuple(spec.x_values), y),
+                 i_y * spec.replicates)
     renewals = stats[:, -1]
     u, u_se = _mean_se(renewals)
     for j, x in enumerate(spec.x_values):
@@ -695,24 +710,29 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
         raise ConfigurationError(f"{target} needs n_values")
     report = ExperimentReport(spec)
     phases = report.metadata["phases_s"] = dict.fromkeys(_PHASES, 0.0)
-    sieve = dict.fromkeys(_SIEVE_COUNTERS, 0)
+    sieve = {"boxes_resolved": 0}
     replicates = 0
-    workers = min(jobs, spec.replicates)  # a worker beyond the replicate count would idle
+    # a worker beyond the units of work (replicates, or a sieve target's
+    # blocks of them) would idle
+    units = (-(-spec.replicates // _SIEVE_BLOCK) if target in _SIEVE + ("P21",)
+             else spec.replicates)
+    workers = min(jobs, units)
     t_start = time.perf_counter()
 
     def draw(stat, stream_base):
-        """One n's replicate columns, and each replicate's full result."""
+        """One n's replicate columns: a row per replicate."""
         nonlocal replicates
         replicates += spec.replicates
         start = time.perf_counter()
-        results = _run_replicates(partial(_stat_replicate, stat, spec.seed, stream_base),
-                                  spec.replicates, workers, pool)
+        if stat.func is _sieve_stat:
+            rows, boxes = _sieve_columns(stat, spec.seed, stream_base, spec.replicates,
+                                         workers, pool)
+            sieve["boxes_resolved"] += boxes
+        else:
+            rows = _run_replicates(partial(_stat_replicate, stat, spec.seed, stream_base),
+                                   spec.replicates, workers, pool)
         phases["simulate"] += time.perf_counter() - start
-        if stat.func is not _sieve_stat:
-            return np.asarray(results, dtype=float), results
-        for k, column in zip(_SIEVE_COUNTERS, zip(*[r[3] for r in results])):
-            sieve[k] += sum(column)
-        return np.asarray([r[0] for r in results], dtype=float), results
+        return np.asarray(rows, dtype=float)
 
     law, n_values, step = spec.law(), spec.n_values, _process_step
     if target == "P41":

@@ -23,6 +23,7 @@ __all__ = [
     "KProcess",
     "build_environment",
     "occupy_sieve",
+    "occupy_sieve_block",
     "occupy_scheme",
     "k_process",
     "rho",
@@ -286,6 +287,59 @@ def occupy_sieve(env: SieveEnvironment, n: int, rng: RngStream) -> OccupancyResu
             counts[k] = z
             remaining -= z
     return OccupancyResult(counts, n)
+
+
+def occupy_sieve_block(law: StickLaw, n: int, size: int, rng: RngStream, grid):
+    """Thin `size` independent replicates of the sieve together, from one stream.
+
+    Depth by depth, every replicate that still holds balls draws its stick W_k
+    (one `law.sample` call, in replicate order), then one array binomial
+    Z_k ~ Binomial(min(remaining, 2^60), 1 - W_k) covers them all; a replicate
+    with more than 2^60 balls left adds `sample_binomial` over the rest right
+    after it, so the chunk rule stays exact.  At 1 - W_k = 1 numpy's draw takes
+    every remaining ball and consumes one uniform, which is exact in law.
+    Sticks are drawn only for the boxes thinning reaches.
+
+    Returns each replicate's last box (the binomials its thinning drew) and,
+    for grid None, the list of its occupied counts; for a grid, a
+    (size, len(grid) + 1) array whose row holds K_n(t) at each t, counted
+    against floor_power(n, t), and then K_n.
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rep = np.arange(size)
+    rem = np.full(size, n, dtype=np.int64)
+    reps, counts = [rep[:0]], [rem[:0]]
+    binomial = rng.gen.binomial
+    chunked = n > BINOMIAL_CHUNK
+    while rep.size:
+        p = 1.0 - law.sample(rng, rep.size)
+        if chunked:
+            z = binomial(np.minimum(rem, BINOMIAL_CHUNK), p)
+            over = np.flatnonzero(rem > BINOMIAL_CHUNK).tolist()
+            for i in over:
+                z[i] += sample_binomial(int(rem[i]) - BINOMIAL_CHUNK, float(p[i]), rng)
+            chunked = bool(over)
+        else:
+            z = binomial(rem, p)
+        reps.append(rep)
+        counts.append(z)
+        rem -= z
+        left = rem > 0
+        rep, rem = rep[left], rem[left]
+    rep, z = np.concatenate(reps), np.concatenate(counts)
+    last = np.bincount(rep, minlength=size)  # replicate r thins boxes 1..last[r]
+    occupied = z > 0
+    rep, z = rep[occupied], z[occupied]
+    if grid is None:
+        order = np.argsort(rep, kind="stable")
+        return np.split(z[order], np.cumsum(np.bincount(rep, minlength=size))[:-1]), last
+    k = np.empty((size, len(grid) + 1), dtype=np.int64)
+    for j, t in enumerate(grid):
+        k[:, j] = np.bincount(rep[z <= floor_power(n, t)], minlength=size)
+    k[:, -1] = np.bincount(rep, minlength=size)
+    return k, last
 
 
 def occupy_scheme(scheme: DeterministicScheme, n: int, rng: RngStream) -> OccupancyResult:

@@ -31,6 +31,7 @@ from sievesim.harness import (
     ExperimentSpec,
     _cycle_stat,
     _run_replicates,
+    _sieve_columns,
     _sieve_stat,
     _stat_replicate,
     ks_one_sample,
@@ -284,8 +285,7 @@ def test_c8_t22_marginal_convergence():
     n = 10**12
     logn = math.log(n)
     stat = partial(_sieve_stat, StickLaw.exp_pareto(0.5), n, (1.0,), False)
-    vals = np.asarray([r[0] for r in _run_replicates(partial(_stat_replicate, stat, SEED, 0),
-                                                     4000, 1, None)], dtype=float)[:, 0]
+    vals = _sieve_columns(stat, SEED, 0, 4000, 1, None)[0][:, 0].astype(float)
     norm = vals / logn**0.5
     ref = np.asarray(sample_inverse_subordinator_marginal(
         0.5, 1.0, RngStream(SEED, 1 << 41), 4000))
@@ -303,10 +303,8 @@ def test_c8_t22_marginal_convergence():
 def test_c8_t22_ratio_convergence():
     n = 10**12
     stat = partial(_sieve_stat, StickLaw.exp_pareto(0.5), n, (0.5, 1.0), False)
-    res = _run_replicates(partial(_stat_replicate, stat, SEED, 0), 4000, 1, None)
-    vals = np.asarray([r[0] for r in res], dtype=float)
-    totals = np.asarray([r[1] for r in res], dtype=float)
-    ratio = vals[:, 0] / totals
+    rows = _sieve_columns(stat, SEED, 0, 4000, 1, None)[0].astype(float)
+    ratio = rows[:, 0] / rows[:, -1]  # K_n(0.5) / K_n
     ref = sample_inverse_ratio(0.5, 0.5, RngStream(SEED, (1 << 41) + 1), 4000)
     stat = ks_two_sample(ratio, ref)
     atom_pre = float(np.mean(ratio == 0.0))

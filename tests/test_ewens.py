@@ -26,6 +26,7 @@ from sievesim.harness import (
     DEFAULT_THRESHOLDS,
     _cycle_stat,
     _run_replicates,
+    _sieve_columns,
     _sieve_stat,
     _stat_replicate,
     ks_two_sample,
@@ -41,10 +42,11 @@ def _cycle_columns(n, theta, grid, seed, stream_base, reps):
 
 
 def _box_columns(n, theta, grid, seed, stream_base, reps):
-    """K_n(t) of replicates 0..reps-1 of the beta(theta) sieve."""
+    """K_n(t) of replicates 0..reps-1 of the beta(theta) sieve, drawn in
+    blocks as the harness draws them."""
     stat = partial(_sieve_stat, StickLaw.beta(theta), n, grid, False)
-    return np.asarray([r[0] for r in _run_replicates(
-        partial(_stat_replicate, stat, seed, stream_base), reps, 1, None)], float)
+    rows, _ = _sieve_columns(stat, seed, stream_base, reps, 1, None)
+    return rows[:, :len(grid)].astype(float)
 
 
 def test_crp_trivial_and_large_theta():

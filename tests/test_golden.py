@@ -7,12 +7,12 @@ The specs cover each step law the walk draws (exp, pareto with one and
 several blocks, const, independent and shared log sticks), the Feller
 coupling with its sieve half (ESF_FLT, and EQ at n = 1e12 with theta != 1),
 the sieve at depths where floor_power settles near-integer powers (with
-theta = 1, with theta = 2 over several stick blocks, and on a grid that
-reaches both its integer square-root and its decimal tier), P21's and P41's
-exact sup paths (P41 also where a box probability ties 1/n exactly),
-exppareto sticks in both the ratio (T22) and the process (A3) mode, and a
-seed above 2^32 whose replicate streams cross the edge of a 1,024-id block
-of `RngStream` seeding words.
+theta = 1, with theta = 2 about 74 boxes deep, and on a grid that reaches
+both its integer square-root and its decimal tier), P21's and P41's exact
+sup paths (P41 also where a box probability ties 1/n exactly), exppareto
+sticks in both the ratio (T22) and the process (A3) mode, and a seed above
+2^32 whose sieve blocks' streams cross the edge of a 1,024-id block of
+`RngStream` seeding words.
 """
 
 import hashlib
@@ -52,51 +52,52 @@ GOLDEN = {
         "target = ESF_FLT\ntheta = 1.0\nn_values = 1000, 5000\ngrid = 0.5, 1.0\n"
         "replicates = 40\nseed = 7\n",
         "5e23ed100e5b85351d5ef6ae5677964ac2ab351b92e8d821686fc914a1073280"),
-    # A1, P21_sup, A3_exppareto, EQ_deep, A1_wide_seed, A1_theta2_deep and
-    # A1_decimal_tier were re-recorded when sample_binomial stopped rounding a
-    # Gaussian for draws of variance above 1e7: numpy's sampler now draws
-    # every box (220 to 2,203 such draws per spec had been Gaussian).
-    # T22_ratio_exppareto had 55 too, yet its ratios came out the same.
+    # A1, P21_sup, T22_ratio_exppareto, A3_exppareto, EQ_deep, A1_wide_seed,
+    # A1_theta2_deep and A1_decimal_tier were re-recorded when the sieve began
+    # to thin blocks of up to 1,024 replicates together from one stream,
+    # drawing each depth's sticks and then one array binomial for the block.
+    # ESF_FLT's CSV holds only its cycle counts, so its digest held, while its
+    # sieve half moved.
     "A1": (
         "target = A1\nstick = beta\ntheta = 1.0\nn_values = 1e8, 1e12\n"
         "grid = 0.25, 0.5, 0.75, 1.0\ncentering = linear\nreplicates = 40\nseed = 8\n",
-        "6e0621ddfb14d4d3c868371a91f8062114ce7801d95d2fdfdcd9461441a048dc"),
+        "80ed7c9f8987509e0d167951f6ed70e0b0c6e5f0ed80aaa1a78a70915f291f5d"),
     "P21_sup": (
         "target = P21\nstick = beta\ntheta = 1.0\nn_values = 1e4, 1e12\ngrid = 1.0\n"
         "replicates = 40\nseed = 11\n",
-        "a769195c2d1c3877419e8f94760169495919f26690cb262c1445b53550f3ba02"),
+        "7c2f0ac6492fa6201ed1f4d2db35de6c33263a3b1f6f950e855843a10367e1d2"),
     "T22_ratio_exppareto": (
         "target = T22\nmode = ratio\nstick = exppareto\nalpha = 0.5\nn_values = 1e12\n"
         "grid = 0.5, 1.0\nreplicates = 40\nseed = 12\n",
-        "f44a01c9246eacce6caef97718ec2a19e68d216e400d0754dc5957f8d41c3c6e"),
+        "ab6117e87c17cc99b0d18cfa58c37021eebe832eb594e1179fcdea53714aa1b2"),
     "A3_exppareto": (
         "target = A3\nstick = exppareto\nalpha = 1.5\nn_values = 1e8, 1e12\n"
         "grid = 0.5, 1.0\nreplicates = 40\nseed = 13\n",
-        "61f23cfe52304c96a203898c446844551106070b2215d7f4b6cca03760b72892"),
+        "58bc0069b608648482c4c724563b4406d7074dbe4889b8d2e05a5902c09d572c"),
     # recorded when EQ began to draw its cycles with the Feller coupling
     # instead of the Chinese restaurant, whose n uniforms per replicate put
     # n = 1e12 out of reach
     "EQ_deep": (
         "target = EQ\ntheta = 1.5\nn_values = 1e12\ngrid = 0.5, 1.0\n"
         "replicates = 40\nseed = 14\n",
-        "12406cca0a2c414f99b484c66d68272824c1d8552b3b365a84f4cd45cd9ccc7b"),
+        "90bb71a0b7ec7c8a7e50144f5a0cef3bc8f9da14561af2b8a14378491ae78358"),
     # first recorded with numpy's SeedSequence building every stream, before
-    # the seeding words were hashed a block of ids at a time, and re-recorded
-    # with the one binomial sampler, which SeedSequence streams reproduce too:
-    # a two-word seed, and replicate ids 0..1199, which cross the block edge
-    # at 1024
+    # the seeding words were hashed a block of ids at a time: a two-word seed.
+    # The sieve blocks took it from 600 to 1,100 replicates, so that its two
+    # columns draw from streams 0, 1024, 1100 and 2124, which still cross the
+    # edges of the 1,024-id seeding blocks, and --jobs 2 splits each column
     "A1_wide_seed": (
         "target = A1\nstick = beta\ntheta = 1.0\nn_values = 1e4, 1e9\ngrid = 0.5, 1.0\n"
-        "centering = linear\nreplicates = 600\nseed = 4294967301\n",
-        "0c97d895b6dbc9ec904d6c0b704a88677bdebdea0a558601efacf6d599471096"),
-    # theta = 2 resolves 2^-80 in about four 32-stick blocks, and n = 1e16
-    # thins through BTPE and inversion binomials
+        "centering = linear\nreplicates = 1100\nseed = 4294967301\n",
+        "8d982fc5162c1a18ecbfc828d81beef996f4a2ec5ed191144c716f63df55e41e"),
+    # theta = 2 thins about 2 log n = 74 boxes deep at n = 1e16, through BTPE
+    # and inversion binomials
     "A1_theta2_deep": (
         "target = A1\nstick = beta\ntheta = 2.0\nn_values = 1e16\n"
         "grid = 0.25, 0.5, 0.75, 1.0\nreplicates = 40\nseed = 15\n",
-        "d5032802d1055885b4274d080b68ef40598bea6f7a357f15fa7e02f063522bb1"),
-    # the next three were recorded while floor_power still used mpmath and
-    # P41 still rebuilt g's jumps and walked its events in Python, each
+        "46a8765c6453e6102198fbd860a4ca7eec2f06c4cf6269a8cb6094a6481a80c1"),
+    # the two P41 digests were recorded while floor_power still used mpmath
+    # and P41 still rebuilt g's jumps and walked its events in Python, each
     # replicate: at q = 0.5, p_10 = 1/1024 ties 1/n, which g's jumps exclude
     "P41_tie": (
         "target = P41\nq = 0.5\nn_values = 1e3, 1024\nreplicates = 100\nseed = 16\n",
@@ -110,7 +111,7 @@ GOLDEN = {
         "target = A1\nstick = beta\ntheta = 1.0\nn_values = 1e12\n"
         "grid = 0.25, 0.3333333333333333, 0.5, 1.0\ncentering = linear\n"
         "replicates = 40\nseed = 18\n",
-        "8816f68f07ed76b3205117cdb807ee5eec22fe69b4c61ff6da6de4f060037af8"),
+        "5b6088eeb5c5c0a09c72e9301311b60fd88494f63521329f3713d2aab7c724a2"),
 }
 
 
@@ -129,6 +130,7 @@ def test_cli_csv_matches_pinned_digest(tmp_path, name):
 
 
 def test_workers_starting_mid_block_reproduce_the_serial_csv(tmp_path):
-    """At --jobs 2 each worker's first replicate sits inside a block of ids
-    (chunks of 600 // 16 = 37), so it builds that block's seeding words itself."""
+    """At --jobs 2 the two workers take a sieve block each, and the worker
+    with the second block of a column builds its own seeding words for ids
+    1024 and 2124."""
     assert _run_csv(tmp_path, "A1_wide_seed", "--jobs", "2") == _run_csv(tmp_path, "A1_wide_seed")

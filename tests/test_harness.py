@@ -21,7 +21,7 @@ from sievesim.harness import (
     run_experiment,
 )
 from sievesim.limits import centering_prw, normal_cdf
-from sievesim.occupancy import DeterministicScheme, approximation_sup, occupy_sieve
+from sievesim.occupancy import DeterministicScheme, approximation_sup, occupy_sieve_block
 from sievesim.prw import lln_sup_deviation, max_window_count, simulate_path
 from sievesim.sampling import RngStream, StickLaw
 
@@ -184,6 +184,13 @@ def test_worker_pool_never_outnumbers_the_replicates(monkeypatch):
         # one pool serves all four draws (the cycles and the sieve half of each
         # n) and is closed with the run
         assert sizes == [size] and len(closed) == 1
+    # a sieve target's units of work are its blocks of 1,024 replicates: three
+    # for 2,100 replicates, and one, which needs no pool, for 1,024
+    for replicates, expected in ((2100, [3]), (1024, [])):
+        sizes.clear()
+        run_experiment(ExperimentSpec(target="A1", n_values=(100.0,), replicates=replicates,
+                                      grid=(1.0,), seed=3), jobs=8)
+        assert sizes == expected
     # a draw that raises still closes the pool
     monkeypatch.setattr(Pool, "map", lambda self, *args, **kwargs: 1 / 0)
     closed.clear()
@@ -265,11 +272,10 @@ def test_t22_runner_smoke():
 
 
 def test_dispatcher_covers_every_target(monkeypatch):
-    # the sieve counters against a count taken outside the harness: every
-    # numpy binomial draw on a replicate stream, and every thinning that ends
-    # at a box with 1 - W_k == 1, which takes the balls its draws left
-    # without a draw of its own
-    placed, draw_free = [], []
+    # the sieve counter against a count taken outside the harness: every
+    # numpy binomial variate drawn on a replicate or block stream (a box with
+    # 1 - W_k == 1 draws one too, which takes every remaining ball)
+    placed, at_p_1 = [], []
 
     class CountingGenerator:
         def __init__(self, gen):
@@ -280,7 +286,8 @@ def test_dispatcher_covers_every_target(monkeypatch):
 
         def binomial(self, n, p, size=None):
             z = self._gen.binomial(n, p, size)
-            placed.append(int(z))
+            placed.append(np.size(z))
+            at_p_1.append(np.count_nonzero(np.asarray(p) == 1.0))
             return z
 
     class CountingStream(RngStream):
@@ -288,16 +295,7 @@ def test_dispatcher_covers_every_target(monkeypatch):
             super().__init__(seed, stream_id)
             self.gen = CountingGenerator(self.gen)
 
-    def occupy_counting_draw_free(env, n, rng):
-        first = len(placed)
-        occ = occupy_sieve(env, n, rng)
-        if sum(placed[first:]) < n:
-            assert 1.0 - env.sticks[len(placed) - first] == 1.0
-            draw_free.append(n)
-        return occ
-
     monkeypatch.setattr("sievesim.harness.RngStream", CountingStream)
-    monkeypatch.setattr("sievesim.harness.occupy_sieve", occupy_counting_draw_free)
     small = dict(n_values=(200.0,), replicates=12, grid=(0.5, 1.0), seed=9,
                  thresholds={"ks": 1.0, "ratio_ks": 1.0, "eq_ks": 1.0, "cov_tol": 10.0,
                              "p21_final": 10.0})
@@ -329,7 +327,7 @@ def test_dispatcher_covers_every_target(monkeypatch):
     ]
     metadata_keys = set()
     for spec in specs:
-        placed.clear(), draw_free.clear()
+        placed.clear(), at_p_1.clear()
         rep = run_experiment(spec)
         assert rep.rows, spec.target
         metadata_keys.add(tuple(sorted(rep.metadata)))
@@ -337,16 +335,14 @@ def test_dispatcher_covers_every_target(monkeypatch):
         assert rep.metadata["replicates"] >= spec.replicates, spec.target
         assert rep.metadata["replicates_per_s"] > 0.0, spec.target
         sieve = rep.metadata["sieve"]
-        assert set(sieve) == {"boxes_built", "boxes_resolved", "lazy_extensions"}
+        assert set(sieve) == {"boxes_resolved"}
         if spec.target in _SIEVE + ("P21", "EQ", "ESF_FLT"):
-            # one binomial draw per box thinned but a draw-free last box, and
-            # thinning ends at the last box
-            assert sieve["boxes_resolved"] == len(placed) + len(draw_free), spec.target
-            assert draw_free or spec.target != "T22"  # its alpha = 0.5 sticks have some
-            assert (sieve["boxes_built"] + sieve["lazy_extensions"]
-                    >= sieve["boxes_resolved"] > 0), spec.target
+            # one binomial variate per box thinned, and thinning ends at the
+            # last box
+            assert sieve["boxes_resolved"] == sum(placed) > 0, spec.target
+            assert sum(at_p_1) or spec.target != "T22"  # its alpha = 0.5 sticks have some
         else:
-            assert set(sieve.values()) == {0}, spec.target
+            assert sieve == {"boxes_resolved": 0}, spec.target
     assert {spec.target for spec in specs} == set(TARGETS)
     assert metadata_keys == {("phases_s", "replicates", "replicates_per_s", "runtime_s", "seed",
                               "sieve", "version")}
@@ -461,6 +457,46 @@ def test_trend_targets_draw_addressable_replicates(spec):
             got = [tuple(float(v) for v in row[1:3] + row[4:])
                    for row in rows[i * block:(i + 1) * block] if int(row[3]) == r]
             assert got == [tuple(map(float, row)) for row in _trend_replicate(spec, i, r)]
+
+
+def _block_row(law, n, grid, seed, column_base, replicates, r):
+    """Replicate r of a sieve column, from a standalone call on its block:
+    replicates 1024 b .. 1024 b + 1023 on stream column_base + 1024 b."""
+    first = r - r % 1024
+    rows, _ = occupy_sieve_block(law, n, min(1024, replicates - first),
+                                 RngStream(seed, column_base + first), grid)
+    return rows[r - first, :len(grid)].astype(float).tolist()
+
+
+def test_sieve_replicates_are_addressable_by_block():
+    spec = ExperimentSpec(target="A1", n_values=(10**4, 10**9), replicates=1100,
+                          grid=(0.5, 1.0), seed=23, thresholds={"ks": 1.0, "cov_tol": 10.0})
+    raw = run_experiment(spec).raw
+    for i, n in enumerate((10**4, 10**9)):
+        for r in (0, 1023, 1024, 1099):
+            got = [row[4] for row in raw if row[1] == n and row[3] == r]
+            assert got == _block_row(spec.stick_law(), n, spec.grid, 23, i * 1100, 1100, r)
+    # EQ's CSV carries the sieve half that ESF_FLT draws, from 2^20 + i R on
+    common = dict(n_values=(300, 1000), replicates=1100, grid=(1.0,), seed=24, theta=1.5)
+    eq, esf = (run_experiment(ExperimentSpec(target=target, **common)) for target in ("EQ", "ESF_FLT"))
+    for r in (0, 1023, 1024, 1099):
+        got = [row[5] for row in eq.raw if row[1] == 1000 and row[3] == r]
+        assert got == _block_row(StickLaw.beta(1.5), 1000, (1.0,), 24, (1 << 20) + 1100, 1100, r)
+    boxes = [_block_row(StickLaw.beta(1.5), 1000, (1.0,), 24, (1 << 20) + 1100, 1100, r)[0]
+             for r in range(1100)]
+    cycles = [row[4] for row in esf.raw if row[1] == 1000]
+    assert [row["value"] for row in esf.rows if row["stat"] == "ks_sieve_equality"][1] == \
+        ks_two_sample(cycles, boxes)
+
+
+def test_sieve_blocks_run_on_workers_as_serially():
+    # 2,100 replicates make three blocks per n, the last one short
+    spec = ExperimentSpec(target="A1", mode="ratio", n_values=(10**5, 10**10), replicates=2100,
+                          grid=(0.5, 1.0), seed=25, thresholds={"ratio_ks": 1.0})
+    serial, parallel = run_experiment(spec), run_experiment(spec, jobs=2)
+    assert list(serial.csv_lines(False)) == list(parallel.csv_lines(False))
+    assert serial.rows == parallel.rows
+    assert serial.metadata["sieve"] == parallel.metadata["sieve"]
 
 
 def test_calibration_guard_light():

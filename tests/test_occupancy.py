@@ -17,7 +17,13 @@ from conftest import (
     sup_rho_window_scan,
     window_box_count,
 )
-from sievesim.harness import ConfigurationError, ExperimentSpec, run_experiment
+from sievesim.harness import (
+    ConfigurationError,
+    ExperimentSpec,
+    _sieve_stat,
+    ks_two_sample,
+    run_experiment,
+)
 from sievesim.occupancy import (
     DeterministicScheme,
     OccupancyResult,
@@ -30,6 +36,7 @@ from sievesim.occupancy import (
     k_process,
     occupy_scheme,
     occupy_sieve,
+    occupy_sieve_block,
     rho,
     _g_jumps,
     _integral_term,
@@ -325,6 +332,148 @@ def test_occupy_sieve_draws_nothing_at_a_box_with_p_1(n):
         assert rng.gen.random() == ref_rng.gen.random()
         draw_free += 1.0 - env.sticks[max(counts) - 1] == 1.0
     assert draw_free > 0
+
+
+# ---------------------------------------------------------------------------
+# blocks of sieve replicates
+# ---------------------------------------------------------------------------
+
+
+class _ConstantSticks:
+    """A stick law that draws nothing and gives every box W = w."""
+
+    def __init__(self, w):
+        self.w = w
+
+    def sample(self, rng, size):
+        return np.full(size, self.w)
+
+
+def _block_rows(law, n, reps, seed, grid):
+    """K_n(t) on the grid, then K_n, of replicates 0..reps-1, thinned in blocks
+    of 1,024 as the harness draws them: block b from stream 1024 b."""
+    return np.concatenate([
+        occupy_sieve_block(law, n, min(1024, reps - first), RngStream(seed, first), grid)[0]
+        for first in range(0, reps, 1024)])
+
+
+def _per_replicate_k(law, n, grid, seed, reps):
+    """K_n(t) on the grid, then K_n, by the per-replicate path: sticks to the
+    2^-80 floor, thinning box by box, counting on the sorted counts."""
+    rows = []
+    for r in range(reps):
+        rng = RngStream(seed, r)
+        kp = k_process(occupy_sieve(build_environment(law, 2**-80, rng), n, rng), grid)
+        rows.append(kp.values + [kp.k_total])
+    return np.array(rows)
+
+
+def _ewens_moments(theta, n):
+    """Exact mean and variance of the number of cycles of an Ewens(theta)
+    permutation of n, which K_n(1) of the beta(theta) sieve shares."""
+    with mpmath.workdps(40):
+        th = mpmath.mpf(theta)
+        mean = th * (mpmath.psi(0, th + n) - mpmath.psi(0, th))
+        var = mean - th**2 * (mpmath.psi(1, th) - mpmath.psi(1, th + n))
+        return float(mean), float(var)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", [10**3, 10**16, 2**62])
+def test_block_k_n_has_the_exact_ewens_mean_and_variance(theta, n):
+    reps = 24000
+    k = _block_rows(StickLaw.beta(theta), n, reps, 41, (1.0,))[:, -1].astype(float)
+    mean, var = _ewens_moments(theta, n)
+    dev = k - k.mean()
+    se_var = math.sqrt((np.mean(dev**4) - k.var() ** 2) / reps)
+    assert abs(k.mean() - mean) < 4.0 * math.sqrt(var / reps)
+    assert abs(k.var(ddof=1) - var) < 4.0 * se_var
+
+
+@pytest.mark.parametrize("n", [10**12, 2**62])
+def test_block_k_process_matches_the_per_replicate_path(n):
+    # exppareto(0.5) sticks put some boxes at 1 - W_k == 1, where the block's
+    # array binomial takes every remaining ball; 3,000 replicates a side, whose
+    # two-sample KS has 99.9% null level 1.95 sqrt(2/3000) = 0.050
+    law, grid, reps = StickLaw.exp_pareto(0.5), (0.25, 0.5, 1.0), 3000
+    blocked = _block_rows(law, n, reps, 42, grid)
+    single = _per_replicate_k(law, n, grid, 43, reps)
+    for j in range(len(grid) + 1):
+        assert ks_two_sample(blocked[:, j], single[:, j]) < 1.95 * math.sqrt(2.0 / reps)
+
+
+@pytest.mark.parametrize("law", [StickLaw.beta(1.0), StickLaw.beta(0.3), StickLaw.exp_pareto(0.5)],
+                         ids=["beta1", "beta0.3", "exppareto0.5"])
+@pytest.mark.parametrize("n", [1, 7, 10**6, (1 << 60) + 1, 2**62])
+def test_block_conserves_n_in_every_replicate(law, n):
+    # the block's int64 total would overflow at 2^62; each replicate's sum is
+    # taken in Python ints
+    counts, last = occupy_sieve_block(law, n, 300, RngStream(44, 0), None)
+    assert len(counts) == 300 and all(sum(c.tolist()) == n for c in counts)
+    assert all(c.min() > 0 and len(c) <= box for c, box in zip(counts, last.tolist()))
+
+
+def test_block_grid_counts_equal_k_process_on_its_counts():
+    law, n, grid = StickLaw.beta(1.0), 10**12, (0.0, 0.25, 0.5, 0.75, 1.0)
+    counts, last = occupy_sieve_block(law, n, 500, RngStream(45, 0), None)
+    rows, last_grid = occupy_sieve_block(law, n, 500, RngStream(45, 0), grid)
+    assert np.array_equal(last, last_grid)
+    for c, row in zip(counts, rows.tolist()):
+        kp = k_process(OccupancyResult(dict(enumerate(c.tolist(), start=1)), n), grid)
+        assert row == kp.values + [kp.k_total]
+
+
+def test_p21_block_sup_equals_the_sup_of_each_replicates_counts():
+    law, n = StickLaw.beta(1.0), 10**8
+    sups, boxes = _sieve_stat(law, n, (1.0,), True, 700, RngStream(46, 0))
+    counts, last = occupy_sieve_block(law, n, 700, RngStream(46, 0), None)
+    assert sups.shape == (700, 1) and boxes == last.sum()
+    assert sups[:, 0].tolist() == [_ratio_sup_deviation(c, n) for c in counts]
+    assert sups[:, 0].tolist() == [ratio_sup_walk(_k_jumps(c, n), len(c)) for c in counts]
+
+
+def test_block_thinning_matches_per_ball_placement():
+    # fixed sticks 1/2 (p*_k = 2^-k): K_n(t) from the block sampler against
+    # per-ball uniform placement, at 20,000 replicates a side (99.9% null
+    # level of the two-sample KS: 1.95 sqrt(2/20000) = 0.0195)
+    n, reps, grid = 100, 20000, (0.0, 0.25, 0.5, 0.75, 1.0)
+    blocked = _block_rows(_ConstantSticks(0.5), n, reps, 47, grid)
+    naive = naive_placement(np.cumprod([0.5] * 60), n, RngStream(48, 0).gen, reps)
+    occupied = [OccupancyResult({k: z for k, z in enumerate(row) if z}, n)
+                for row in naive.tolist()]
+    for j, t in enumerate(grid):
+        placed = [k_process(occ, (t,)).values[0] for occ in occupied]
+        assert ks_two_sample(blocked[:, j], placed) < 1.95 * math.sqrt(2.0 / reps)
+
+
+def test_block_keeps_the_chunk_rule_past_2_60():
+    # depth 1 at n = 2^62 with W = 1/2: one array draw over 2^60 balls each,
+    # then sample_binomial over the other 3 * 2^60 per replicate, in order
+    n, size = 2**62, 4
+    counts, _ = occupy_sieve_block(_ConstantSticks(0.5), n, size, RngStream(50, 0), None)
+    ref = RngStream(50, 0)
+    first = ref.gen.binomial(np.full(size, 2**60), 0.5).tolist()
+    first = [z + sample_binomial(n - 2**60, 0.5, ref) for z in first]
+    assert [int(c[0]) for c in counts] == first
+    # numpy's one draw over 2^62 trials overstates the variance by about 8%;
+    # the chunked Z_1 has variance n/4 (20,480 draws, SE of the ratio 0.01)
+    z1 = np.array([float(int(c[0]) - n // 2) for first in range(0, 20480, 1024)
+                   for c in occupy_sieve_block(_ConstantSticks(0.5), n, 1024,
+                                               RngStream(51, first), None)[0]])
+    assert abs(np.mean(z1**2) / (n / 4) - 1.0) < 0.04
+
+
+def test_block_array_binomial_at_p_1_takes_the_rest_with_one_draw():
+    # W below 2^-54 makes 1 - W == 1: every replicate's first box takes all
+    # n balls, and numpy's array draw still consumes one double per replicate
+    # (and one chunked sum per replicate above 2^60, which draws nothing here)
+    for n in (10**9, 2**62):
+        rng = RngStream(49, 0)
+        counts, last = occupy_sieve_block(_ConstantSticks(2.0**-60), n, 5, rng, None)
+        assert [c.tolist() for c in counts] == [[n]] * 5 and last.tolist() == [1] * 5
+        ref = RngStream(49, 0)
+        ref.gen.random(5)
+        assert rng.gen.random() == ref.gen.random()
 
 
 # ---------------------------------------------------------------------------
