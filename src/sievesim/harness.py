@@ -270,24 +270,33 @@ class ExperimentSpec:
 _FINITE = tuple(f.name for f in fields(ExperimentSpec) if f.type in (float, tuple))
 
 
+def _reprs(values):
+    """repr of each float64 in values, called once per distinct bit pattern:
+    a column of counts holds a few dozen distinct values, and keying on bits
+    keeps -0.0 apart from 0.0 (and one NaN payload from another)."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = [repr(v) for v in bits.view(np.float64).tolist()]
+    return [text[i] for i in inverse.tolist()]
+
+
 @dataclass
 class ExperimentReport:
     """Summary rows, raw per-replicate statistics and run metadata."""
 
     spec: ExperimentSpec
     rows: list = field(default_factory=list)
-    raw: list = field(default_factory=list)   # (target, n, t, replicate, raw, normalized)
+    # one entry per column: (target, n, t, raw, normalized), the last two
+    # float64 arrays indexed by replicate
+    raw: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
     def all_passed(self) -> bool:
         return all(row.get("passed") is not False for row in self.rows)
 
     def add_raw(self, n, t, raw_values, normalized_values):
-        """Append one column: a row per replicate r, numbered from 0."""
-        target = self.spec.target
-        raw = np.asarray(raw_values, dtype=float).tolist()
-        normalized = np.asarray(normalized_values, dtype=float).tolist()
-        self.raw += [(target, n, t, r, rv, nv) for r, (rv, nv) in enumerate(zip(raw, normalized))]
+        """Append one column of replicates 0 .. R - 1."""
+        self.raw.append((self.spec.target, n, t, np.array(raw_values, dtype=float),
+                         np.array(normalized_values, dtype=float)))
 
     def to_json(self) -> str:
         body = {
@@ -302,21 +311,28 @@ class ExperimentReport:
         }
         return json.dumps(body, indent=2, default=float)
 
-    def csv_lines(self, timestamp: bool = True):
+    def _csv_blocks(self, timestamp: bool):
+        """The CSV's lines in blocks: the header, then one block per column."""
         if timestamp:
-            yield f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')} sievesim {__version__}"
-        yield "target,n,t,replicate,raw,normalized"
-        for target, n, t, r, rv, nv in self.raw:
-            if r == 0:  # a new column: its target,n,t prefix is formatted once
-                prefix = f"{target},{n!r},{t!r},"
-            yield f"{prefix}{r},{rv!r},{nv!r}"
+            yield [f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')} sievesim {__version__}"]
+        yield ["target,n,t,replicate,raw,normalized"]
+        for target, n, t, raw, normalized in self.raw:
+            prefix = f"{target},{n!r},{t!r},"
+            yield [f"{prefix}{r},{rv},{nv}"
+                   for r, rv, nv in zip(range(len(raw)), _reprs(raw), _reprs(normalized))]
+
+    def csv_lines(self, timestamp: bool = True):
+        for block in self._csv_blocks(timestamp):
+            yield from block
 
     def write(self, out_dir, stem: str, timestamp: bool = True):
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         csv_path, json_path = out / f"{stem}.csv", out / f"{stem}.json"
         start = time.perf_counter()
-        csv_path.write_text("\n".join(self.csv_lines(timestamp)) + "\n")
+        with csv_path.open("w") as csv:
+            for block in self._csv_blocks(timestamp):
+                csv.write("\n".join(block) + "\n")
         self.metadata.setdefault("phases_s", {})["write"] = time.perf_counter() - start
         json_path.write_text(self.to_json() + "\n")
         return csv_path, json_path

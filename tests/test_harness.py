@@ -13,6 +13,7 @@ from conftest import calibration_guard
 from sievesim.harness import (
     ConfigurationError,
     TARGETS,
+    ExperimentReport,
     ExperimentSpec,
     _SIEVE,
     Normalization,
@@ -211,6 +212,31 @@ def test_csv_format():
     float(raw), float(normalized)
 
 
+def test_csv_formats_each_value_as_its_repr(tmp_path):
+    # the writer formats each distinct bit pattern of a column once; a
+    # per-row repr is the reference, on columns where values collide
+    x = 0.1 + 0.2
+    payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    raw = np.array([0.0, -0.0, 0.0, -0.0, np.nan, payload, np.inf, -np.inf, 5e-324,
+                    1e16, 1e22, x, np.nextafter(x, 1.0), -0.0, 3.0])
+    normalized = np.array([-0.0, 0.0, np.nan, -np.inf, 0.0, 5e-324, -0.0, x, 1e22,
+                           np.nextafter(x, 1.0), 1e16, np.inf, 0.0, 3.0, payload])
+    rep = ExperimentReport(ExperimentSpec(target="P31", n_values=(50,), grid=(1.0,)))
+    columns = [(10**4, 0.5, raw, normalized), (1e4, 1.0, normalized, raw),
+               (50, 1.0, raw, raw)]   # P31's sups are both its raw and normalized values
+    for n, t, rv, nv in columns:
+        rep.add_raw(n, t, rv, nv)
+    expected = ["target,n,t,replicate,raw,normalized"]
+    for n, t, rv, nv in columns:
+        prefix = f"P31,{n!r},{t!r},"
+        expected += [f"{prefix}{r},{a!r},{b!r}"
+                     for r, (a, b) in enumerate(zip(rv.tolist(), nv.tolist()))]
+    assert list(rep.csv_lines(timestamp=False)) == expected
+    csv_path, _ = rep.write(tmp_path, "report", timestamp=False)
+    assert csv_path.read_text() == "\n".join(expected) + "\n"
+    assert expected[1] == "P31,10000,0.5,0,0.0,-0.0" and expected[16] == "P31,10000.0,1.0,0,-0.0,0.0"
+
+
 # ---------------------------------------------------------------------------
 # runner behaviour
 # ---------------------------------------------------------------------------
@@ -229,7 +255,7 @@ def test_ratio_runner_endpoint_identities():
     spec = ExperimentSpec(target="A1", mode="ratio", n_values=(10**6,),
                           replicates=40, grid=(0.0, 0.5, 1.0), seed=6)
     rep = run_experiment(spec)
-    t1 = np.array([row[5] for row in rep.raw if row[2] == 1.0])
+    t1 = np.concatenate([normalized for _, _, t, _, normalized in rep.raw if t == 1.0])
     assert np.all(t1 == 0.0)  # ratio 1 and centering 1 cancel exactly
     mid = [r for r in rep.rows if r.get("t") == 0.5][0]
     assert mid["stat"] == "ks_bridge"
@@ -388,8 +414,7 @@ def test_walk_centering_uses_the_step_laws_eta(stick_eta):
     scale = math.sqrt(s2 * n / m**3)
     for t in (0.5, 1.0):
         center = centering_prw(("log1mstick", law), n, t, m)
-        raw = np.array([r[4] for r in rep.raw if r[2] == t])
-        normalized = np.array([r[5] for r in rep.raw if r[2] == t])
+        raw, normalized = next(column[3:] for column in rep.raw if column[2] == t)
         assert np.allclose(raw - normalized * scale, center, rtol=0.0, atol=1e-9 * n)
 
 
@@ -474,17 +499,17 @@ def test_sieve_replicates_are_addressable_by_block():
     raw = run_experiment(spec).raw
     for i, n in enumerate((10**4, 10**9)):
         for r in (0, 1023, 1024, 1099):
-            got = [row[4] for row in raw if row[1] == n and row[3] == r]
+            got = [float(column[3][r]) for column in raw if column[1] == n]
             assert got == _block_row(spec.stick_law(), n, spec.grid, 23, i * 1100, 1100, r)
     # EQ's CSV carries the sieve half that ESF_FLT draws, from 2^20 + i R on
     common = dict(n_values=(300, 1000), replicates=1100, grid=(1.0,), seed=24, theta=1.5)
     eq, esf = (run_experiment(ExperimentSpec(target=target, **common)) for target in ("EQ", "ESF_FLT"))
     for r in (0, 1023, 1024, 1099):
-        got = [row[5] for row in eq.raw if row[1] == 1000 and row[3] == r]
+        got = [float(column[4][r]) for column in eq.raw if column[1] == 1000]
         assert got == _block_row(StickLaw.beta(1.5), 1000, (1.0,), 24, (1 << 20) + 1100, 1100, r)
     boxes = [_block_row(StickLaw.beta(1.5), 1000, (1.0,), 24, (1 << 20) + 1100, 1100, r)[0]
              for r in range(1100)]
-    cycles = [row[4] for row in esf.raw if row[1] == 1000]
+    cycles = next(column[3] for column in esf.raw if column[1] == 1000).tolist()
     assert [row["value"] for row in esf.rows if row["stat"] == "ks_sieve_equality"][1] == \
         ks_two_sample(cycles, boxes)
 
