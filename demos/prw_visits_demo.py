@@ -13,7 +13,7 @@ from sievesim.prw import StepLaw, simulate_path
 from sievesim.sampling import RngStream
 
 rng = RngStream(1, 0)
-law = StepLaw.exp_exp()
+law = StepLaw(("exp", 1.0), ("exp", 1.0))
 
 path = simulate_path(law, 20.0, rng)
 print("one Exp/Exp walk up to horizon 20:")

@@ -22,7 +22,7 @@ occ = occupy_sieve(env, 10**12, rng)
 grid = np.linspace(0.0, 1.0, 6)
 kp = k_process(occ, grid)
 print(f"  environment resolved {env.num_boxes} boxes, {len(occ.counts)} occupied")
-for t, v in zip(grid, kp.values):
+for t, v in zip(grid, kp):  # kp ends with K_n, past the grid
     print(f"  K_n({t:.1f}) = {v:3d}   (boxes holding at most floor(n^t) balls)")
 
 print("\nGaussian limit of (K_n(1) - t log n) / sqrt(log n), beta(1,1) sticks:")

@@ -102,8 +102,6 @@ def _cmd_run(args) -> int:
 def _cmd_oracle(args) -> int:
     """Replay a stored environment and confirm the counting identity
     rho*(x) = N(log x) at 50 points, counting each side independently."""
-    if args.seed is not None and args.seed < 0:
-        raise SpecFileError(args.spec, 0, "--seed must be >= 0")
     try:
         env = SieveEnvironment.from_json(Path(args.spec).read_text())
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
@@ -149,6 +147,8 @@ def main(argv=None) -> int:
         if args.spec is None:
             print(f"{args.verb} requires --spec", file=sys.stderr)
             return 2
+        if args.seed is not None and args.seed < 0:
+            raise SpecFileError(args.spec, 0, "--seed must be >= 0")
         if args.verb == "oracle":
             return _cmd_oracle(args)
         return _cmd_run(args)

@@ -1,7 +1,6 @@
 """Ewens cycle counts sampled by the Feller coupling, which jumps from one
 indicator to the next, and the cycle process C_n(t)."""
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,22 +28,6 @@ class CycleCounts:
     def __post_init__(self):
         if sum(r * c for r, c in self.counts.items()) != self.n:
             raise ValueError("cycle lengths must sum to n")
-
-    def num_cycles(self) -> int:
-        return sum(self.counts.values())
-
-    def cycle_type(self) -> tuple:
-        return tuple(sorted((r, c) for r, c in self.counts.items() if c > 0))
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "theta": self.theta,
-                           "counts": sorted([int(r), int(c)] for r, c in self.counts.items())})
-
-    @staticmethod
-    def from_json(text: str) -> "CycleCounts":
-        obj = json.loads(text)
-        return CycleCounts(int(obj["n"]), float(obj["theta"]),
-                           {int(r): int(c) for r, c in obj["counts"]})
 
 
 FELLER_MAX_N = 1 << 53  # beyond this a double cannot tell G_i(j) from G_i(j + 1)

@@ -205,6 +205,9 @@ class ExperimentSpec:
                                          f"{hi:g}), the tail index of its reference law")
         if self.target not in _WALK + ("P33",) and any(n < 1 for n in self.n_values):
             raise ConfigurationError(f"{self.target} rounds n to an integer: n_values must be >= 1")
+        if self.target in _SIEVE + ("P21",) and any(n >= 2.0**63 for n in self.n_values):
+            raise ConfigurationError(f"{self.target} counts balls in int64: n_values must be "
+                                     "< 2^63")
         if self.target in _WALK and any(n <= 0 for n in self.n_values):
             raise ConfigurationError(f"{self.target} needs n_values > 0")
         if self.target in _WALK and any(b < a for a, b in zip(self.grid, self.grid[1:])):
@@ -321,10 +324,6 @@ class ExperimentReport:
             yield [f"{prefix}{r},{rv},{nv}"
                    for r, rv, nv in zip(range(len(raw)), _reprs(raw), _reprs(normalized))]
 
-    def csv_lines(self, timestamp: bool = True):
-        for block in self._csv_blocks(timestamp):
-            yield from block
-
     def write(self, out_dir, stem: str, timestamp: bool = True):
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -413,12 +412,11 @@ def _window_stat(law: StepLaw, n: float, b: float, c: float, rng: RngStream) -> 
 
 
 def _increment_stat(law: StepLaw, x_values: tuple, y: float, rng: RngStream) -> list:
-    """N(x+y) - N(x) for each x on one path, then nu(y) on a fresh path from
-    the same stream, after the first walk's whole blocks; the increments are
-    counted before the second walk reuses the first's buffers."""
-    path = simulate_path(law, max(x_values) + y, rng, whole_blocks=True)
+    """N(x+y) - N(x) for each x, then nu(y), all on one path: its horizon
+    max x + y is at least y, so nu(y) is counted exactly."""
+    path = simulate_path(law, max(x_values) + y, rng)
     increments = [path.count_visits(x + y) - path.count_visits(x) for x in x_values]
-    return increments + [simulate_path(law, y, rng).count_renewals(y)]
+    return increments + [path.count_renewals(y)]
 
 
 # ---------------------------------------------------------------------------
@@ -679,16 +677,18 @@ def _bound_step(spec, law, i_n, nf, draw, report):
 
 
 def _increment_step(spec, law, i_y, y, draw, report):
-    """E(N(x+y) - N(x)) <= E nu(y) + 3 combined stderr at one y, each x (P33)."""
+    """E(N(x+y) - N(x)) <= E nu(y) + 3 stderr at one y, each x (P33); both
+    sides are counted on the same paths, so the stderr is that of their
+    per-replicate difference."""
     y = float(y)
     stats = draw(partial(_increment_stat, law, tuple(spec.x_values), y),
                  i_y * spec.replicates)
     renewals = stats[:, -1]
-    u, u_se = _mean_se(renewals)
+    u = float(np.mean(renewals))
     for j, x in enumerate(spec.x_values):
         report.add_raw(y, float(x), stats[:, j], renewals)
-        lhs, lhs_se = _mean_se(stats[:, j])
-        se = math.hypot(lhs_se, u_se)
+        lhs = float(np.mean(stats[:, j]))
+        _, se = _mean_se(stats[:, j] - renewals)
         ok = lhs <= u + 3.0 * se
         report.rows.append({"x": float(x), "y": y, "lhs": lhs, "u": u, "stderr": se, "ok": ok,
                             "stat": "visit_increment_bound", "passed": ok})

@@ -5,7 +5,6 @@ approximation bound."""
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
@@ -20,7 +19,6 @@ __all__ = [
     "DeterministicScheme",
     "SieveEnvironment",
     "OccupancyResult",
-    "KProcess",
     "build_environment",
     "occupy_sieve",
     "occupy_sieve_block",
@@ -183,9 +181,6 @@ class SieveEnvironment:
             raise RuntimeError("frozen environment exhausted; no law attached to extend")
         self.sticks.extend(self.law.sample(self.rng, _EXTENSION_BLOCK).tolist())
 
-    def to_json(self) -> str:
-        return json.dumps({"sticks": self.sticks, "cutpoints": self.cutpoints.tolist()})
-
     @staticmethod
     def from_json(text: str) -> "SieveEnvironment":
         """A frozen environment; ValueError unless the text holds a nonempty
@@ -246,15 +241,6 @@ class OccupancyResult:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def to_json(self) -> str:
-        return json.dumps({"counts": sorted([int(k), int(v)] for k, v in self.counts.items()),
-                           "n": int(self.n)})
-
-    @staticmethod
-    def from_json(text: str) -> "OccupancyResult":
-        obj = json.loads(text)
-        return OccupancyResult({int(k): int(v) for k, v in obj["counts"]}, int(obj["n"]))
-
 
 def occupy_sieve(env: SieveEnvironment, n: int, rng: RngStream) -> OccupancyResult:
     """Place n balls by sequential binomial thinning.
@@ -270,19 +256,12 @@ def occupy_sieve(env: SieveEnvironment, n: int, rng: RngStream) -> OccupancyResu
     counts = {}
     remaining = n
     sticks = env.sticks  # W_k at index k - 1; a lazy extension appends to it
-    binomial = rng.gen.binomial
     k = 0
     while remaining > 0:
         if k == len(sticks):
             env._extend()
-        p = 1.0 - sticks[k]
+        z = sample_binomial(remaining, 1.0 - sticks[k], rng)
         k += 1
-        # sample_binomial's draw, inline; it keeps p == 1 (no draw) and the
-        # chunked sum past 2^60 trials
-        if p < 1.0 and remaining <= BINOMIAL_CHUNK:
-            z = int(binomial(remaining, p))
-        else:
-            z = sample_binomial(remaining, p, rng)
         if z > 0:
             counts[k] = z
             remaining -= z
@@ -361,23 +340,15 @@ def occupy_scheme(scheme: DeterministicScheme, n: int, rng: RngStream) -> Occupa
     return OccupancyResult(counts, n)
 
 
-@dataclass
-class KProcess:
-    """K_n(t) = #{i : 1 <= Z_{n,i} <= floor(n**t)} sampled on a grid."""
-
-    values: list
-    k_total: int
-
-
-def k_process(occ: OccupancyResult, grid) -> KProcess:
-    """Evaluate K_n(t) on the grid by sorting occupied counts once."""
+def k_process(occ: OccupancyResult, grid) -> np.ndarray:
+    """K_n(t) = #{i : 1 <= Z_{n,i} <= floor(n**t)} at each t of the grid, then
+    K_n, as one int64 array: the row layout of occupy_sieve_block."""
     ts = [float(t) for t in grid]
     if any(t < 0.0 or t > 1.0 for t in ts):
         raise ValueError("grid must lie in [0, 1]")
-    if occ.n == 0:
-        return KProcess([0] * len(ts), 0)
-    vals = sorted(occ.counts.values())
-    return KProcess([bisect_right(vals, floor_power(occ.n, t)) for t in ts], len(vals))
+    vals = occ.count_values()
+    limits = [floor_power(occ.n, t) if occ.n else 0 for t in ts]
+    return np.append(np.searchsorted(vals, limits, side="right"), vals.size).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 renewal counts nu(t), and the per-path statistics of the uniform law of
 large numbers and window-growth checks."""
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -65,11 +64,6 @@ class StepLaw:
                 raise ValueError("sharedstick requires log forms of one StickLaw")
         elif self.dependence != "independent":
             raise ValueError(f"unknown dependence: {self.dependence!r}")
-
-    @staticmethod
-    def exp_exp():
-        """Unit-rate exponential xi and eta, independent."""
-        return StepLaw(("exp", 1.0), ("exp", 1.0))
 
     @staticmethod
     def shared_stick(stick: StickLaw):
@@ -181,24 +175,12 @@ class PrwPath:
         if x > self.horizon:
             raise ValueError(f"argument {x} beyond realised horizon {self.horizon}")
 
-    def to_json(self) -> str:
-        return json.dumps({"s_values": list(map(float, self.s_values)),
-                           "t_values": list(map(float, self.t_values))})
-
-    @staticmethod
-    def from_json(text: str) -> "PrwPath":
-        obj = json.loads(text)
-        s = np.asarray(obj["s_values"], dtype=float)
-        t = np.asarray(obj["t_values"], dtype=float)
-        return PrwPath(s, t, horizon=float(s[-1]))
-
 
 # [0, S_0, S_1, ...] (xi is drawn past the leading 0), eta then T_k, S_{k-1}, S_k > horizon
 _PATH_SCRATCH = ScratchSlot(float, float, float, bool)
 
 
-def simulate_path(law: StepLaw, horizon: float, rng: RngStream, *,
-                  whole_blocks: bool = False) -> PrwPath:
+def simulate_path(law: StepLaw, horizon: float, rng: RngStream) -> PrwPath:
     """Realise the walk until S_k > horizon (so all T_k <= horizon are seen).
 
     Steps are drawn block by block into per-thread scratch buffers, which
@@ -208,9 +190,8 @@ def simulate_path(law: StepLaw, horizon: float, rng: RngStream, *,
     longer walk holds fresh, exactly sized copies of what it keeps.
 
     Each block draws its xi, then its eta.  An independent law draws eta
-    only for the kept steps of the block where the walk ends, unless
-    ``whole_blocks`` is set, for a caller that draws on from the same stream
-    and must see it advanced by whole blocks; a shared stick always does.
+    only for the kept steps of the block where the walk ends; a shared stick
+    draws whole blocks.
     """
     if horizon < 0.0:
         raise ValueError("horizon must be >= 0")
@@ -248,7 +229,7 @@ def simulate_path(law: StepLaw, horizon: float, rng: RngStream, *,
         kept = np.searchsorted(s_prev, horizon, side="right")
         s_last = s_new[min(stop, block - 1)]
         if not shared:
-            law.draw(rng, (xi[:0], eta if whole_blocks or s_last <= horizon else eta[:kept]))
+            law.draw(rng, (xi[:0], eta if s_last <= horizon else eta[:kept]))
         t_new = np.add(eta[:kept], s_prev[:kept], out=eta[:kept])
         if first and s_last > horizon:
             # one block: s holds [0, S_0..S_stop] contiguously

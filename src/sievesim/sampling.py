@@ -160,9 +160,6 @@ class RngStream:
         words = _block_state(self.seed, block)[row]
         self.gen = np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
 
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
 
 class ScratchSlot(threading.local):
     """Reusable work arrays, one set per thread.
@@ -342,11 +339,11 @@ def binomial_regime(n: int, p: float) -> str:
 def sample_binomial(n: int, p: float, rng: RngStream) -> int:
     """Binomial(n, p) draw by numpy's sampler, as a Python int.
 
-    n <= 2^60 takes one numpy draw; a larger n (up to 2^62 in the sieve)
+    n <= 2^60 takes one numpy draw; a larger n (below 2^63 in the sieve)
     takes one per full chunk of 2^60 trials, then one for the rest.  The
     degenerate cases draw nothing.  This is the one definition of the rule:
-    occupancy.occupy_sieve draws n <= 2^60 at p < 1 inline, through the
-    generator's bound binomial, and calls here for the rest.
+    occupancy.occupy_sieve and occupy_scheme call it for every box, and
+    occupy_sieve_block adds it over the trials past 2^60 to its array draw.
     """
     n = int(n)
     if n < 0:

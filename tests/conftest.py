@@ -5,11 +5,13 @@ the lattice inverse-subordinator path, the Chambers-Mallows-Stuck positive
 stable construction, the subordinator marginal, the spectrally negative
 characteristic function, the box scan of P41's window term, a walk over
 the merged jumps of P41's two step functions, and the null-model
-calibration guard.  The oracles stay independent of the library
-code paths they check; the guard deliberately pushes the library's own
-limit-law draws through its KS statistics.  `sievesim run` reaches none of
-them."""
+calibration guard; and three small readers of library objects that no run
+needs: a cycle type, a report's CSV lines and an environment's JSON.  The
+oracles stay independent of the library code paths they check; the guard
+deliberately pushes the library's own limit-law draws through its KS
+statistics.  `sievesim run` reaches none of them."""
 
+import json
 import math
 
 import numpy as np
@@ -26,6 +28,21 @@ from sievesim.sampling import (
     sample_spectrally_negative_stable,
     sample_standard_positive_stable,
 )
+
+
+def cycle_type(counts) -> tuple:
+    """A CycleCounts' cycle type: its (length, multiplicity) pairs, sorted."""
+    return tuple(sorted((r, c) for r, c in counts.counts.items() if c > 0))
+
+
+def csv_lines(report, timestamp: bool = False) -> list:
+    """The lines of the CSV that report.write writes."""
+    return [line for block in report._csv_blocks(timestamp) for line in block]
+
+
+def environment_json(env) -> str:
+    """A sieve environment as the JSON file that `sievesim oracle` reads."""
+    return json.dumps({"sticks": env.sticks, "cutpoints": env.cutpoints.tolist()})
 
 
 def exact_binomial_pmf(n: int, p: float) -> np.ndarray:

@@ -17,6 +17,7 @@ from scipy.stats import chi2_contingency
 from conftest import (
     calibration_guard,
     cms_positive_stable,
+    cycle_type,
     empirical_type_tv,
     esf_probability,
     exact_cycle_type_probs,
@@ -107,9 +108,9 @@ def test_c1c_cycle_samplers_match_exact_distribution(theta):
     draws = 10**5
     rng_a, rng_b = RngStream(SEED, 110), RngStream(SEED, 111)
     tv_crp = empirical_type_tv(
-        [sample_cycles_crp(6, theta, rng_a).cycle_type() for _ in range(draws)], exact)
+        [cycle_type(sample_cycles_crp(6, theta, rng_a)) for _ in range(draws)], exact)
     tv_fel = empirical_type_tv(
-        [sample_cycles_feller(6, theta, rng_b).cycle_type() for _ in range(draws)], exact)
+        [cycle_type(sample_cycles_feller(6, theta, rng_b)) for _ in range(draws)], exact)
     ok = tv_crp < 0.02 and tv_fel < 0.02
     assert report(f"c1c cycle-type tv (theta={theta})", ok,
                   f"restaurant tv = {tv_crp:.4f}, coupling tv = {tv_fel:.4f} (< 0.02)")

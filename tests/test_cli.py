@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import environment_json
 from sievesim.cli import SpecFileError, main, parse_spec_file
 from sievesim.harness import TARGETS, ExperimentSpec
 from sievesim.occupancy import approximation_bound_rhs, build_environment
@@ -83,13 +84,20 @@ def test_run_byte_identical_output_without_timestamp(tmp_path):
     assert c1 == c2
 
 
-def test_run_seed_override_changes_output(tmp_path):
+def test_run_seed_override_changes_output(tmp_path, capsys):
     spec_path = write(tmp_path, "p21.cfg", P21_SPEC)
     assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "s1"),
                  "--no-timestamp"]) == 0
     assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "s2"),
                  "--no-timestamp", "--seed", "43"]) == 0
     assert (tmp_path / "s1" / "p21.csv").read_bytes() != (tmp_path / "s2" / "p21.csv").read_bytes()
+    # a negative override is anchored like oracle's and every spec error
+    capsys.readouterr()
+    assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "s3"),
+                 "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec_path}:0:") and "--seed must be >= 0" in err
+    assert not (tmp_path / "s3").exists()
 
 
 def test_malformed_spec_exits_2(tmp_path, capsys):
@@ -160,6 +168,8 @@ _VALUE_ERROR_LINE = {"target = B1\nn_values = 100\nreplicates = 2.7\n": 3,
     "target = A1\nn_values = 1e4\nthreshold.ks = nan\n",
     "target = B3\nxi = pareto\nxi_param = 1.5\nmode = ratio\nn_values = 100\n",
     "target = ESF_FLT\nmode = ratio\nn_values = 1e3\n",  # only A1..T22 and P21 have it
+    "target = A1\nn_values = 1e19\n",                   # balls are counted in int64
+    "target = P21\nn_values = 1e4, 1e19\n",
 ], ids=["A3_beta_stick", "B3_exp_steps", "B4_index_1", "A1_n_below_1", "P21_no_n",
         "A1_no_n", "mode_typo", "centering_typo", "dependence_typo", "xi_unknown",
         "P33_no_x", "P33_one_replicate", "P32_negative_b", "P41_n_below_3",
@@ -168,7 +178,7 @@ _VALUE_ERROR_LINE = {"target = B1\nn_values = 100\nreplicates = 2.7\n": 3,
         "P31_n_inf", "P41_n_inf", "A1_n_nan", "seed_negative", "P33_y_negative",
         "P33_x_negative", "P33_y_nan", "P32_b_inf", "B4_n_negative",
         "B1_grid_decreasing", "P21_n_1", "replicates_2.7", "seed_1.9", "threshold_misspelt",
-        "threshold_nan", "B3_mode_ratio", "ESF_FLT_mode_ratio"])
+        "threshold_nan", "B3_mode_ratio", "ESF_FLT_mode_ratio", "A1_n_1e19", "P21_n_1e19"])
 def test_bad_spec_exits_2_before_any_replicate(tmp_path, capsys, monkeypatch, spec_text):
     def no_replicates(*args):
         raise AssertionError("a replicate was drawn")
@@ -182,6 +192,15 @@ def test_bad_spec_exits_2_before_any_replicate(tmp_path, capsys, monkeypatch, sp
     err = capsys.readouterr().err
     assert err.startswith(f"error: {spec_path}:{line}:") and "Traceback" not in err
     assert not list(tmp_path.glob("out/*.csv"))
+
+
+def test_sieve_n_just_below_2_63_runs_to_its_verdicts(tmp_path, capsys):
+    # 9.2e18 < 2^63 fits the block thinner's int64 counts; five replicates
+    # fail A1's calibrated verdicts, which is exit 1, not a crash
+    spec_path = write(tmp_path, "deep.cfg", "target = A1\nn_values = 9.2e18\nreplicates = 5\n")
+    assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / "out" / "deep.csv").exists()
 
 
 def test_p41_near_q_1_builds_and_bounds_without_a_replicate(tmp_path, monkeypatch):
@@ -287,7 +306,7 @@ def test_permutation_targets_reject_n_above_2_53(tmp_path, capsys, monkeypatch, 
 
 def test_oracle_verb(tmp_path, capsys):
     env = build_environment(StickLaw.beta(1.0), 2**-40, RngStream(17, 0))
-    env_path = write(tmp_path, "env.json", env.to_json())
+    env_path = write(tmp_path, "env.json", environment_json(env))
     assert main(["oracle", "--spec", str(env_path), "--seed", "3"]) == 0
     assert "50 points" in capsys.readouterr().out
 
@@ -336,7 +355,8 @@ def test_runtime_imports_no_scipy(tmp_path):
              "grid = 0.5, 1.0\nthreshold.ks = 1.0\nthreshold.eq_ks = 1.0\n"),
     ]
     env_path = write(tmp_path, "env.json",
-                     build_environment(StickLaw.beta(1.0), 2**-40, RngStream(17, 0)).to_json())
+                     environment_json(build_environment(StickLaw.beta(1.0), 2**-40,
+                                                       RngStream(17, 0))))
     verdicts = [
         spec("b3", "target = B3\nxi = pareto\nxi_param = 1.5\nn_values = 1e3\n"
              "grid = 0.5, 1.0\nreplicates = 20\n"),

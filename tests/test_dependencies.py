@@ -59,4 +59,4 @@ def _settable_options():
 
 def test_settable_option_count_is_pinned():
     # a change that adds or removes an option moves this pin on purpose
-    assert _settable_options() == (12, 45)
+    assert _settable_options() == (10, 43)

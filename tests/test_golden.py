@@ -42,9 +42,12 @@ GOLDEN = {
         "target = P31\nxi = logstick\neta = log1mstick\nstick = beta\ntheta = 2.0\n"
         "n_values = 50, 200\ngrid = 0.5, 1.0\nreplicates = 30\nseed = 10\n",
         "f1a8978807d162dd62ab1f199dc1f3eb3f5721bf40555173af899a5800aa8cbd"),
+    # re-recorded when P33 began to count nu(y) on the increments' own walk
+    # instead of on a second walk from the same stream: the increments held,
+    # and the normalized column now holds the renewals of that one path
     "P33": (
         "target = P33\nx_values = 0, 3, 7\ny_values = 1, 2.5\nreplicates = 40\nseed = 6\n",
-        "7c516e305d2c8683493697c8306c01bd531c17bf3fa6ff6018622445fca5555e"),
+        "f203f70e81cd99c91e924e30f9ecbc19234c85244c95b00e244437df54f7d782"),
     # re-recorded on purpose when the Feller coupling began to jump from one
     # indicator to the next: one uniform per cycle instead of one per position
     # changes its draws; its sieve half and every other digest stayed put

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from conftest import calibration_guard
+from conftest import calibration_guard, csv_lines
 from sievesim.harness import (
     ConfigurationError,
     TARGETS,
@@ -126,7 +126,7 @@ def test_reports_are_bit_reproducible():
                           grid=(0.5, 1.0), seed=11)
     rep1 = run_experiment(spec)
     rep2 = run_experiment(spec)
-    assert list(rep1.csv_lines(timestamp=False)) == list(rep2.csv_lines(timestamp=False))
+    assert csv_lines(rep1) == csv_lines(rep2)
     j1, j2 = json.loads(rep1.to_json()), json.loads(rep2.to_json())
     for j in (j1, j2):
         for timing in ("runtime_s", "phases_s", "replicates_per_s"):
@@ -153,7 +153,7 @@ def test_parallel_equals_serial():
                           grid=(0.5, 1.0), seed=3)
     rep1 = run_experiment(spec, jobs=1)
     rep2 = run_experiment(spec, jobs=2)
-    assert list(rep1.csv_lines(False)) == list(rep2.csv_lines(False))
+    assert csv_lines(rep1) == csv_lines(rep2)
 
 
 def test_worker_pool_never_outnumbers_the_replicates(monkeypatch):
@@ -178,10 +178,10 @@ def test_worker_pool_never_outnumbers_the_replicates(monkeypatch):
     monkeypatch.setattr("multiprocessing.get_context", lambda method: SimpleNamespace(Pool=Pool))
     spec = ExperimentSpec(target="ESF_FLT", n_values=(100.0, 1000.0), replicates=5,
                           grid=(0.5, 1.0), seed=3)
-    serial = list(run_experiment(spec, jobs=1).csv_lines(False))
+    serial = csv_lines(run_experiment(spec, jobs=1))
     for jobs, size in ((8, 5), (2, 2)):
         sizes.clear(), closed.clear()
-        assert list(run_experiment(spec, jobs=jobs).csv_lines(False)) == serial
+        assert csv_lines(run_experiment(spec, jobs=jobs)) == serial
         # one pool serves all four draws (the cycles and the sieve half of each
         # n) and is closed with the run
         assert sizes == [size] and len(closed) == 1
@@ -203,7 +203,7 @@ def test_worker_pool_never_outnumbers_the_replicates(monkeypatch):
 def test_csv_format():
     spec = ExperimentSpec(target="B1", n_values=(200.0,), replicates=5, grid=(1.0,), seed=4)
     rep = run_experiment(spec)
-    lines = list(rep.csv_lines(timestamp=True))
+    lines = csv_lines(rep, timestamp=True)
     assert lines[0].startswith("#")
     assert lines[1] == "target,n,t,replicate,raw,normalized"
     assert len(lines) == 2 + 5
@@ -231,7 +231,7 @@ def test_csv_formats_each_value_as_its_repr(tmp_path):
         prefix = f"P31,{n!r},{t!r},"
         expected += [f"{prefix}{r},{a!r},{b!r}"
                      for r, (a, b) in enumerate(zip(rv.tolist(), nv.tolist()))]
-    assert list(rep.csv_lines(timestamp=False)) == expected
+    assert csv_lines(rep) == expected
     csv_path, _ = rep.write(tmp_path, "report", timestamp=False)
     assert csv_path.read_text() == "\n".join(expected) + "\n"
     assert expected[1] == "P31,10000,0.5,0,0.0,-0.0" and expected[16] == "P31,10000.0,1.0,0,-0.0,0.0"
@@ -279,7 +279,7 @@ def test_eq_reports_esf_flts_sieve_equality():
                for target in ("EQ", "ESF_FLT"))
 
     def n_t_replicate_raw(rep):
-        return [line.split(",")[1:5] for line in list(rep.csv_lines(timestamp=False))[1:]]
+        return [line.split(",")[1:5] for line in csv_lines(rep)[1:]]
 
     def values(rep, stat):
         return [(row["n"], row["t"], row["value"]) for row in rep.rows if row["stat"] == stat]
@@ -456,9 +456,9 @@ def _trend_replicate(spec, i, r):
     law = spec.step_law()
     if spec.target == "P33":
         y = spec.y_values[i]
-        path = simulate_path(law, max(spec.x_values) + y, rng, whole_blocks=True)
+        path = simulate_path(law, max(spec.x_values) + y, rng)
         incs = [path.count_visits(x + y) - path.count_visits(x) for x in spec.x_values]
-        renewals = simulate_path(law, y, rng).count_renewals(y)
+        renewals = path.count_renewals(y)
         return [(y, x, inc, renewals) for x, inc in zip(spec.x_values, incs)]
     n = float(spec.n_values[i])
     if spec.target == "P31":
@@ -471,8 +471,8 @@ def _trend_replicate(spec, i, r):
 @pytest.mark.parametrize("spec", _TREND_SPECS, ids=lambda spec: spec.target)
 def test_trend_targets_draw_addressable_replicates(spec):
     serial = run_experiment(spec)
-    csv = list(serial.csv_lines(timestamp=False))
-    assert csv == list(run_experiment(spec, jobs=2).csv_lines(timestamp=False))
+    csv = csv_lines(serial)
+    assert csv == csv_lines(run_experiment(spec, jobs=2))
     steps = len(spec.y_values if spec.target == "P33" else spec.n_values)
     block = spec.replicates * (len(spec.x_values) if spec.target == "P33" else 1)
     rows = [line.split(",") for line in csv[1:]]
@@ -519,7 +519,7 @@ def test_sieve_blocks_run_on_workers_as_serially():
     spec = ExperimentSpec(target="A1", mode="ratio", n_values=(10**5, 10**10), replicates=2100,
                           grid=(0.5, 1.0), seed=25, thresholds={"ratio_ks": 1.0})
     serial, parallel = run_experiment(spec), run_experiment(spec, jobs=2)
-    assert list(serial.csv_lines(False)) == list(parallel.csv_lines(False))
+    assert csv_lines(serial) == csv_lines(parallel)
     assert serial.rows == parallel.rows
     assert serial.metadata["sieve"] == parallel.metadata["sieve"]
 

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.stats import chi2_contingency
 
 from conftest import (
+    environment_json,
     expected_occupancy_oracle,
     naive_placement,
     ratio_sup_walk,
@@ -119,10 +120,10 @@ def test_k_process_is_nondecreasing_and_ends_at_k_n(n, theta, seed, ts):
     rng = RngStream(seed, 0)
     occ = occupy_sieve(build_environment(StickLaw.beta(theta), 2**-80, rng), n, rng)
     kp = k_process(occ, sorted(ts) + [1.0])
-    assert np.all(np.diff(kp.values) >= 0)
-    assert kp.values[-1] == kp.k_total == len(occ.counts)
-    assert kp.values == [sum(1 for z in occ.counts.values() if z <= floor_power(n, t))
-                                  for t in sorted(ts) + [1.0]]
+    assert kp.dtype == np.int64 and np.all(np.diff(kp[:-1]) >= 0)
+    assert kp[-2] == kp[-1] == len(occ.counts)
+    assert kp[:-1].tolist() == [sum(1 for z in occ.counts.values() if z <= floor_power(n, t))
+                                for t in sorted(ts) + [1.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +201,7 @@ def test_environment_extension_is_bitwise_consistent():
 
 def test_frozen_environment_raises_on_extension():
     env = build_environment(StickLaw.beta(1.0), 2**-10, RngStream(5, 0))
-    frozen = SieveEnvironment.from_json(env.to_json())
+    frozen = SieveEnvironment.from_json(environment_json(env))
     assert np.array_equal(frozen.sticks, env.sticks)
     with pytest.raises(RuntimeError):
         rho(frozen, 1e300)
@@ -314,9 +315,9 @@ def test_occupy_scheme_geometric():
 
 @pytest.mark.parametrize("n", [10**12, 2**62])
 def test_occupy_sieve_draws_nothing_at_a_box_with_p_1(n):
-    # 1 - W_k rounds to 1 for some exppareto(0.5) sticks; occupy_sieve's
-    # inline draw must leave such a box to sample_binomial, which takes the
-    # rest without a draw (numpy's binomial(n, 1.0) would consume a double)
+    # 1 - W_k rounds to 1 for some exppareto(0.5) sticks; occupy_sieve draws
+    # every box through sample_binomial, which takes the rest of such a box
+    # without a draw (numpy's binomial(n, 1.0) would consume a double)
     law = StickLaw.exp_pareto(0.5)
 
     def environment_and_stream(stream_id):
@@ -363,8 +364,7 @@ def _per_replicate_k(law, n, grid, seed, reps):
     rows = []
     for r in range(reps):
         rng = RngStream(seed, r)
-        kp = k_process(occupy_sieve(build_environment(law, 2**-80, rng), n, rng), grid)
-        rows.append(kp.values + [kp.k_total])
+        rows.append(k_process(occupy_sieve(build_environment(law, 2**-80, rng), n, rng), grid))
     return np.array(rows)
 
 
@@ -419,8 +419,8 @@ def test_block_grid_counts_equal_k_process_on_its_counts():
     rows, last_grid = occupy_sieve_block(law, n, 500, RngStream(45, 0), grid)
     assert np.array_equal(last, last_grid)
     for c, row in zip(counts, rows.tolist()):
-        kp = k_process(OccupancyResult(dict(enumerate(c.tolist(), start=1)), n), grid)
-        assert row == kp.values + [kp.k_total]
+        assert row == k_process(OccupancyResult(dict(enumerate(c.tolist(), start=1)), n),
+                                grid).tolist()
 
 
 def test_p21_block_sup_equals_the_sup_of_each_replicates_counts():
@@ -442,7 +442,7 @@ def test_block_thinning_matches_per_ball_placement():
     occupied = [OccupancyResult({k: z for k, z in enumerate(row) if z}, n)
                 for row in naive.tolist()]
     for j, t in enumerate(grid):
-        placed = [k_process(occ, (t,)).values[0] for occ in occupied]
+        placed = [k_process(occ, (t,))[0] for occ in occupied]
         assert ks_two_sample(blocked[:, j], placed) < 1.95 * math.sqrt(2.0 / reps)
 
 
@@ -484,23 +484,23 @@ def test_block_array_binomial_at_p_1_takes_the_rest_with_one_draw():
 def test_k_process_examples():
     occ = OccupancyResult({1: 7, 2: 7, 3: 7}, 21)
     kp = k_process(occ, [0.3, 1.0])
-    assert kp.values[-1] == 3 and kp.k_total == 3
+    assert kp[-2] == kp[-1] == 3
     flat = k_process(OccupancyResult({1: 1, 5: 1, 9: 1}, 3), [0.0, 0.4, 1.0])
-    assert flat.values == [3, 3, 3]  # all singletons: constant in t
+    assert flat.tolist() == [3, 3, 3, 3]  # all singletons: constant in t
     # counts {1, 3, 10} at n=100: floor(100^0) = 1 keeps only the singleton,
     # floor(100^0.5) = 10 already covers every occupied box
     hand = k_process(OccupancyResult({4: 1, 5: 3, 6: 10}, 100), [0.0, 0.5, 1.0])
-    assert hand.values == [1, 3, 3]
-    assert k_process(OccupancyResult({}, 0), [0.0, 1.0]).values == [0, 0]
+    assert hand.tolist() == [1, 3, 3, 3]
+    assert k_process(OccupancyResult({}, 0), [0.0, 1.0]).tolist() == [0, 0, 0]
 
 
 def test_k_process_monotone_and_bounded():
     env = build_environment(StickLaw.beta(1.0), 2**-40, RngStream(11, 0))
     occ = occupy_sieve(env, 10**6, RngStream(11, 1))
     kp = k_process(occ, np.linspace(0.0, 1.0, 11))
-    assert np.all(np.diff(kp.values) >= 0)
-    assert kp.values[-1] == kp.k_total == len(occ.counts)
-    assert kp.values[0] >= 0 and kp.k_total <= min(occ.n, env.num_boxes)
+    assert np.all(np.diff(kp[:-1]) >= 0)
+    assert kp[-2] == kp[-1] == len(occ.counts)
+    assert kp[0] >= 0 and kp[-1] <= min(occ.n, env.num_boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -717,9 +717,6 @@ def test_expected_occupancy_matches_monte_carlo():
 
 def test_serialization_roundtrips():
     env = build_environment(StickLaw.beta(2.0), 2**-30, RngStream(20, 0))
-    env2 = SieveEnvironment.from_json(env.to_json())
+    env2 = SieveEnvironment.from_json(environment_json(env))
     assert np.array_equal(env.sticks, env2.sticks)
     assert np.array_equal(env.cutpoints, env2.cutpoints)
-    occ = occupy_sieve(env, 5000, RngStream(20, 1))
-    occ2 = OccupancyResult.from_json(occ.to_json())
-    assert occ2.counts == occ.counts and occ2.n == occ.n

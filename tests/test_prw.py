@@ -8,7 +8,6 @@ from scipy.stats import chisquare, gamma, poisson
 from sievesim.harness import ConfigurationError, ExperimentSpec, ks_two_sample, run_experiment
 from sievesim.occupancy import build_environment, rho
 from sievesim.prw import (
-    PrwPath,
     StepLaw,
     lln_sup_deviation,
     max_window_count,
@@ -19,7 +18,7 @@ from sievesim.prw import (
 from sievesim.sampling import RngStream, StickLaw
 
 DET = StepLaw(("const", 1.0), ("const", 0.5))
-EXP_EXP = StepLaw.exp_exp()
+EXP_EXP = StepLaw(("exp", 1.0), ("exp", 1.0))
 
 
 def test_step_law_validation():
@@ -179,14 +178,6 @@ def test_shared_stick_matches_environment_rho():
         assert rho(env, float(x)) == path.count_visits(math.log(float(x)))
 
 
-def test_path_serialization_roundtrip():
-    path = simulate_path(EXP_EXP, 10.0, RngStream(16, 0))
-    back = PrwPath.from_json(path.to_json())
-    assert np.array_equal(back.s_values, path.s_values)
-    assert np.array_equal(back.t_values, path.t_values)
-    assert back.count_visits(5.0) == path.count_visits(5.0)
-
-
 def test_visit_counts_beyond_horizon_raise():
     path = simulate_path(EXP_EXP, 5.0, RngStream(17, 0))
     with pytest.raises(ValueError):
@@ -221,11 +212,10 @@ def _allocating_draw(law, rng, size):
     return _allocating_one(law.xi, rng, size), _allocating_one(law.eta, rng, size)
 
 
-def _allocating_path(law, horizon, rng, whole_blocks=False):
+def _allocating_path(law, horizon, rng):
     """The walk built with fresh arrays for every block and a boolean mask
     for the kept points: the reference for simulate_path.  An independent
-    law draws eta after xi, for the kept steps only in the last block unless
-    whole_blocks is set."""
+    law draws eta after xi, for the kept steps only in the last block."""
     m = law.mean_xi()
     block = 64 if not math.isfinite(m) else max(64, int(1.2 * horizon / m) + 32)
     shared = law.dependence == "sharedstick"
@@ -242,7 +232,7 @@ def _allocating_path(law, horizon, rng, whole_blocks=False):
         s_last = s_new[min(stop, block - 1)]
         keep = s_prev <= horizon
         if not shared:
-            ends = s_last > horizon and not whole_blocks
+            ends = s_last > horizon
             eta = _allocating_one(law.eta, rng, np.count_nonzero(keep) if ends else block)
         t_chunks.append((s_prev[: len(eta)] + eta)[keep[: len(eta)]])
     return np.concatenate(s_chunks), np.concatenate(t_chunks)
@@ -252,7 +242,7 @@ STICK = StickLaw.exp_pareto(1.5)
 BUFFERED_LAWS = {
     "exp_0.3": StepLaw(("exp", 0.3), ("exp", 3.0)),
     "exp_3": StepLaw(("exp", 3.0), ("exp", 0.3)),
-    "exp_1": StepLaw.exp_exp(),
+    "exp_1": EXP_EXP,
     "const": StepLaw(("const", 2.0), ("const", 0.5)),
     **{f"pareto_{a:g}": StepLaw(("pareto", a), ("exp", 1.0)) for a in (0.5, 1.0, 2.0, 3.0)},
     "logstick": StepLaw(("logstick", StickLaw.beta(2.0)), ("log1mstick", STICK)),
@@ -277,15 +267,14 @@ def test_simulate_path_equals_allocating_reference(name):
     # pareto_1 has no mean, so it walks 64-step blocks: about 9 of them to 5000
     for i, horizon in enumerate((0.0, 3.0, 50.0, 5000.0)):
         # the stream's next draw pins what the walk consumed: an independent
-        # law's last block draws eta for its kept steps only unless whole
-        # blocks are asked for, and a shared stick always draws whole blocks
-        for whole_blocks in (False, True):
-            rng, ref_rng = RngStream(41, i), RngStream(41, i)
-            path = simulate_path(law, horizon, rng, whole_blocks=whole_blocks)
-            s, t = _allocating_path(law, horizon, ref_rng, whole_blocks)
-            assert path.s_values.tobytes() == s.tobytes()
-            assert path.t_values.tobytes() == t.tobytes()
-            assert rng.gen.random() == ref_rng.gen.random()
+        # law's last block draws eta for its kept steps only, and a shared
+        # stick draws whole blocks
+        rng, ref_rng = RngStream(41, i), RngStream(41, i)
+        path = simulate_path(law, horizon, rng)
+        s, t = _allocating_path(law, horizon, ref_rng)
+        assert path.s_values.tobytes() == s.tobytes()
+        assert path.t_values.tobytes() == t.tobytes()
+        assert rng.gen.random() == ref_rng.gen.random()
 
 
 def test_one_block_path_is_a_read_only_view_until_the_next_call():
