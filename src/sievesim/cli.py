@@ -36,14 +36,15 @@ def parse_spec_file(path) -> ExperimentSpec:
     """Parse the documented key = value schema into an ExperimentSpec.
 
     Keys mirror the ExperimentSpec fields; list values are comma separated;
-    `threshold.<name> = <float>` overrides a calibrated threshold.  Unknown
-    keys and unparsable values raise SpecFileError with the offending line.
+    `threshold.<name> = <float>` overrides a calibrated threshold.  Unknown,
+    repeated and unparsable keys raise SpecFileError with the offending line.
     """
     path = Path(path)
     if not path.exists():
         raise SpecFileError(path, 0, "spec file does not exist")
     fields = {}
     thresholds = {}
+    first_line = {}
     for line_no, raw_line in enumerate(path.read_text().splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -52,6 +53,9 @@ def parse_spec_file(path) -> ExperimentSpec:
             raise SpecFileError(path, line_no, f"expected 'key = value', got {raw_line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in first_line:
+            raise SpecFileError(path, line_no, f"{key!r} is already set at line {first_line[key]}")
+        first_line[key] = line_no
         try:
             if key.startswith("threshold."):
                 thresholds[key.split(".", 1)[1]] = float(value)

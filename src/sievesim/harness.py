@@ -22,17 +22,17 @@ from .ewens import FELLER_MAX_N, c_process, sample_cycles_feller
 from .limits import (
     centering_prw,
     centering_u_v,
+    log_normalizer,
     normal_cdf,
-    normalizer_c,
     sample_inverse_ratio,
     sample_inverse_reversal,
 )
 from .occupancy import (
+    BOUND_CONSTANT_X0,
     DeterministicScheme,
     _ratio_sup_deviation,
     approximation_bound_rhs,
     approximation_sup,
-    bound_constant_x0,
     occupy_sieve_block,
 )
 # bench/tracing.py binds these three names on this module and raises
@@ -337,20 +337,14 @@ class ExperimentReport:
         return csv_path, json_path
 
 
-@dataclass(frozen=True)
-class Normalization:
+def _normalize(raw, center: float, scale: float) -> np.ndarray:
     """Affine map raw -> (raw - center)/scale with a round-trip guard."""
-
-    center: float
-    scale: float
-
-    def apply(self, raw):
-        raw = np.asarray(raw, dtype=float)
-        normalized = (raw - self.center) / self.scale
-        back = normalized * self.scale + self.center
-        if not np.all(np.abs(back - raw) <= 1e-9 * np.maximum(1.0, np.abs(raw))):
-            raise RuntimeError("normalization round-trip check failed")
-        return normalized
+    raw = np.asarray(raw, dtype=float)
+    normalized = (raw - center) / scale
+    back = normalized * scale + center
+    if not np.all(np.abs(back - raw) <= 1e-9 * np.maximum(1.0, np.abs(raw))):
+        raise RuntimeError("normalization round-trip check failed")
+    return normalized
 
 
 def _run_replicates(worker, units: int, jobs: int, pool) -> list:
@@ -448,9 +442,9 @@ def _process_scale(regime: int, mean: float, var: float, x: float, alpha: float)
     if regime == 1:
         # tail index 2 with ell(x) = 2 log x (the minimal law with slowly
         # varying truncated second moment)
-        return mean**-1.5 * normalizer_c(x, 2.0, ("log", 2.0))
+        return mean**-1.5 * log_normalizer(x)
     if regime == 2:
-        return mean ** (-(alpha + 1.0) / alpha) * normalizer_c(x, alpha, ("const", 1.0))
+        return mean ** (-(alpha + 1.0) / alpha) * x ** (1.0 / alpha)  # c(x) = x**(1/alpha)
     return x**alpha  # ell == 1 on the supported laws
 
 
@@ -460,8 +454,8 @@ def _bridge_scale(target: str, law: StickLaw, logn: float, alpha: float) -> floa
     if target == "A1":
         return 1.0 / math.sqrt(mu * logn / law.var_abs_log())
     if target == "A2":
-        return normalizer_c(logn, 2.0, ("log", 2.0)) / (math.sqrt(mu) * logn)
-    return normalizer_c(logn, alpha, ("const", 1.0)) / (mu ** (1.0 / alpha) * logn)
+        return log_normalizer(logn) / (math.sqrt(mu) * logn)
+    return logn ** (1.0 / alpha) / (mu ** (1.0 / alpha) * logn)
 
 
 def _reference(spec: ExperimentSpec, ratio: bool, i_n: int, j: int, t: float,
@@ -496,13 +490,21 @@ def _row(n, t, stat, value, threshold=None, **extra) -> dict:
 
 
 def _limit_row(report, ratio, i_n, j, n, t, sample):
-    """Append the KS verdict row of grid point j against the column's limit
-    law.  A two-sample target (A3, T22, B3, B4) is compared with _reference's
-    draws, whose time counts as the report's reference phase; every other
-    column with the centred normal law of sd sqrt(t) (the process, ESF_FLT's
-    cycle process) or sqrt(t (1 - t)) (the A1, A2 bridge).
+    """Append grid point j's row against the column's limit law.
+
+    Where that law is a point mass, at t = 0 and in ratio mode also at
+    t = 1, the row only reports the sample's mean, and for A1..A3 in ratio
+    mode its max |value|; no reference is drawn.  Elsewhere it is a KS
+    verdict: a two-sample target (A3, T22, B3, B4) is compared with
+    _reference's draws, whose time counts as the report's reference phase;
+    every other column with the centred normal law of sd sqrt(t) (the
+    process, ESF_FLT's cycle process) or sqrt(t (1 - t)) (the A1, A2 bridge).
     """
     spec = report.spec
+    if t <= 0.0 or (ratio and t >= 1.0):
+        extra = {"max_abs": float(np.max(np.abs(sample)))} if ratio and spec.target != "T22" else {}
+        report.rows.append(_row(n, t, "report_only", float(np.mean(sample)), **extra))
+        return
     if spec.target in _TAIL_INDEX:
         start = time.perf_counter()
         reference = _reference(spec, ratio, i_n, j, t, len(sample))
@@ -570,13 +572,10 @@ def _process_step(spec, law, i_n, nf, draw, report):
             center = t * x / mean
         else:
             center, _ = centering_u_v(law, n, t)
-        normalized = Normalization(center, scale).apply(raw)
+        normalized = _normalize(raw, center, scale)
         normalized_by_t[t] = normalized
         report.add_raw(n, t, raw, normalized)
-        if t <= 0.0:
-            report.rows.append(_row(n, t, "report_only", float(np.mean(normalized))))
-        else:
-            _limit_row(report, False, i_n, j, n, t, normalized)
+        _limit_row(report, False, i_n, j, n, t, normalized)
     if regime < 2:
         report.rows.extend(_covariance_rows(n, spec.grid, normalized_by_t,
                                             spec.threshold("cov_tol")))
@@ -607,11 +606,7 @@ def _ratio_step(spec, law, i_n, nf, draw, report):
             u_t, v_t = centering_u_v(law, n, t)
             normalized = (ratio - (t - (v_t - t * v1) / u1)) / scale
         report.add_raw(n, t, ratio, normalized)
-        if t <= 0.0 or t >= 1.0:
-            extra = {} if target == "T22" else {"max_abs": float(np.max(np.abs(normalized)))}
-            report.rows.append(_row(n, t, "report_only", float(np.mean(normalized)), **extra))
-        else:
-            _limit_row(report, True, i_n, j, n, t, normalized)
+        _limit_row(report, True, i_n, j, n, t, normalized)
 
 
 def _permutation_step(spec, law, i_n, nf, draw, report):
@@ -633,13 +628,10 @@ def _permutation_step(spec, law, i_n, nf, draw, report):
             report.add_raw(n, t, raw, boxes[:, j])
             report.rows.append(_row(n, t, "ks_equality", equality, spec.threshold("eq_ks")))
             continue
-        normalized = Normalization(spec.theta * t * logn, scale).apply(raw)
+        normalized = _normalize(raw, spec.theta * t * logn, scale)
         report.add_raw(n, t, raw, normalized)
         report.rows.append(_row(n, t, "ks_sieve_equality", equality, spec.threshold("eq_ks")))
-        if t <= 0.0:
-            report.rows.append(_row(n, t, "report_only", float(np.mean(raw))))
-        else:
-            _limit_row(report, False, i_n, j, n, t, normalized)
+        _limit_row(report, False, i_n, j, n, t, normalized)
 
 
 def _mean_se(values) -> tuple:
@@ -752,7 +744,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
 
     law, n_values, step = spec.law(), spec.n_values, _process_step
     if target == "P41":
-        x0 = bound_constant_x0()
+        x0 = BOUND_CONSTANT_X0
         report.rows.append({"stat": "x0_equation", "value": x0, "threshold": 1e-10,
                             "passed": bool(abs(x0 - x0**0.75 - 1.0) < 1e-10)})
     if target in ("P31", "P32", "P41"):

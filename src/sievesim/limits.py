@@ -1,7 +1,7 @@
 """Reference samplers and closed-form quantities for the limit objects: exact
 inverse stable subordinator time reversals and ratios, the normal CDF, the
-normalizer c(x), and the deterministic centerings for both the sieve and the
-walk."""
+normalizer c(x) of the tail-index-2 regime, and the deterministic centerings
+for both the sieve and the walk."""
 
 import math
 
@@ -17,7 +17,7 @@ from .sampling import (
 
 __all__ = [
     "normal_cdf",
-    "normalizer_c",
+    "log_normalizer",
     "centering_u_v",
     "centering_prw",
     "sample_inverse_reversal",
@@ -90,31 +90,24 @@ def normal_cdf(x):
     return float(out) if out.shape == () else out
 
 
-def normalizer_c(x: float, alpha: float, ell=("const", 1.0)) -> float:
-    """The normalizing function c with c(x)**(-alpha) * x * ell(c(x)) -> 1.
+def log_normalizer(x: float) -> float:
+    """The normalizing function c with c(x)**2 = 2 x log c(x), of a law with
+    tail index 2 whose truncated second moment grows like 2 log x.
 
-    Supported slowly varying factors: ell = ("const", K), solved exactly as
-    c = (K x)**(1/alpha); and ell = ("log", K) meaning ell(y) = K log y,
-    solved by damped fixed-point iteration to relative tolerance 1e-12.
-    The finite-variance normalisation corresponds to alpha = 2.
+    Damped fixed-point iteration from max(sqrt(2 x), e), which decreases to
+    the larger root, to relative tolerance 1e-12.  There is no root below
+    x = e, and just above it the iteration is too slow to settle in 500
+    steps; both raise ValueError.
     """
-    if x <= 0.0:
-        raise ValueError("x must be > 0")
-    kind, const = ell
-    if const <= 0.0:
-        raise ValueError("ell constant must be > 0")
-    if kind == "const":
-        return (const * x) ** (1.0 / alpha)
-    if kind != "log":
-        raise ValueError(f"unsupported slowly varying spec: {kind!r}")
-    c = max((const * x) ** (1.0 / alpha), math.e)
+    if x < math.e:
+        raise ValueError("c**2 = 2 x log c has no root for x < e")
+    c = max((2.0 * x) ** 0.5, math.e)
     for _ in range(500):
-        target = (const * x * math.log(c)) ** (1.0 / alpha)
-        nxt = 0.5 * (c + target)
+        nxt = 0.5 * (c + (2.0 * x * math.log(c)) ** 0.5)
         if abs(nxt - c) <= 1e-12 * c:
             return nxt
         c = nxt
-    raise RuntimeError("fixed point for the log normalizer did not converge")
+    raise ValueError("fixed point for the log normalizer did not converge")
 
 
 def centering_u_v(stick: StickLaw, n, t: float):

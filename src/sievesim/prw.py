@@ -3,7 +3,8 @@ renewal counts nu(t), and the per-path statistics of the uniform law of
 large numbers and window-growth checks."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -146,13 +147,10 @@ class PrwPath:
     s_values: np.ndarray
     t_values: np.ndarray
     horizon: float
-    _t_sorted_cache: np.ndarray = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def _t_sorted(self) -> np.ndarray:
-        if self._t_sorted_cache is None:
-            self._t_sorted_cache = np.sort(self.t_values)
-        return self._t_sorted_cache
+        return np.sort(self.t_values)
 
     def count_visits(self, x: float) -> int:
         """N(x) = #{k : T_k <= x}."""

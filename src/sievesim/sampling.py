@@ -79,38 +79,24 @@ def _absorb(pool, const: int, words) -> tuple:
 
 
 @lru_cache(maxsize=8)
-def _seed_pool(seed: int) -> tuple:
-    """The pool mixed from the seed's own words (padded to the pool size, as
-    numpy pads whenever a spawn key follows) and the running hash constant;
-    neither depends on the spawn key."""
-    words = [np.array([w], dtype=np.uint32) for w in _uint32_words(seed)]
-    words += [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - len(words))
-    const = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        hashed, const = _hashmix(word, const, _MULT_A)
-        pool.append(hashed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], hashed)
-    return _absorb(pool, const, words[_POOL_SIZE:])
-
-
-@lru_cache(maxsize=8)
 def _block_state(seed: int, block: int) -> np.ndarray:
     """PCG64 seeding words of streams block * 1024 .. block * 1024 + 1023.
 
     Row r holds what SeedSequence(entropy=seed, spawn_key=(block * 1024 + r,))
     .generate_state(4, np.uint64) returns.  The block never crosses a
     multiple of 2^32, so its ids share every spawn-key word but the lowest.
+    A spawn key makes numpy pad the seed's w words with zeros to the pool
+    size, which mixes the pool as SeedSequence(seed) alone does, after four
+    hash steps per padded word (16 to fill and cross-mix the first four).
     """
+    from numpy.random import SeedSequence
+
     base = block * _STREAM_BLOCK
     high = _uint32_words(base)[1:]
     low = np.arange(_STREAM_BLOCK, dtype=np.uint32) + np.uint32(base & _MASK32)
-    pool, const = _seed_pool(seed)
-    pool, _ = _absorb(pool, const,
+    steps = _POOL_SIZE * max(_POOL_SIZE, len(_uint32_words(seed)))
+    pool, _ = _absorb(SeedSequence(seed).pool.reshape(_POOL_SIZE, 1),
+                      _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32,
                       [low] + [np.array([w], dtype=np.uint32) for w in high])
     const = _INIT_B
     state = []

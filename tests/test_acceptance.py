@@ -41,11 +41,11 @@ from sievesim.harness import (
 )
 from sievesim.limits import normal_cdf, sample_inverse_ratio
 from sievesim.occupancy import (
+    BOUND_CONSTANT_X0,
     DeterministicScheme,
     SieveEnvironment,
     _integral_term,
     approximation_bound_rhs,
-    bound_constant_x0,
     build_environment,
     occupy_sieve,
     rho,
@@ -224,7 +224,7 @@ def test_c5_uniformity_trends():
 
 
 def test_c6_approximation_bound():
-    x0 = bound_constant_x0()
+    x0 = BOUND_CONSTANT_X0
     ok_x0 = abs(x0 - x0**0.75 - 1.0) < 1e-10
     report("c6 window constant", ok_x0, f"x0 = {x0:.12f}, residual < 1e-10")
 

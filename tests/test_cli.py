@@ -124,7 +124,9 @@ def test_degenerate_scale_exits_2(tmp_path, capsys, spec_text):
 # a value that the parser rejects is reported at its own line; every other
 # bad spec below is rejected as a whole, at line 0
 _VALUE_ERROR_LINE = {"target = B1\nn_values = 100\nreplicates = 2.7\n": 3,
-                     "target = B1\nn_values = 100\nseed = 1.9\n": 3}
+                     "target = B1\nn_values = 100\nseed = 1.9\n": 3,
+                     "target = A1\nn_values = 1e4\nn_values = 1e5\n": 3,
+                     "target = B1\nn_values = 100\nthreshold.ks = 0.5\nthreshold.ks = 0.6\n": 4}
 
 
 @pytest.mark.parametrize("spec_text", [
@@ -170,6 +172,10 @@ _VALUE_ERROR_LINE = {"target = B1\nn_values = 100\nreplicates = 2.7\n": 3,
     "target = ESF_FLT\nmode = ratio\nn_values = 1e3\n",  # only A1..T22 and P21 have it
     "target = A1\nn_values = 1e19\n",                   # balls are counted in int64
     "target = P21\nn_values = 1e4, 1e19\n",
+    "target = A1\nn_values = 1e4\nn_values = 1e5\n",          # the repeat is reported
+    "target = B1\nn_values = 100\nthreshold.ks = 0.5\nthreshold.ks = 0.6\n",
+    "target = A2\nstick = exppareto\nalpha = 2.0\nn_values = 15\n",  # c**2 = 2x log c: x < e
+    "target = B2\nxi = pareto\nxi_param = 2.0\nn_values = 2.72\n",  # just above e: no settling
 ], ids=["A3_beta_stick", "B3_exp_steps", "B4_index_1", "A1_n_below_1", "P21_no_n",
         "A1_no_n", "mode_typo", "centering_typo", "dependence_typo", "xi_unknown",
         "P33_no_x", "P33_one_replicate", "P32_negative_b", "P41_n_below_3",
@@ -178,7 +184,8 @@ _VALUE_ERROR_LINE = {"target = B1\nn_values = 100\nreplicates = 2.7\n": 3,
         "P31_n_inf", "P41_n_inf", "A1_n_nan", "seed_negative", "P33_y_negative",
         "P33_x_negative", "P33_y_nan", "P32_b_inf", "B4_n_negative",
         "B1_grid_decreasing", "P21_n_1", "replicates_2.7", "seed_1.9", "threshold_misspelt",
-        "threshold_nan", "B3_mode_ratio", "ESF_FLT_mode_ratio", "A1_n_1e19", "P21_n_1e19"])
+        "threshold_nan", "B3_mode_ratio", "ESF_FLT_mode_ratio", "A1_n_1e19", "P21_n_1e19",
+        "key_repeated", "threshold_repeated", "A2_log_n_below_e", "B2_n_near_e"])
 def test_bad_spec_exits_2_before_any_replicate(tmp_path, capsys, monkeypatch, spec_text):
     def no_replicates(*args):
         raise AssertionError("a replicate was drawn")

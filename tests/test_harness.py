@@ -16,7 +16,7 @@ from sievesim.harness import (
     ExperimentReport,
     ExperimentSpec,
     _SIEVE,
-    Normalization,
+    _normalize,
     ks_one_sample,
     ks_two_sample,
     run_experiment,
@@ -116,9 +116,10 @@ def test_small_stable_index_starts_at_kanters_finite_range():
 
 
 def test_normalization_roundtrip_guard():
-    norm = Normalization(3.0, 2.0)
     x = np.array([1.0, 5.0, 11.0])
-    assert np.allclose(norm.apply(x), (x - 3.0) / 2.0)
+    assert np.allclose(_normalize(x, 3.0, 2.0), (x - 3.0) / 2.0)
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="round-trip"):
+        _normalize(x, 0.0, 1e-320)  # (x - c)/s overflows to inf
 
 
 def test_reports_are_bit_reproducible():
@@ -267,6 +268,44 @@ def test_esf_runner_reports_equality_and_degenerate_t0():
     rep = run_experiment(spec)
     stats = {r["stat"] for r in rep.rows}
     assert "ks_sieve_equality" in stats and "report_only" in stats
+
+
+@pytest.mark.parametrize("target, mode, law", [
+    ("A1", "process", {}), ("B1", "process", {}), ("ESF_FLT", "process", {}),
+    ("A3", "process", {"stick": "exppareto", "alpha": 1.5}), ("A1", "ratio", {}),
+    ("A3", "ratio", {"stick": "exppareto", "alpha": 1.5}),
+    ("T22", "ratio", {"stick": "exppareto", "alpha": 0.5})])
+def test_endpoint_rows_report_the_normalized_mean(monkeypatch, target, mode, law):
+    # where the limit law is a point mass (t = 0, and t = 1 in ratio mode)
+    # the row reports the mean of the normalized column, with max |value|
+    # for A1..A3 in ratio mode, and draws no reference
+    import sievesim.harness as harness
+
+    reference, referenced = harness._reference, []
+
+    def recording_reference(spec, ratio, i_n, j, t, size):
+        referenced.append(t)
+        return reference(spec, ratio, i_n, j, t, size)
+
+    monkeypatch.setattr(harness, "_reference", recording_reference)
+    spec = ExperimentSpec(target=target, mode=mode, n_values=(1000,), replicates=30,
+                          grid=(0.0, 0.5, 1.0), seed=2, **law)
+    rep = run_experiment(spec)
+    ratio = mode == "ratio"
+    endpoints = (0.0, 1.0) if ratio else (0.0,)
+    normalized = {t: column for _, _, t, _, column in rep.raw}
+    rows = {r["t"]: r for r in rep.rows if r["stat"] == "report_only"}
+    assert sorted(rows) == list(endpoints)
+    for t, row in rows.items():
+        assert row["value"] == float(np.mean(normalized[t])) and row["passed"] is None
+        assert ("max_abs" in row) == (ratio and target != "T22")
+        if "max_abs" in row:
+            assert row["max_abs"] == float(np.max(np.abs(normalized[t])))
+    if target in ("A3", "T22"):
+        assert referenced == [t for t in spec.grid if t not in endpoints]
+    if target == "ESF_FLT":  # the cycle count at t = 0 is scaled, not raw
+        raw0 = next(raw for _, _, t, raw, _ in rep.raw if t == 0.0)
+        assert rows[0.0]["value"] != float(np.mean(raw0))
 
 
 def test_eq_reports_esf_flts_sieve_equality():

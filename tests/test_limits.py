@@ -8,13 +8,13 @@ from scipy.integrate import quad
 from scipy.special import betainc
 
 from conftest import sample_inverse_subordinator_path
-from sievesim.harness import ExperimentSpec, _reference, ks_two_sample
+from sievesim.harness import ExperimentSpec, _process_scale, _reference, ks_two_sample
 from sievesim.limits import (
     _passage_pair,
     centering_prw,
     centering_u_v,
+    log_normalizer,
     normal_cdf,
-    normalizer_c,
     sample_inverse_ratio,
     sample_inverse_reversal,
 )
@@ -75,21 +75,21 @@ def test_normal_cdf_values_and_accuracy():
 
 
 def test_normalizer_exact_and_log_cases():
-    assert abs(normalizer_c(8.0, 1.5) - 4.0) < 1e-12  # (x)^(1/alpha), ell = 1
-    for x in (10.0, 1e3, 1e6):
-        c = normalizer_c(x, 1.5, ("const", 1.0))
-        assert abs(c**-1.5 * x - 1.0) < 1e-9
-        c2 = normalizer_c(x, 2.0, ("log", 2.0))
-        assert abs(c2**-2.0 * x * 2.0 * math.log(c2) - 1.0) < 1e-9
-    with pytest.raises(ValueError):
-        normalizer_c(10.0, 1.5, ("weird", 1.0))
+    # the stable regime's c(x) = x**(1/alpha) (ell = 1) is written inline
+    assert abs(_process_scale(2, 1.0, math.inf, 8.0, 1.5) - 4.0) < 1e-12
+    for x in (3.0, 10.0, 1e3, 1e6, 1e18):
+        c = log_normalizer(x)
+        assert abs(c**-2.0 * x * 2.0 * math.log(c) - 1.0) < 1e-9
+        assert c > math.sqrt(x)  # the larger root
+    # no root below x = e; at e the fixed point is a double root, too slow to settle
+    for x in (0.0, 0.5, 2.0, math.e):
+        with pytest.raises(ValueError):
+            log_normalizer(x)
 
 
 def test_normalizer_grows_faster_than_sqrt():
-    for ell in (("const", 1.0), ("log", 2.0)):
-        alpha = 1.5 if ell[0] == "const" else 2.0
-        ratios = [normalizer_c(x, alpha, ell) / math.sqrt(x) for x in (1e2, 1e4, 1e6)]
-        assert ratios[0] < ratios[1] < ratios[2]
+    ratios = [log_normalizer(x) / math.sqrt(x) for x in (1e2, 1e4, 1e6)]
+    assert ratios[0] < ratios[1] < ratios[2]
 
 
 def test_centering_u_v_closed_form_and_identity():

@@ -26,12 +26,12 @@ from sievesim.harness import (
     run_experiment,
 )
 from sievesim.occupancy import (
+    BOUND_CONSTANT_X0,
     DeterministicScheme,
     OccupancyResult,
     SieveEnvironment,
     approximation_bound_rhs,
     approximation_sup,
-    bound_constant_x0,
     build_environment,
     floor_power,
     k_process,
@@ -548,9 +548,12 @@ def test_rho_equals_visit_count_exactly():
 
 
 def test_x0_defining_equation():
-    x0 = bound_constant_x0()
-    assert x0 > 1.0
-    assert abs(x0 - x0**0.75 - 1.0) < 1e-10
+    # the double nearest the root of x - x**(3/4) = 1, from a 40-digit root
+    with mpmath.workdps(40):
+        root = mpmath.findroot(lambda x: x - x ** mpmath.mpf(0.75) - 1, 3.6)
+        assert abs(root - root ** mpmath.mpf(0.75) - 1) < mpmath.mpf(10) ** -38
+        assert BOUND_CONSTANT_X0 == float(root)
+    assert BOUND_CONSTANT_X0 - BOUND_CONSTANT_X0**0.75 - 1.0 == 0.0
 
 
 def test_integral_term_closed_form_vs_quadrature():
