@@ -94,20 +94,18 @@ def log_normalizer(x: float) -> float:
     """The normalizing function c with c(x)**2 = 2 x log c(x), of a law with
     tail index 2 whose truncated second moment grows like 2 log x.
 
-    Damped fixed-point iteration from max(sqrt(2 x), e), which decreases to
-    the larger root, to relative tolerance 1e-12.  There is no root below
-    x = e, and just above it the iteration is too slow to settle in 500
-    steps; both raise ValueError.
+    Newton's method on f(c) = c**2 - 2 x log c from sqrt(2 x log x), which
+    lies right of the larger root (that root is at most x, and f is least at
+    sqrt(x)).  f is convex, so the iterates fall monotonically to the larger
+    root; they stop once a step no longer falls.  There is no root for
+    x < e, and math.e lies below e, so x <= math.e raises ValueError.
     """
-    if x < math.e:
+    if x <= math.e:
         raise ValueError("c**2 = 2 x log c has no root for x < e")
-    c = max((2.0 * x) ** 0.5, math.e)
-    for _ in range(500):
-        nxt = 0.5 * (c + (2.0 * x * math.log(c)) ** 0.5)
-        if abs(nxt - c) <= 1e-12 * c:
-            return nxt
+    c = math.sqrt(2.0 * x * math.log(x))
+    while (nxt := c - (c * c - 2.0 * x * math.log(c)) / (2.0 * c - 2.0 * x / c)) < c:
         c = nxt
-    raise ValueError("fixed point for the log normalizer did not converge")
+    return c
 
 
 def centering_u_v(stick: StickLaw, n, t: float):

@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sampling import RngStream, ScratchSlot, StickLaw
+from .sampling import RngStream, ScratchSlot, StickLaw, _open_unit
 
 __all__ = [
     "StepLaw",
@@ -113,6 +113,30 @@ class StepLaw:
             else:
                 np.negative(np.log1p(np.negative(w, out=w), out=out), out=out)
 
+    def _eta_tail(self, y: float) -> float:
+        """P{eta > y} for y >= 0, of an independent eta."""
+        kind, par = self.eta
+        if kind == "exp":
+            return math.exp(-par * y)
+        if kind == "const":
+            return 1.0 if y < par else 0.0
+        return par.tail_abs_log1m(y)
+
+    def _eta_above(self, y, tail, gen) -> np.ndarray:
+        """eta given eta > y, elementwise, where tail = P{eta > y}.  A
+        log1mstick eta rises with the stick's uniform U, so it is the stick of
+        U = 1 - tail V, V uniform, clamped as StickLaw.sample clamps it: eta
+        <= 53 log 2 ~ 36.74 as on the full path, and a step whose clamped
+        (or rounded) eta is not above y does not count.
+        """
+        kind, par = self.eta
+        if kind == "exp":
+            return y + gen.standard_exponential(len(y)) / par
+        if kind == "const":
+            return np.full(len(y), float(par))
+        w = par.from_unit(1.0 - tail * _open_unit(gen, len(y)))
+        return np.negative(np.log1p(np.negative(w, out=w), out=w), out=w)
+
     def mean_xi(self) -> float:
         kind, par = self.xi
         if kind == "exp":
@@ -174,72 +198,75 @@ class PrwPath:
             raise ValueError(f"argument {x} beyond realised horizon {self.horizon}")
 
 
-# [0, S_0, S_1, ...] (xi is drawn past the leading 0), eta then T_k, S_{k-1}, S_k > horizon
-_PATH_SCRATCH = ScratchSlot(float, float, float, bool)
+# [S_K, then the block's xi, summed in place into S_{K+1}, S_{K+2}, ...], eta
+_PATH_SCRATCH = ScratchSlot(float, float)
+
+
+def _walk(law: StepLaw, horizon: float, rng: RngStream, with_eta: bool) -> tuple:
+    """Partial sums S_0 = 0, S_1, ..., S_K up to the first S_K > horizon, and
+    eta_1..eta_K, or None for an independent law without with_eta: the one
+    stick-to-walk recurrence.
+
+    xi is drawn in blocks into per-thread scratch, each summed in place on
+    from the last S, so S is numpy's sequential cumsum of xi bit for bit.
+    With xi's mean m and variance sigma^2 the first block holds
+    horizon/m + 6 sigma sqrt(horizon/m)/m + 32 steps, six standard
+    deviations past the mean step count (1.2 horizon/m + 32 for an infinite
+    sigma, 64 for an infinite m; at least 64), as does every later block.
+    A one-block walk returns views on the scratch, valid until the next walk
+    on the thread; a longer walk returns fresh arrays.  A shared stick draws
+    eta with each block's xi; an independent law draws it after the last
+    block, for the K kept steps.
+    """
+    m, var = law.mean_xi(), law.var_xi()
+    if not math.isfinite(m):
+        block = 64
+    elif math.isfinite(var):
+        block = max(64, int(horizon / m + 6.0 * math.sqrt(var * horizon / m) / m) + 32)
+    else:
+        block = max(64, int(1.2 * horizon / m) + 32)
+    s, eta = _PATH_SCRATCH.arrays(block + 1)
+    shared = law.dependence == "sharedstick"
+    xi, eta_block = s[1:], eta[:block if shared else 0]
+    s_parts, eta_parts = [], []
+    s[0] = 0.0
+    while True:
+        law.draw(rng, (xi, eta_block))
+        np.cumsum(s, out=s)  # xi now holds the block's sums
+        stop = int(np.searchsorted(xi, horizon, side="right"))
+        if stop < block:
+            break
+        # copied now, before the next draw overwrites them
+        s_parts.append(s[:-1].copy())
+        eta_parts.append(eta_block.copy())
+        s[0] = s[-1]
+    s, kept = s[: stop + 2], len(s_parts) * block + stop + 1
+    if s_parts:
+        s = np.concatenate(s_parts + [s])
+    if shared:
+        eta = np.concatenate(eta_parts + [eta[: stop + 1]]) if s_parts else eta[:kept]
+    elif with_eta:
+        eta = np.empty(kept) if s_parts else eta[:kept]
+        law.draw(rng, (eta[:0], eta))
+    else:
+        eta = None
+    return s, eta
 
 
 def simulate_path(law: StepLaw, horizon: float, rng: RngStream) -> PrwPath:
     """Realise the walk until S_k > horizon (so all T_k <= horizon are seen).
 
-    Steps are drawn block by block into per-thread scratch buffers, which
-    the next call reuses.  A walk that ends inside its first block returns
-    read-only, exactly sized views on those buffers, valid until the next
-    simulate_path call on the same thread: copy what must outlive it.  A
-    longer walk holds fresh, exactly sized copies of what it keeps.
-
-    Each block draws its xi, then its eta.  An independent law draws eta
-    only for the kept steps of the block where the walk ends; a shared stick
-    draws whole blocks.
+    The path's arrays are read-only.  A walk that ends inside its first
+    block holds views on per-thread scratch buffers, valid until the next
+    walk on the same thread: copy what must outlive it.  A longer walk holds
+    fresh arrays.  The steps are drawn as _walk says.
     """
     if horizon < 0.0:
         raise ValueError("horizon must be >= 0")
-    m = law.mean_xi()
-    block = 64 if not math.isfinite(m) else max(64, int(1.2 * horizon / m) + 32)
-    s, eta, prev, beyond = _PATH_SCRATCH.arrays(block + 1)
-    s[0] = 0.0
-    xi, eta, prev, beyond = s[1:], eta[:block], prev[:block], beyond[:block]
-    shared = law.dependence == "sharedstick"
-    s_parts = [np.zeros(1)]
-    t_parts = []
-    s_last = 0.0
-    while s_last <= horizon:
-        law.draw(rng, (xi, eta if shared else eta[:0]))
-        first = not t_parts
-        if first:
-            # from s_last = 0.0, S_k = S_{k-1} + xi_k is numpy's sequential
-            # cumsum bit for bit (x + 0.0 == x): summed in place, s becomes
-            # [0, S_0..S_{block-1}] and S is nondecreasing
-            s_new = np.cumsum(xi, out=xi)
-            s_prev = s[:block]
-            stop = np.searchsorted(s_new, horizon, side="right")
-        else:
-            # S_{k-1} = s_last + (xi_0 + ... + xi_{k-2}), summed in this order
-            s_prev = prev
-            s_prev[0] = 0.0
-            np.cumsum(xi[:-1], out=s_prev[1:])
-            s_prev += s_last
-            s_new = np.add(xi, s_prev, out=xi)
-            # S_k = S_{k-1} + xi_k is rounded apart from S_{k-1}'s sum, so it
-            # may dip by an ulp; the first crossing is found on its mask
-            stop = np.searchsorted(np.greater(s_new, horizon, out=beyond), True)
-        # keep indices with S_{k-1} <= horizon, a prefix since S_{k-1} is
-        # nondecreasing; later T_k exceed horizon a.s.
-        kept = np.searchsorted(s_prev, horizon, side="right")
-        s_last = s_new[min(stop, block - 1)]
-        if not shared:
-            law.draw(rng, (xi[:0], eta if s_last <= horizon else eta[:kept]))
-        t_new = np.add(eta[:kept], s_prev[:kept], out=eta[:kept])
-        if first and s_last > horizon:
-            # one block: s holds [0, S_0..S_stop] contiguously
-            s_view, t_view = s[: stop + 2], t_new
-            s_view.flags.writeable = t_view.flags.writeable = False
-            return PrwPath(s_view, t_view, horizon=float(horizon))
-        # the last block's views are copied by concatenate; earlier blocks
-        # are copied now, before the next draw overwrites them
-        copy = np.copy if s_last <= horizon else np.asarray
-        t_parts.append(copy(t_new))
-        s_parts.append(copy(s_new[: stop + 1]))
-    return PrwPath(np.concatenate(s_parts), np.concatenate(t_parts), horizon=float(horizon))
+    s, eta = _walk(law, horizon, rng, True)
+    t = np.add(eta, s[:-1], out=eta)
+    s.flags.writeable = t.flags.writeable = False
+    return PrwPath(s, t, horizon=float(horizon))
 
 
 def path_from_sticks(sticks) -> PrwPath:
@@ -258,14 +285,55 @@ def path_from_sticks(sticks) -> PrwPath:
 
 
 def visit_process(law: StepLaw, n: float, grid, rng: RngStream) -> np.ndarray:
-    """One path of (N(n*t)) along the grid, from a single walk realisation."""
-    grid = np.asarray(grid, dtype=float)
-    if np.any(np.diff(grid) < 0.0):
-        raise ValueError("grid must be sorted")
-    path = simulate_path(law, n * float(grid[-1]), rng)
-    # direct counting beats sorting for the short grids used in practice
-    t = path.t_values
-    return np.asarray([np.count_nonzero(t <= n * g) for g in grid], dtype=np.int64)
+    """One path of (N(n t)) along the grid, which must be nondecreasing (the
+    walk targets' specs check it), from a single walk realisation.
+
+    With independent eta only xi is drawn in full: N(x) = L(x) - D(x), where
+    L(x) = #{k >= 1 : S_{k-1} <= x} and D(x) counts those k with
+    eta_k > x - S_{k-1}.  Given S these events are independent, with
+    probability p_k = P{eta > x - S_{k-1}}, which falls as k falls.  At each
+    grid point the indices the one below left undecided are thinned exactly,
+    walking down from k = L(x): skip a Geometric(pbar) number, propose the
+    index reached and set pbar = p_k (from pbar = 1).  Then each proposal is
+    accepted with probability p_k / pbar, by a uniform unless that is 0 or
+    1, and each accepted step draws eta given eta > x - S_{k-1}; its T_k
+    counts in D at every grid point below it.  So a grid point draws its
+    geometric skips, then its acceptance uniforms, then its accepted eta.
+
+    The walk down stops when pbar underflows to 0, so it drops at most the
+    sum of the underflowed tails of the indices left, each below 2^-1074
+    (for exp eta: rate (x - S_{k-1}) > 745).  A shared stick ties eta to xi:
+    it counts on the full path.
+    """
+    xs = n * np.asarray(grid, dtype=float)
+    if law.dependence == "sharedstick":
+        return np.searchsorted(simulate_path(law, xs[-1], rng)._t_sorted, xs, side="right")
+    s, _ = _walk(law, float(xs[-1]), rng, False)
+    counts = np.searchsorted(s, xs, side="right")  # L(x), then N(x)
+    gen, tail = rng.gen, law._eta_tail
+    carried = np.empty(0)  # the T_k above the last grid point, of accepted steps
+    lo = 0
+    for i, x in enumerate(xs.tolist()):
+        k = hi = int(counts[i])
+        ks, ps, pbar = [], [], 1.0
+        while pbar > 0.0:
+            k -= 1 if pbar == 1.0 else gen.geometric(pbar)
+            if k < lo:
+                break
+            pbar = tail(x - s[k])
+            ks.append(k)
+            ps.append(pbar)
+        p = np.array(ps)
+        ratio = p / np.concatenate(([1.0], p[:-1]))
+        coin = (ratio > 0.0) & (ratio < 1.0)
+        accept = ratio == 1.0
+        accept[coin] = gen.random(np.count_nonzero(coin)) < ratio[coin]
+        s_acc = s[np.array(ks, dtype=np.intp)[accept]]
+        t_new = s_acc + law._eta_above(x - s_acc, p[accept], gen)
+        carried = np.concatenate((carried[carried > x], t_new[t_new > x]))
+        counts[i] = hi - len(carried)
+        lo = hi
+    return counts
 
 
 # ---------------------------------------------------------------------------

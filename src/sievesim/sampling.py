@@ -224,7 +224,11 @@ class StickLaw:
     # -- sampling -----------------------------------------------------------
 
     def sample(self, rng: RngStream, size: int) -> np.ndarray:
-        u = _open_unit(rng.gen, size)
+        return self.from_unit(_open_unit(rng.gen, size))
+
+    def from_unit(self, u: np.ndarray) -> np.ndarray:
+        """The sticks of uniforms u in (0, 1), nondecreasing in u and clamped
+        to [2^-1074, 1 - 2^-53], as a fresh array."""
         if self.kind == "beta":
             w = u ** (1.0 / self.theta)
         else:
@@ -261,6 +265,16 @@ class StickLaw:
                 g = -np.log(-np.expm1(-np.maximum(s, 1e-320)))
             out = np.where(g <= 1.0, 1.0, np.where(s <= 0.0, 0.0, np.maximum(g, 1.0) ** (-self.alpha)))
         return out if out.shape else float(out)
+
+    def tail_abs_log1m(self, s: float) -> float:
+        """P{|log(1 - W)| > s} for s >= 0, free of 1 - F's cancellation; 0
+        past s = -log(1 - 1/e) for exppareto sticks."""
+        if s <= 0.0:
+            return 1.0
+        if self.kind == "beta":
+            return -math.expm1(self.theta * math.log1p(-math.exp(-s)))
+        g = -math.log(-math.expm1(-s))
+        return -math.expm1(-self.alpha * math.log(g)) if g > 1.0 else 0.0
 
     def integral_cdf_abs_log1m(self, a: float, b: float) -> float:
         """Integral of F_eta over [a, b], exact where a closed form exists."""

@@ -4,8 +4,8 @@ placement reference, the exact expected occupancy of the geometric scheme,
 the lattice inverse-subordinator path, the Chambers-Mallows-Stuck positive
 stable construction, the subordinator marginal, the spectrally negative
 characteristic function, the box scan of P41's window term, a walk over
-the merged jumps of P41's two step functions, and the null-model
-calibration guard; and three small readers of library objects that no run
+the merged jumps of P41's two step functions, the walk's visit counts on
+its full path, and the null-model calibration guard; and three small readers of library objects that no run
 needs: a cycle type, a report's CSV lines and an environment's JSON.  The
 oracles stay independent of the library code paths they check; the guard
 deliberately pushes the library's own limit-law draws through its KS
@@ -21,6 +21,7 @@ from sievesim.ewens import CycleCounts
 from sievesim.harness import _REFERENCE_STREAM_BASE, ks_one_sample, ks_two_sample
 from sievesim.limits import normal_cdf, sample_inverse_ratio
 from sievesim.occupancy import rho
+from sievesim.prw import simulate_path
 from sievesim.sampling import (
     RngStream,
     _chambers_mallows_stuck,
@@ -315,6 +316,14 @@ def ratio_sup_walk(k_locs, k_total: int) -> float:
         prev_ratio = c / k_total
         best = max(best, abs(prev_ratio - loc))
     return max(best, abs(prev_ratio - 1.0))
+
+
+def full_path_visits(law, n: float, grid, rng: RngStream) -> np.ndarray:
+    """(N(n t)) along the grid, counted on the full walk: every T_k of
+    simulate_path, one count_nonzero per grid point.  The reference for
+    visit_process, which draws eta only where it can move a count."""
+    t = simulate_path(law, n * float(grid[-1]), rng).t_values
+    return np.array([np.count_nonzero(t <= n * g) for g in grid], dtype=np.int64)
 
 
 def calibration_guard(seed: int = 0) -> list:

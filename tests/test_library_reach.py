@@ -40,6 +40,8 @@ EXTRA_SPECS = {
                    "grid = 0.5, 1.0\n",
     "P32": "target = P32\nn_values = 100, 1000\n",
     "B2_pareto": "target = B2\nxi = pareto\nxi_param = 2.0\nn_values = 1e3\ngrid = 0.5, 1.0\n",
+    "B1_log_sticks": "target = B1\nxi = logstick\neta = log1mstick\nstick = beta\ntheta = 2.0\n"
+                     "n_values = 1e3\ngrid = 0.5, 1.0\n",
     "ESF_FLT_theta_2.5": "target = ESF_FLT\ntheta = 2.5\nn_values = 1e4\ngrid = 0.5, 1.0\n",
 }
 BAD_SPEC = "target = A1\nn_values = 1e19\nreplicates = 5\n"

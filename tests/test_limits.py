@@ -81,10 +81,31 @@ def test_normalizer_exact_and_log_cases():
         c = log_normalizer(x)
         assert abs(c**-2.0 * x * 2.0 * math.log(c) - 1.0) < 1e-9
         assert c > math.sqrt(x)  # the larger root
-    # no root below x = e; at e the fixed point is a double root, too slow to settle
+    # no root below x = e, and math.e lies below e
     for x in (0.0, 0.5, 2.0, math.e):
         with pytest.raises(ValueError):
             log_normalizer(x)
+
+
+def _larger_log_root(x: float):
+    """The larger root of c**2 = 2 x log c to 40 digits: Newton's method in
+    mpmath from sqrt(2 x log x), run until a step moves it by under 1e-38."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        c = mpmath.sqrt(2 * x * mpmath.log(x))
+        while True:
+            nxt = c - (c * c - 2 * x * mpmath.log(c)) / (2 * c - 2 * x / c)
+            if abs(nxt - c) < mpmath.mpf(10) ** -38 * c:
+                return nxt
+            c = nxt
+
+
+@pytest.mark.parametrize("x", [2.7183, 2.72, 2.75, 3.0, 10.0, 1e4, 1e16])
+def test_log_normalizer_matches_40_digit_roots(x):
+    # near the double root at x = e the root's condition number grows like
+    # (x - e)^(-1/2): at x = 2.7183 the error is 4.4e-15 relative
+    c = log_normalizer(x)
+    assert float(abs(c - _larger_log_root(x))) < 1e-14 * c
 
 
 def test_normalizer_grows_faster_than_sqrt():

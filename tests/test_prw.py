@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, gamma, poisson
 
+from conftest import full_path_visits
 from sievesim.harness import ConfigurationError, ExperimentSpec, ks_two_sample, run_experiment
 from sievesim.occupancy import build_environment, rho
 from sievesim.prw import (
@@ -213,29 +214,32 @@ def _allocating_draw(law, rng, size):
 
 
 def _allocating_path(law, horizon, rng):
-    """The walk built with fresh arrays for every block and a boolean mask
-    for the kept points: the reference for simulate_path.  An independent
-    law draws eta after xi, for the kept steps only in the last block."""
-    m = law.mean_xi()
-    block = 64 if not math.isfinite(m) else max(64, int(1.2 * horizon / m) + 32)
+    """The walk built with fresh arrays for every block: the reference for
+    simulate_path.  Each block's xi is summed on from the last S; a shared
+    stick draws eta with each block's xi, and an independent law draws it
+    after the last block, for the kept steps only.  The first block holds
+    horizon/m + 6 sigma sqrt(horizon/m)/m + 32 steps, 1.2 horizon/m + 32
+    with an infinite variance, 64 with an infinite mean, and at least 64."""
+    m, var = law.mean_xi(), law.var_xi()
+    if not math.isfinite(m):
+        block = 64
+    elif math.isfinite(var):
+        block = max(64, int(horizon / m + 6.0 * math.sqrt(var * horizon / m) / m) + 32)
+    else:
+        block = max(64, int(1.2 * horizon / m) + 32)
     shared = law.dependence == "sharedstick"
-    s_chunks, t_chunks, s_last = [np.zeros(1)], [], 0.0
-    while s_last <= horizon:
+    s, etas = np.zeros(1), []
+    while s[-1] <= horizon:
         if shared:
             xi, eta = _allocating_draw(law, rng, block)
+            etas.append(eta)
         else:
             xi = _allocating_one(law.xi, rng, block)
-        s_prev = s_last + np.concatenate([[0.0], np.cumsum(xi[:-1])])
-        s_new = s_prev + xi
-        stop = np.searchsorted(s_new > horizon, True)
-        s_chunks.append(s_new[: stop + 1] if stop < block else s_new)
-        s_last = s_new[min(stop, block - 1)]
-        keep = s_prev <= horizon
-        if not shared:
-            ends = s_last > horizon
-            eta = _allocating_one(law.eta, rng, np.count_nonzero(keep) if ends else block)
-        t_chunks.append((s_prev[: len(eta)] + eta)[keep[: len(eta)]])
-    return np.concatenate(s_chunks), np.concatenate(t_chunks)
+        s = np.concatenate([s, np.cumsum(np.concatenate([[s[-1]], xi]))[1:]])
+    kept = int(np.searchsorted(s, horizon, side="right"))  # S_0..S_{K-1} <= horizon
+    s = s[: kept + 1]
+    eta = np.concatenate(etas)[:kept] if shared else _allocating_one(law.eta, rng, kept)
+    return s, s[:-1] + eta
 
 
 STICK = StickLaw.exp_pareto(1.5)
@@ -311,3 +315,106 @@ def test_returned_path_survives_the_next_call():
     assert np.array_equal(first.s_values, s) and np.array_equal(first.t_values, t)
     assert not np.array_equal(second.t_values[:5], t[:5])
     assert first.s_values.base is None and first.t_values.base is None
+
+
+# ---------------------------------------------------------------------------
+# visit_process's sparse draws, against the exact exp/exp law and the full path
+# ---------------------------------------------------------------------------
+
+
+def _exp_exp_joint_pmf(x1, x2, top):
+    """Exact P(N(x1) = a, N(x2) - N(x1) = b) for a, b < top, exp(1) xi and eta.
+
+    S_1, S_2, ... are a unit Poisson process, so the points S_{k-1} + eta_k,
+    k >= 2, form a Poisson process with mean measure
+    Lambda(x) = x - 1 + e^-x, independent of eta_1.  So N(x1) is
+    1{eta_1 <= x1} + Poisson(Lambda(x1)), and the increment is
+    1{x1 < eta_1 <= x2} plus an independent Poisson(Lambda(x2) - Lambda(x1)).
+    """
+    lam = lambda x: x - 1.0 + math.exp(-x)
+    first = poisson.pmf(np.arange(top), lam(x1))
+    second = poisson.pmf(np.arange(top), lam(x2) - lam(x1))
+    shift = lambda pmf: np.concatenate(([0.0], pmf[:-1]))
+    return (-math.expm1(-x1) * np.outer(shift(first), second)
+            + (math.exp(-x1) - math.exp(-x2)) * np.outer(first, shift(second))
+            + math.exp(-x2) * np.outer(first, second))
+
+
+def _joint_chi_square_p(first, increment, x1, x2):
+    """Chi-square p-value of the pairs (N(x1), N(x2) - N(x1)) against the
+    exact pmf, over the cells whose expected count is at least 5, with the
+    rest merged into one cell."""
+    top = max(first.max(), increment.max()) + 2
+    observed = np.zeros((top, top))
+    np.add.at(observed, (first, increment), 1.0)
+    expected = len(first) * _exp_exp_joint_pmf(x1, x2, top)
+    cells = expected >= 5.0
+    obs = np.append(observed[cells], len(first) - observed[cells].sum())
+    exp_ = np.append(expected[cells], len(first) - expected[cells].sum())
+    return chisquare(obs, exp_).pvalue
+
+
+def test_visit_process_matches_the_exact_exp_exp_joint_law():
+    # 20,000 replicates of N at x = 15, 16 and 30: the close pair checks the
+    # accepted steps carried from one grid point to the next, the far pair
+    # the long walk down
+    counts = np.array([visit_process(EXP_EXP, 1.0, [15.0, 16.0, 30.0], RngStream(50, i))
+                       for i in range(20000)])
+    for (i, x1), (j, x2) in (((0, 15.0), (1, 16.0)), ((1, 16.0), (2, 30.0))):
+        assert _joint_chi_square_p(counts[:, i], counts[:, j] - counts[:, i], x1, x2) > 1e-3
+
+
+SPARSE_LAWS = {
+    "exp_rate_0.5": (StepLaw(("exp", 2.0), ("exp", 0.5)), 20.0, 0.55),
+    "const": (StepLaw(("exp", 1.0), ("const", 2.5)), 20.0, 0.55),
+    "log1m_beta": (StepLaw(("logstick", StickLaw.beta(2.0)), ("log1mstick", StickLaw.beta(0.7))),
+                   20.0, 0.55),
+    # eta <= -log(1 - 1/e) ~ 0.459, so the close grid points are 0.2 apart
+    "log1m_exppareto": (StepLaw(("exp", 4.0), ("log1mstick", StickLaw.exp_pareto(1.5))), 20.0,
+                        0.51),
+    # no mean: the walk to 5000 takes about 15 blocks of 64 steps
+    "pareto_no_mean": (StepLaw(("pareto", 0.8), ("exp", 0.2)), 5000.0, 0.501),
+}
+
+
+@pytest.mark.parametrize("name", list(SPARSE_LAWS))
+def test_visit_process_matches_the_full_path(name):
+    # 5,000 replicates a side; 1.95 sqrt(2/5000) = 0.039 is the two-sample
+    # KS's 0.1% level under the null, conservative for counts.  The grid
+    # includes t = 0 and two points close enough for an accepted step to be
+    # carried from one to the next; each grid point and increment is compared.
+    law, n, close = SPARSE_LAWS[name]
+    grid, replicates = (0.0, 0.5, close, 1.0), 5000
+    sparse = np.array([visit_process(law, n, grid, RngStream(51, i)) for i in range(replicates)])
+    full = np.array([full_path_visits(law, n, grid, RngStream(52, i))
+                     for i in range(replicates)])
+    assert np.all(sparse[:, 0] == 0) and np.all(full[:, 0] == 0)  # eta > 0
+    for column in (1, 2, 3):
+        for a, b in ((sparse[:, column], full[:, column]),
+                     (sparse[:, column] - sparse[:, column - 1],
+                      full[:, column] - full[:, column - 1])):
+            assert ks_two_sample(a.astype(float), b.astype(float)) < 1.95 * math.sqrt(2 / replicates)
+
+
+def test_walk_down_stops_at_an_underflowed_or_saturated_bound():
+    """xi = 20 and eta ~ exp(50), so S = 0, 20, 40 and both steps below
+    x = 30 or 35 have T_k <= x but with probability at most e^-500.
+
+    At x = 35 the top index's tail e^-750 underflows to 0, so the walk down
+    stops there and draws nothing.  The mass it drops is at most the sum of
+    the underflowed tails, e^-750 + e^-1750, each below 2^-1074.  At x = 30
+    that tail is e^-500 > 0, and the next skip, Geometric(e^-500), saturates
+    at 2^63 - 1 in numpy: one geometric and one acceptance uniform are drawn,
+    and the walk down leaves the indices.
+    """
+    law = StepLaw(("const", 20.0), ("exp", 50.0))
+    assert np.random.default_rng(0).geometric(math.exp(-500.0)) == 2**63 - 1
+    for i in range(20):
+        rng, ref = RngStream(53, i), RngStream(53, i)
+        assert visit_process(law, 35.0, [1.0], rng).tolist() == [2]
+        assert rng.gen.random() == ref.gen.random()
+        rng, ref = RngStream(54, i), RngStream(54, i)
+        assert visit_process(law, 30.0, [1.0], rng).tolist() == [2]
+        ref.gen.geometric(math.exp(-500.0))
+        ref.gen.random(1)
+        assert rng.gen.random() == ref.gen.random()
