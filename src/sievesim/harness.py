@@ -39,7 +39,14 @@ from .occupancy import (
 # LookupError if one is missing; no run calls them since the sieve thins in
 # blocks (occupy_sieve_block)
 from .occupancy import build_environment, k_process, occupy_sieve  # noqa: F401
-from .prw import StepLaw, lln_sup_deviation, max_window_count, simulate_path, visit_process
+from .prw import (
+    POISSON_MEAN_MAX,
+    StepLaw,
+    lln_sup_deviation,
+    max_window_count,
+    simulate_path,
+    visit_process,
+)
 from .sampling import (
     RngStream,
     StickLaw,
@@ -219,6 +226,12 @@ class ExperimentSpec:
             law = self.law()
         except ValueError as exc:  # a law parameter out of its range
             raise ConfigurationError(f"{self.target}: {exc}") from None
+        if (self.target in _WALK and law.xi[0] == "exp"
+                and law.xi[1] * (max(self.n_values, default=0.0) * max(self.grid))
+                > POISSON_MEAN_MAX):
+            raise ConfigurationError(f"{self.target} counts the steps of an exp xi walk by "
+                                     "Poisson draws: xi_param * n * t must be <= 2^40, where "
+                                     "numpy's Poisson sampler still keeps its law")
         if self.target == "P31" and not math.isfinite(law.mean_xi()):
             raise ConfigurationError("P31 requires a step law with finite mean")
         if self.target == "P32" and not (self.b > 0.0 and self.c > 0.0):

@@ -20,6 +20,11 @@ __all__ = [
     "max_window_count",
 ]
 
+# the largest Poisson mean visit_process draws: numpy's PTRS sampler subtracts
+# terms near mean log(mean) in its acceptance test, and from a mean of about
+# 1e14 on its variates' spread is visibly off
+POISSON_MEAN_MAX = 2.0**40
+
 
 @dataclass(frozen=True)
 class StepLaw:
@@ -121,6 +126,15 @@ class StepLaw:
         if kind == "const":
             return 1.0 if y < par else 0.0
         return par.tail_abs_log1m(y)
+
+    def _eta_reach(self) -> float:
+        """The first y in 1, 2, 4, ... with P{eta > y} == 0.0.  Every tail
+        is nonincreasing, so a step starting y or further below x has
+        T_k <= x surely."""
+        y = 1.0
+        while self._eta_tail(y) > 0.0:
+            y *= 2.0
+        return y
 
     def _eta_above(self, y, tail, gen) -> np.ndarray:
         """eta given eta > y, elementwise, where tail = P{eta > y}.  A
@@ -288,17 +302,29 @@ def visit_process(law: StepLaw, n: float, grid, rng: RngStream) -> np.ndarray:
     """One path of (N(n t)) along the grid, which must be nondecreasing (the
     walk targets' specs check it), from a single walk realisation.
 
-    With independent eta only xi is drawn in full: N(x) = L(x) - D(x), where
-    L(x) = #{k >= 1 : S_{k-1} <= x} and D(x) counts those k with
-    eta_k > x - S_{k-1}.  Given S these events are independent, with
-    probability p_k = P{eta > x - S_{k-1}}, which falls as k falls.  At each
-    grid point the indices the one below left undecided are thinned exactly,
-    walking down from k = L(x): skip a Geometric(pbar) number, propose the
-    index reached and set pbar = p_k (from pbar = 1).  Then each proposal is
-    accepted with probability p_k / pbar, by a uniform unless that is 0 or
-    1, and each accepted step draws eta given eta > x - S_{k-1}; its T_k
-    counts in D at every grid point below it.  So a grid point draws its
-    geometric skips, then its acceptance uniforms, then its accepted eta.
+    With independent eta, eta is drawn only where it can move a count:
+    N(x) = L(x) - D(x), where L(x) = #{k >= 1 : S_{k-1} <= x} and D(x)
+    counts those k with eta_k > x - S_{k-1}.  Given S these events are
+    independent, with probability p_k = P{eta > x - S_{k-1}}, which falls as
+    k falls.  At each grid point the indices the one below left undecided
+    are thinned exactly, walking down from k = L(x): skip a Geometric(pbar)
+    number, propose the index reached and set pbar = p_k (from pbar = 1).
+    Then each proposal is accepted with probability p_k / pbar, by a uniform
+    unless that is 0 or 1, and each accepted step draws eta given
+    eta > x - S_{k-1}; its T_k counts in D at every grid point below it.
+
+    An exp(rate) xi makes S_1, S_2, ... the points of a Poisson process, so
+    the walk needs no path: at each grid point x it draws the sums in
+    (x - reach, x] and above the grid point below, backwards from x by
+    exp(rate) gaps, where reach is the first power of two with
+    P{eta > reach} == 0.0.  The number of sums further below, down to the
+    grid point below, is one Poisson variate (the walk targets' specs keep
+    its mean within POISSON_MEAN_MAX); the first grid point adds S_0 = 0.
+    A proposal among those sums has p_k exactly 0, as the tail does not
+    rise.  Any other xi draws the partial sums up to the last grid point
+    first.  So a grid point draws its
+    backward gaps and its Poisson count (exp xi only), then its geometric
+    skips, its acceptance uniforms and its accepted eta.
 
     The walk down stops when pbar underflows to 0, so it drops at most the
     sum of the underflowed tails of the indices left, each below 2^-1074
@@ -308,19 +334,38 @@ def visit_process(law: StepLaw, n: float, grid, rng: RngStream) -> np.ndarray:
     xs = n * np.asarray(grid, dtype=float)
     if law.dependence == "sharedstick":
         return np.searchsorted(simulate_path(law, xs[-1], rng)._t_sorted, xs, side="right")
-    s, _ = _walk(law, float(xs[-1]), rng, False)
-    counts = np.searchsorted(s, xs, side="right")  # L(x), then N(x)
+    poisson = law.xi[0] == "exp"
+    if poisson:
+        reach = law._eta_reach()
+    else:
+        s, _ = _walk(law, float(xs[-1]), rng, False)
+    counts = np.empty(len(xs), dtype=np.intp)
     gen, tail = rng.gen, law._eta_tail
     carried = np.empty(0)  # the T_k above the last grid point, of accepted steps
-    lo = 0
+    lo = base = 0  # s[k - base] is S_k
+    prev = 0.0
     for i, x in enumerate(xs.tolist()):
-        k = hi = int(counts[i])
+        if poisson:
+            # the sums at distance <= h below x, ascending, then a count of
+            # the sums further below, down to prev
+            h = min(reach, x - prev)
+            s = np.subtract(x, _walk(law, h, rng, False)[0][-2:0:-1])
+            base = lo + int(gen.poisson(law.xi[1] * (x - prev - h)))
+            if i == 0:  # S_0 = 0, at distance x
+                if h < x:
+                    base += 1
+                else:
+                    s = np.concatenate(([0.0], s))
+            hi, prev = base + len(s), x
+        else:
+            hi = int(np.searchsorted(s, x, side="right"))
+        k = hi
         ks, ps, pbar = [], [], 1.0
         while pbar > 0.0:
             k -= 1 if pbar == 1.0 else gen.geometric(pbar)
             if k < lo:
                 break
-            pbar = tail(x - s[k])
+            pbar = tail(x - s[k - base]) if k >= base else 0.0
             ks.append(k)
             ps.append(pbar)
         p = np.array(ps)
@@ -328,7 +373,7 @@ def visit_process(law: StepLaw, n: float, grid, rng: RngStream) -> np.ndarray:
         coin = (ratio > 0.0) & (ratio < 1.0)
         accept = ratio == 1.0
         accept[coin] = gen.random(np.count_nonzero(coin)) < ratio[coin]
-        s_acc = s[np.array(ks, dtype=np.intp)[accept]]
+        s_acc = s[np.array(ks, dtype=np.intp)[accept] - base]
         t_new = s_acc + law._eta_above(x - s_acc, p[accept], gen)
         carried = np.concatenate((carried[carried > x], t_new[t_new > x]))
         counts[i] = hi - len(carried)

@@ -175,6 +175,8 @@ _VALUE_ERROR_LINE = {"target = B1\nn_values = 100\nreplicates = 2.7\n": 3,
     "target = A1\nn_values = 1e4\nn_values = 1e5\n",          # the repeat is reported
     "target = B1\nn_values = 100\nthreshold.ks = 0.5\nthreshold.ks = 0.6\n",
     "target = A2\nstick = exppareto\nalpha = 2.0\nn_values = 15\n",  # c**2 = 2x log c: x < e
+    "target = B1\nn_values = 1e16\n",                   # exp xi: rate * n * t <= 2^40
+    "target = B1\nxi_param = 4\nn_values = 1e12\ngrid = 0.5\n",  # rate * n * t = 2e12
 ], ids=["A3_beta_stick", "B3_exp_steps", "B4_index_1", "A1_n_below_1", "P21_no_n",
         "A1_no_n", "mode_typo", "centering_typo", "dependence_typo", "xi_unknown",
         "P33_no_x", "P33_one_replicate", "P32_negative_b", "P41_n_below_3",
@@ -184,7 +186,8 @@ _VALUE_ERROR_LINE = {"target = B1\nn_values = 100\nreplicates = 2.7\n": 3,
         "P33_x_negative", "P33_y_nan", "P32_b_inf", "B4_n_negative",
         "B1_grid_decreasing", "P21_n_1", "replicates_2.7", "seed_1.9", "threshold_misspelt",
         "threshold_nan", "B3_mode_ratio", "ESF_FLT_mode_ratio", "A1_n_1e19", "P21_n_1e19",
-        "key_repeated", "threshold_repeated", "A2_log_n_below_e"])
+        "key_repeated", "threshold_repeated", "A2_log_n_below_e", "B1_n_1e16",
+        "B1_rate_n_t_2e12"])
 def test_bad_spec_exits_2_before_any_replicate(tmp_path, capsys, monkeypatch, spec_text):
     def no_replicates(*args):
         raise AssertionError("a replicate was drawn")
@@ -205,6 +208,17 @@ def test_sieve_n_just_below_2_63_runs_to_its_verdicts(tmp_path, capsys):
     # fail A1's calibrated verdicts, which is exit 1, not a crash
     spec_path = write(tmp_path, "deep.cfg", "target = A1\nn_values = 9.2e18\nreplicates = 5\n")
     assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / "out" / "deep.csv").exists()
+
+
+def test_exp_walk_at_2_40_runs_to_its_verdicts(tmp_path, capsys):
+    # a rate-2 exp xi walk to n = 5e11 takes about 1e12 steps: it draws no
+    # path, only a window of sums and a Poisson count, and five replicates
+    # fail B1's calibrated verdicts, which is exit 1, not a crash
+    spec_path = write(tmp_path, "deep.cfg", "target = B1\nxi_param = 2\nn_values = 5e11\n"
+                                            "replicates = 5\n")
+    assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) in (0, 1)
     assert "Traceback" not in capsys.readouterr().err
     assert (tmp_path / "out" / "deep.csv").exists()
 

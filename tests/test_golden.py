@@ -24,13 +24,14 @@ from sievesim.cli import main
 GOLDEN = {
     # B1_exp and B3_pareto were re-recorded when visit_process began to draw
     # eta only where it can move a count (sparse thinning below each grid
-    # point), and B1_exp's first xi block began to end six standard
-    # deviations past the mean step count; B4_pareto_const's const eta draws
-    # nothing, so its digest held
+    # point); B4_pareto_const's const eta draws nothing, so its digest held.
+    # B1_exp was re-recorded again when an exp xi walk stopped drawing its
+    # path: per grid point it draws the sums within eta's reach backwards
+    # and counts those further below with one Poisson draw
     "B1_exp": (
         "target = B1\nxi = exp\nxi_param = 1.0\neta = exp\neta_param = 2.0\n"
         "n_values = 100, 1000\ngrid = 0.25, 0.5, 1.0\nreplicates = 60\nseed = 3\n",
-        "802db2e248f47cc1f1531f40bf5df0f45a684f3625edcb2f9bdcd123f513d17a"),
+        "b8b21f70810b3a081e1e6d7f0f0549faaa525b7ae32f920cb79b3da766832b26"),
     "B3_pareto": (
         "target = B3\nxi = pareto\nxi_param = 1.5\neta = exp\n"
         "n_values = 300\ngrid = 0.5, 1.0\nreplicates = 60\nseed = 4\n",

@@ -293,16 +293,20 @@ def test_one_block_path_is_a_read_only_view_until_the_next_call():
 
 
 def test_visit_process_allocates_no_path():
-    rng = RngStream(44, 0)
-    visit_process(EXP_EXP, 1e5, [0.5, 1.0], rng)  # sizes the scratch buffers
-    tracemalloc.start()
-    try:
-        visit_process(EXP_EXP, 1e5, [0.5, 1.0], rng)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # a fresh s_values and t_values would take about 1.6 MB
-    assert peak < 1 << 20
+    # an exp xi walk draws only the sums within eta's reach of each grid
+    # point, so it runs at n = 1e12 too, where a path would take 16 TB; a
+    # const xi walk sums its path in the scratch buffers
+    for law, n in ((EXP_EXP, 1e5), (EXP_EXP, 1e12), (StepLaw(("const", 1.0), ("exp", 1.0)), 1e5)):
+        rng = RngStream(44, 0)
+        visit_process(law, n, [0.5, 1.0], rng)  # sizes the scratch buffers
+        tracemalloc.start()
+        try:
+            visit_process(law, n, [0.5, 1.0], rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a fresh s_values and t_values would take about 1.6 MB at n = 1e5
+        assert peak < 1 << 20
 
 
 def test_returned_path_survives_the_next_call():
@@ -322,32 +326,33 @@ def test_returned_path_survives_the_next_call():
 # ---------------------------------------------------------------------------
 
 
-def _exp_exp_joint_pmf(x1, x2, top):
-    """Exact P(N(x1) = a, N(x2) - N(x1) = b) for a, b < top, exp(1) xi and eta.
+def _exp_exp_joint_pmf(x1, x2, top, lam=1.0, mu=1.0):
+    """Exact P(N(x1) = a, N(x2) - N(x1) = b) for a, b < top, exp(lam) xi and
+    exp(mu) eta.
 
-    S_1, S_2, ... are a unit Poisson process, so the points S_{k-1} + eta_k,
-    k >= 2, form a Poisson process with mean measure
-    Lambda(x) = x - 1 + e^-x, independent of eta_1.  So N(x1) is
-    1{eta_1 <= x1} + Poisson(Lambda(x1)), and the increment is
+    S_1, S_2, ... are a rate-lam Poisson process, so the points
+    S_{k-1} + eta_k, k >= 2, form a Poisson process with mean measure
+    Lambda(x) = lam (x - (1 - e^{-mu x}) / mu), independent of eta_1.  So
+    N(x1) is 1{eta_1 <= x1} + Poisson(Lambda(x1)), and the increment is
     1{x1 < eta_1 <= x2} plus an independent Poisson(Lambda(x2) - Lambda(x1)).
     """
-    lam = lambda x: x - 1.0 + math.exp(-x)
-    first = poisson.pmf(np.arange(top), lam(x1))
-    second = poisson.pmf(np.arange(top), lam(x2) - lam(x1))
+    measure = lambda x: lam * (x + math.expm1(-mu * x) / mu)
+    first = poisson.pmf(np.arange(top), measure(x1))
+    second = poisson.pmf(np.arange(top), measure(x2) - measure(x1))
     shift = lambda pmf: np.concatenate(([0.0], pmf[:-1]))
-    return (-math.expm1(-x1) * np.outer(shift(first), second)
-            + (math.exp(-x1) - math.exp(-x2)) * np.outer(first, shift(second))
-            + math.exp(-x2) * np.outer(first, second))
+    return (-math.expm1(-mu * x1) * np.outer(shift(first), second)
+            + (math.exp(-mu * x1) - math.exp(-mu * x2)) * np.outer(first, shift(second))
+            + math.exp(-mu * x2) * np.outer(first, second))
 
 
-def _joint_chi_square_p(first, increment, x1, x2):
+def _joint_chi_square_p(first, increment, x1, x2, lam=1.0, mu=1.0):
     """Chi-square p-value of the pairs (N(x1), N(x2) - N(x1)) against the
     exact pmf, over the cells whose expected count is at least 5, with the
     rest merged into one cell."""
     top = max(first.max(), increment.max()) + 2
     observed = np.zeros((top, top))
     np.add.at(observed, (first, increment), 1.0)
-    expected = len(first) * _exp_exp_joint_pmf(x1, x2, top)
+    expected = len(first) * _exp_exp_joint_pmf(x1, x2, top, lam, mu)
     cells = expected >= 5.0
     obs = np.append(observed[cells], len(first) - observed[cells].sum())
     exp_ = np.append(expected[cells], len(first) - expected[cells].sum())
@@ -362,6 +367,54 @@ def test_visit_process_matches_the_exact_exp_exp_joint_law():
                        for i in range(20000)])
     for (i, x1), (j, x2) in (((0, 15.0), (1, 16.0)), ((1, 16.0), (2, 30.0))):
         assert _joint_chi_square_p(counts[:, i], counts[:, j] - counts[:, i], x1, x2) > 1e-3
+
+
+def test_visit_process_matches_the_exact_joint_law_past_eta_reach():
+    # exp(50) eta's tail is 0.0 past 745.13 / 50, so its reach is 16: at
+    # x = 30 and 60 the walk draws the sums within 16 of x by backward gaps
+    # and counts those further below with one Poisson draw (plus S_0 = 0
+    # at x = 30); with exp(1) eta, reach 1024, x <= 30 never leaves the window
+    law = StepLaw(("exp", 0.5), ("exp", 50.0))
+    assert law._eta_reach() == 16.0
+    counts = np.array([visit_process(law, 1.0, [30.0, 60.0], RngStream(55, i))
+                       for i in range(20000)])
+    p = _joint_chi_square_p(counts[:, 0], counts[:, 1] - counts[:, 0], 30.0, 60.0, 0.5, 50.0)
+    assert p > 1e-3
+
+
+def test_visit_process_has_the_exact_moments_at_depth():
+    # E N(x) = x and Var N(x) = x - 1 + e^-x (2 - e^-x) for exp(1) xi and
+    # eta (item 4's construction), where no path of n steps could be held.
+    # Four standard errors: of the mean sqrt(Var / R), of the variance about
+    # Var sqrt(2 / R) for counts this close to normal
+    replicates, n = 4000, 1e12
+    counts = np.array([visit_process(EXP_EXP, n, [0.5, 1.0], RngStream(56, i))
+                       for i in range(replicates)])
+    for column, x in ((0, 0.5 * n), (1, n)):
+        dev = (counts[:, column] - int(x)).astype(float)  # exact in int64
+        var = x - 1.0 + math.exp(-x) * (2.0 - math.exp(-x))
+        assert abs(dev.mean()) < 4.0 * math.sqrt(var / replicates)
+        assert abs(dev.var(ddof=1) / var - 1.0) < 4.0 * math.sqrt(2.0 / replicates)
+
+
+ETA_LAWS = {
+    **{f"exp_{rate:g}": ("exp", rate) for rate in (0.5, 1.0, 50.0)},
+    **{f"const_{c:g}": ("const", c) for c in (0.3, 2.5)},
+    **{f"log1m_beta_{theta:g}": ("log1mstick", StickLaw.beta(theta)) for theta in (0.7, 2.0)},
+    "log1m_exppareto": ("log1mstick", StickLaw.exp_pareto(1.5)),
+}
+
+
+@pytest.mark.parametrize("name", list(ETA_LAWS))
+def test_eta_tail_never_rises_and_is_zero_at_its_reach(name):
+    # visit_process gives a step further than reach below a grid point p_k = 0
+    # without evaluating it: exact only if the tail never rises
+    law = StepLaw(("exp", 1.0), ETA_LAWS[name])
+    reach = law._eta_reach()
+    ys = np.linspace(0.0, 2.0 * reach, 200001)
+    tails = np.array([law._eta_tail(y) for y in ys.tolist()])
+    assert tails[0] == 1.0 and np.all(np.diff(tails) <= 0.0)
+    assert law._eta_tail(reach) == 0.0 and (reach == 1.0 or law._eta_tail(reach / 2) > 0.0)
 
 
 SPARSE_LAWS = {
