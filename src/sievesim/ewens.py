@@ -14,6 +14,7 @@ __all__ = [
     "CycleCounts",
     "sample_cycles_feller",
     "c_process",
+    "c_process_block",
 ]
 
 
@@ -102,11 +103,7 @@ def _next_indicator(i: int, n: int, theta: float, u: float) -> int:
     """The Feller indicator after the one at i, or n + 1 if none is left:
     J = min{j > i : G_i(j) <= u} for u uniform on [0, 1), where
     G_i(j) = P(no indicator at i+1..j) = (i)_theta/(j)_theta, a ratio of
-    rising factorials."""
-    if theta == 1.0:
-        # G_i(j) = i/j and u = k 2^-53 exactly, so J = ceil(i 2^53 / k) in integers
-        k = int(u * 9007199254740992.0)
-        return n + 1 if k == 0 else min(-(-(i << 53) // k), n + 1)
+    rising factorials; for theta != 1 (_next_indicators settles theta = 1)."""
     if u == 0.0 or i == n:
         return n + 1
     if u >= i / (i + theta):  # G_i(i + 1), the commonest case while i is small
@@ -128,34 +125,62 @@ def _next_indicator(i: int, n: int, theta: float, u: float) -> int:
     return _first_true(covered, i, n + 1, guess)
 
 
-def sample_cycles_feller(n: int, theta: float, rng: RngStream) -> CycleCounts:
-    """Feller-coupling construction of an Ewens(theta) cycle type.
+def _next_indicators(i: np.ndarray, n: int, theta: float, u: np.ndarray) -> np.ndarray:
+    """The Feller indicator after each i[e], drawn by u[e].  For theta = 1,
+    J = ceil(i/u) = ceil(i 2^53/k) with u = k 2^-53: a correctly rounded double
+    quotient above n means n + 1, and one below has the exact ceiling unless it
+    rounds to an integer, where the integer rule decides.  Else
+    u >= i/(i + theta) gives J = i + 1 and _next_indicator searches the rest."""
+    if theta == 1.0:
+        q = np.divide(i, u, out=np.full(i.size, np.inf), where=u > 0.0)
+        j = np.minimum(np.ceil(q), n).astype(np.int64)  # n <= 2^53 is exact
+        for e in np.flatnonzero(q == j).tolist():  # here u > 0, so k > 0
+            j[e] = -(-(int(i[e]) << 53) // int(u[e] * 9007199254740992.0))
+        j[q > n] = n + 1
+        return j
+    j = i + 1
+    for e in np.flatnonzero(u < i / (i + theta)).tolist():
+        j[e] = _next_indicator(int(i[e]), n, theta, float(u[e]))
+    return j
 
-    Independent indicators xi_i ~ Bernoulli(theta/(theta + i - 1)) for
-    i = 1..n with xi_{n+1} := 1 appended; the spacings between successive
-    ones inside positions 1..n+1 are the cycle lengths.  Appending the
-    closing one gives exactly the Ewens law (checked against the exact
-    formula in the tests rather than assumed).  The ones are not found by n
-    Bernoulli draws: given a one at i, the next one is J with P(J > j) =
-    G_i(j) (Arratia, Barbour and Tavare, Logarithmic Combinatorial
-    Structures, 2003), drawn by inversion from one uniform, so a call costs
-    about theta log n uniforms.  n is capped at 2^53, where consecutive
-    G_i(j) stop being distinct doubles.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > FELLER_MAX_N:
-        raise ValueError("n must be <= 2^53 for the Feller coupling")
-    if theta <= 0.0:
-        raise ValueError("theta must be > 0")
-    random = rng.gen.random
-    counts = {}
-    i = 1  # position 1 is a one with probability theta/theta = 1
-    while i <= n:
-        j = _next_indicator(i, n, theta, random())
-        counts[j - i] = counts.get(j - i, 0) + 1
-        i = j
-    return CycleCounts(n, theta, counts)
+
+def _feller_rounds(n: int, theta: float, size: int, rng: RngStream):
+    """`size` Feller couplings of Ewens(theta) cycle types from one stream: the
+    spacings of the ones of xi_i ~ Bernoulli(theta/(theta + i - 1)), i <= n,
+    and xi_{n+1} := 1.  After a one at i the next is J, P(J > j) = G_i(j), by
+    inversion (Arratia, Barbour and Tavare, Logarithmic Combinatorial
+    Structures, 2003).  Each round draws a uniform for every replicate not
+    past n, in replicate order, and yields them and their new cycle lengths."""
+    if not (1 <= n <= FELLER_MAX_N and theta > 0.0):
+        raise ValueError("the Feller coupling needs 1 <= n <= 2^53 and theta > 0")
+    rep = np.arange(size)
+    i = np.ones(size, dtype=np.int64)  # position 1 is a one with probability theta/theta = 1
+    while rep.size:
+        j = _next_indicators(i, n, theta, rng.gen.random(rep.size))
+        yield rep, j - i
+        left = j <= n
+        rep, i = rep[left], j[left]
+
+
+def sample_cycles_feller(n: int, theta: float, rng: RngStream) -> CycleCounts:
+    """One Ewens(theta) cycle type by the Feller coupling: a block of one of
+    `_feller_rounds`, with its cycle lengths read off."""
+    lengths, counts = np.unique(np.concatenate(
+        [length for _, length in _feller_rounds(n, theta, 1, rng)]), return_counts=True)
+    return CycleCounts(n, theta, dict(zip(lengths.tolist(), counts.tolist())))
+
+
+def c_process_block(n: int, theta: float, grid: tuple, size: int, rng: RngStream) -> tuple:
+    """C_n(t) on the grid of `size` Ewens(theta) permutations (`_feller_rounds`),
+    each round's cycles binned in place against floor_power(n, t), as a
+    (size, len(grid)) int64 array; and the block's uniforms, one per cycle."""
+    top = np.array([floor_power(n, float(t)) for t in grid], dtype=np.int64)
+    rows = np.zeros((size, len(grid)), dtype=np.int64)
+    uniforms = 0
+    for rep, length in _feller_rounds(n, theta, size, rng):
+        rows[rep] += length[:, None] <= top
+        uniforms += rep.size
+    return rows, uniforms
 
 
 def c_process(counts: CycleCounts, grid) -> np.ndarray:

@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .ewens import FELLER_MAX_N, c_process, sample_cycles_feller
+from .ewens import FELLER_MAX_N, c_process_block
 from .limits import (
     centering_prw,
     centering_u_v,
@@ -35,9 +35,10 @@ from .occupancy import (
     approximation_sup,
     occupy_sieve_block,
 )
-# bench/tracing.py binds these three names on this module and raises
-# LookupError if one is missing; no run calls them since the sieve thins in
-# blocks (occupy_sieve_block)
+# bench/tracing.py binds these five names on this module and raises
+# LookupError if one is missing; no run calls them since the sieve and the
+# Feller coupling draw in blocks (occupy_sieve_block, c_process_block)
+from .ewens import c_process, sample_cycles_feller  # noqa: F401
 from .occupancy import build_environment, k_process, occupy_sieve  # noqa: F401
 from .prw import (
     POISSON_MEAN_MAX,
@@ -74,14 +75,16 @@ _SIEVE = ("A1", "A2", "A3", "T22")
 _WALK = ("B1", "B2", "B3", "B4")
 
 # Stream layout and its limits: README, Reproducibility.  Replicate r of the
-# i-th n (of the i-th y for P33) draws from stream i * replicates + r (+ 2^20
-# for the sieve half of ESF_FLT and EQ), except that the sieve thins blocks of
-# _SIEVE_BLOCK replicates, each from the stream of its first replicate;
+# i-th n (of the i-th y for P33) draws from stream i * replicates + r, but the
+# sieve and the Feller coupling draw block b of _BLOCK replicates from stream
+# i * replicates + _BLOCK * b (+ 2^20 for the sieve half of ESF_FLT and EQ);
 # reference draws take _GRID_STREAMS streams per n.
 _SIEVE_STREAM_BASE = 1 << 20
 _REFERENCE_STREAM_BASE = 1 << 40
 _GRID_STREAMS = 64
-_SIEVE_BLOCK = 1024
+_BLOCK = 1024
+# the most partial sums, on average, of a walk that holds its path (32 B a step)
+_PATH_STEPS_MAX = 2.0**24
 # a run's wall time by phase: replicate draws, limit-law reference draws, the
 # rest of run_experiment, and the report's CSV write (0 until it is written)
 _PHASES = ("simulate", "reference", "statistics", "write")
@@ -226,12 +229,6 @@ class ExperimentSpec:
             law = self.law()
         except ValueError as exc:  # a law parameter out of its range
             raise ConfigurationError(f"{self.target}: {exc}") from None
-        if (self.target in _WALK and law.xi[0] == "exp"
-                and law.xi[1] * (max(self.n_values, default=0.0) * max(self.grid))
-                > POISSON_MEAN_MAX):
-            raise ConfigurationError(f"{self.target} counts the steps of an exp xi walk by "
-                                     "Poisson draws: xi_param * n * t must be <= 2^40, where "
-                                     "numpy's Poisson sampler still keeps its law")
         if self.target == "P31" and not math.isfinite(law.mean_xi()):
             raise ConfigurationError("P31 requires a step law with finite mean")
         if self.target == "P32" and not (self.b > 0.0 and self.c > 0.0):
@@ -240,6 +237,17 @@ class ExperimentSpec:
             raise ConfigurationError("P33 needs x_values, y_values and replicates >= 2")
         if self.target == "P33" and min(self.x_values + self.y_values) < 0.0:
             raise ConfigurationError("P33 needs x_values and y_values >= 0")
+        if self.target in _WALK + ("P31", "P32", "P33"):
+            # the horizon is n (P31), n + b (P32), max x + y (P33) or n t; an exp
+            # xi walk target counts its steps by Poisson draws, any other walk holds them
+            n = max(self.n_values, default=0.0)
+            horizon = {"P31": n, "P32": n + self.b, "P33": max(self.x_values, default=0.0)
+                       + max(self.y_values, default=0.0)}.get(self.target, n * max(self.grid))
+            steps, poisson = law.mean_steps(horizon), self.target in _WALK and law.xi[0] == "exp"
+            if steps > (POISSON_MEAN_MAX if poisson else _PATH_STEPS_MAX):
+                raise ConfigurationError(f"{self.target} walks to {horizon:g}, about {steps:.3g} steps: "
+                                         + ("over 2^40, where numpy's Poisson sampler keeps its law"
+                                            if poisson else "over 2^24, the most a path may hold"))
         if self.target == "P41" and (self.replicates < 100 or any(n < 3 for n in self.n_values)):
             raise ConfigurationError("P41 needs replicates >= 100 and n_values >= 3")
         if (self.target in ("A3", "T22", "B3", "B4") and len(self.n_values) > 1
@@ -372,8 +380,8 @@ def _run_replicates(worker, units: int, jobs: int, pool) -> list:
 # ---------------------------------------------------------------------------
 # per-replicate statistics (module level so they pickle for worker pools):
 # replicate r of a column computes stat(RngStream(seed, stream_base + r)),
-# and block b of a sieve column stat(size, RngStream(seed, stream_base + 1024 b))
-# for its replicates 1024 b .. 1024 b + size - 1
+# and block b of a sieve or Feller column stat(size, RngStream(seed,
+# stream_base + 1024 b)) for its replicates 1024 b .. 1024 b + size - 1
 # ---------------------------------------------------------------------------
 
 
@@ -382,8 +390,8 @@ def _stat_replicate(stat: partial, seed: int, stream_base: int, rep: int):
 
 
 def _stat_block(stat: partial, seed: int, stream_base: int, replicates: int, block: int):
-    first = block * _SIEVE_BLOCK
-    return stat(min(_SIEVE_BLOCK, replicates - first), RngStream(seed, stream_base + first))
+    first = block * _BLOCK
+    return stat(min(_BLOCK, replicates - first), RngStream(seed, stream_base + first))
 
 
 def _sieve_stat(law: StickLaw, n: int, grid: tuple, sup: bool, size: int, rng: RngStream):
@@ -396,18 +404,13 @@ def _sieve_stat(law: StickLaw, n: int, grid: tuple, sup: bool, size: int, rng: R
     return rows, int(last.sum())
 
 
-def _sieve_columns(stat: partial, seed: int, stream_base: int, replicates: int, jobs: int,
+def _block_columns(stat: partial, seed: int, stream_base: int, replicates: int, jobs: int,
                    pool) -> tuple:
-    """A sieve statistic's rows for replicates 0 .. replicates - 1, drawn in
-    blocks of _SIEVE_BLOCK, and the boxes thinned over all blocks."""
+    """A block statistic's rows for replicates 0 .. replicates - 1, drawn in
+    blocks of _BLOCK, and its draws (boxes thinned, Feller uniforms) over all."""
     blocks = _run_replicates(partial(_stat_block, stat, seed, stream_base, replicates),
-                             -(-replicates // _SIEVE_BLOCK), jobs, pool)
-    return np.concatenate([rows for rows, _ in blocks]), sum(boxes for _, boxes in blocks)
-
-
-def _cycle_stat(n: int, theta: float, grid: tuple, rng: RngStream) -> list:
-    """C_n(t) on the grid for one Ewens(theta) permutation (Feller coupling)."""
-    return c_process(sample_cycles_feller(n, theta, rng), grid).tolist()
+                             -(-replicates // _BLOCK), jobs, pool)
+    return np.concatenate([rows for rows, _ in blocks]), sum(drawn for _, drawn in blocks)
 
 
 def _lln_stat(law: StepLaw, n: float, grid: tuple, rng: RngStream) -> float:
@@ -632,7 +635,7 @@ def _permutation_step(spec, law, i_n, nf, draw, report):
         logn = math.log(n)
         scale = _scale(spec, n, math.sqrt, spec.theta * logn)
     grid, base = tuple(spec.grid), i_n * spec.replicates
-    cycles = draw(partial(_cycle_stat, n, spec.theta, grid), base)
+    cycles = draw(partial(c_process_block, n, spec.theta, grid), base)
     boxes = draw(partial(_sieve_stat, law, n, grid, False), _SIEVE_STREAM_BASE + base)
     for j, t in enumerate(spec.grid):
         raw = cycles[:, j]
@@ -731,11 +734,12 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
         raise ConfigurationError(f"{target} needs n_values")
     report = ExperimentReport(spec)
     phases = report.metadata["phases_s"] = dict.fromkeys(_PHASES, 0.0)
-    sieve = {"boxes_resolved": 0}
+    # the draws of each block statistic: boxes thinned, Feller uniforms
+    drawn = {_sieve_stat: 0, c_process_block: 0}
     replicates = 0
-    # a worker beyond the units of work (replicates, or a sieve target's
-    # blocks of them) would idle
-    units = (-(-spec.replicates // _SIEVE_BLOCK) if target in _SIEVE + ("P21",)
+    # a worker beyond the units of work (replicates, or the blocks of them of
+    # the sieve and Feller targets) would idle
+    units = (-(-spec.replicates // _BLOCK) if target in _SIEVE + ("P21", "ESF_FLT", "EQ")
              else spec.replicates)
     workers = min(jobs, units)
     t_start = time.perf_counter()
@@ -745,10 +749,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
         nonlocal replicates
         replicates += spec.replicates
         start = time.perf_counter()
-        if stat.func is _sieve_stat:
-            rows, boxes = _sieve_columns(stat, spec.seed, stream_base, spec.replicates,
+        if stat.func in drawn:
+            rows, count = _block_columns(stat, spec.seed, stream_base, spec.replicates,
                                          workers, pool)
-            sieve["boxes_resolved"] += boxes
+            drawn[stat.func] += count
         else:
             rows = _run_replicates(partial(_stat_replicate, stat, spec.seed, stream_base),
                                    spec.replicates, workers, pool)
@@ -792,5 +796,6 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
     phases["statistics"] = runtime - phases["simulate"] - phases["reference"]
     report.metadata = {"seed": spec.seed, "runtime_s": runtime, "phases_s": phases,
                        "replicates": replicates, "replicates_per_s": replicates / runtime,
-                       "sieve": sieve, "version": __version__}
+                       "sieve": {"boxes_resolved": drawn[_sieve_stat]},
+                       "feller": {"uniforms": drawn[c_process_block]}, "version": __version__}
     return report

@@ -161,6 +161,16 @@ class StepLaw:
             return par / (par - 1.0) if par > 1.0 else math.inf
         return par.mean_abs_log()
 
+    def mean_steps(self, x: float) -> float:
+        """About the mean number of partial sums S_k <= x: x/m for a finite mean
+        m, else x / E min(xi, x), within a factor 2 of it (Erickson, Trans. AMS
+        185, 1973), for the tail y^-alpha from 1 (pareto, log exppareto stick)."""
+        m = self.mean_xi()
+        if math.isinf(m) and x > 1.0:
+            a = self.xi[1] if self.xi[0] == "pareto" else self.xi[1].alpha
+            m = 1.0 + (math.log(x) if a == 1.0 else (x ** (1.0 - a) - 1.0) / (1.0 - a))
+        return x / m
+
     def var_xi(self) -> float:
         kind, par = self.xi
         if kind == "exp":

@@ -3,7 +3,8 @@ partition enumeration, the Chinese-restaurant Ewens sampler, a per-ball
 placement reference, the exact expected occupancy of the geometric scheme,
 the lattice inverse-subordinator path, the Chambers-Mallows-Stuck positive
 stable construction, the subordinator marginal, the spectrally negative
-characteristic function, the box scan of P41's window term, a walk over
+characteristic function, the box scan of P41's window term, the Feller
+coupling drawn one replicate and one uniform at a time, a walk over
 the merged jumps of P41's two step functions, the walk's visit counts on
 its full path, and the null-model calibration guard; and three small readers of library objects that no run
 needs: a cycle type, a report's CSV lines and an environment's JSON.  The
@@ -17,7 +18,7 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from sievesim.ewens import CycleCounts
+from sievesim.ewens import CycleCounts, _next_indicator
 from sievesim.harness import _REFERENCE_STREAM_BASE, ks_one_sample, ks_two_sample
 from sievesim.limits import normal_cdf, sample_inverse_ratio
 from sievesim.occupancy import rho
@@ -123,6 +124,26 @@ def sample_cycles_crp(n: int, theta: float, rng: RngStream) -> CycleCounts:
     counts = {}
     for s in sizes:
         counts[s] = counts.get(s, 0) + 1
+    return CycleCounts(n, theta, counts)
+
+
+def sample_cycles_feller_scalar(n: int, theta: float, rng: RngStream) -> CycleCounts:
+    """The Feller coupling as it was drawn before replicates ran in blocks:
+    one replicate and one scalar uniform per cycle, in a Python loop, with
+    theta = 1 resolved in integers (J = ceil(i 2^53 / k) for u = k 2^-53)
+    and any other theta by `_next_indicator`.  The reference for the block
+    sampler."""
+    random = rng.gen.random
+    counts, i = {}, 1
+    while i <= n:
+        u = random()
+        if theta == 1.0:
+            k = int(u * 2.0**53)
+            j = n + 1 if k == 0 else min(-(-(i << 53) // k), n + 1)
+        else:
+            j = _next_indicator(i, n, theta, u)
+        counts[j - i] = counts.get(j - i, 0) + 1
+        i = j
     return CycleCounts(n, theta, counts)
 
 

@@ -27,14 +27,11 @@ from conftest import (
     sample_inverse_subordinator_path,
     sample_positive_stable,
 )
-from sievesim.ewens import CycleCounts, sample_cycles_feller
+from sievesim.ewens import CycleCounts, c_process_block, sample_cycles_feller
 from sievesim.harness import (
     ExperimentSpec,
-    _cycle_stat,
-    _run_replicates,
-    _sieve_columns,
+    _block_columns,
     _sieve_stat,
-    _stat_replicate,
     ks_one_sample,
     ks_two_sample,
     run_experiment,
@@ -147,8 +144,9 @@ def test_c2_equality_of_sieve_and_cycle_counts(theta):
 def test_c3_gaussian_limits():
     ewens_ks = []
     for n in (10**4, 10**6):
-        task = partial(_stat_replicate, partial(_cycle_stat, n, 1.0, (1.0,)), SEED, 0)
-        vals = np.asarray(_run_replicates(task, 4000, 1, None), dtype=float)[:, 0]
+        # drawn in blocks of 1,024, as ESF_FLT and EQ draw them
+        stat = partial(c_process_block, n, 1.0, (1.0,))
+        vals = _block_columns(stat, SEED, 0, 4000, 1, None)[0][:, 0].astype(float)
         norm = (vals - math.log(n)) / math.sqrt(math.log(n))
         ewens_ks.append(ks_one_sample(norm, normal_cdf))
     ok_e = ewens_ks[-1] < 0.12 and ewens_ks[1] < ewens_ks[0]
@@ -286,7 +284,7 @@ def test_c8_t22_marginal_convergence():
     n = 10**12
     logn = math.log(n)
     stat = partial(_sieve_stat, StickLaw.exp_pareto(0.5), n, (1.0,), False)
-    vals = _sieve_columns(stat, SEED, 0, 4000, 1, None)[0][:, 0].astype(float)
+    vals = _block_columns(stat, SEED, 0, 4000, 1, None)[0][:, 0].astype(float)
     norm = vals / logn**0.5
     ref = np.asarray(sample_inverse_subordinator_marginal(
         0.5, 1.0, RngStream(SEED, 1 << 41), 4000))
@@ -304,7 +302,7 @@ def test_c8_t22_marginal_convergence():
 def test_c8_t22_ratio_convergence():
     n = 10**12
     stat = partial(_sieve_stat, StickLaw.exp_pareto(0.5), n, (0.5, 1.0), False)
-    rows = _sieve_columns(stat, SEED, 0, 4000, 1, None)[0].astype(float)
+    rows = _block_columns(stat, SEED, 0, 4000, 1, None)[0].astype(float)
     ratio = rows[:, 0] / rows[:, -1]  # K_n(0.5) / K_n
     ref = sample_inverse_ratio(0.5, 0.5, RngStream(SEED, (1 << 41) + 1), 4000)
     stat = ks_two_sample(ratio, ref)

@@ -177,6 +177,10 @@ _VALUE_ERROR_LINE = {"target = B1\nn_values = 100\nreplicates = 2.7\n": 3,
     "target = A2\nstick = exppareto\nalpha = 2.0\nn_values = 15\n",  # c**2 = 2x log c: x < e
     "target = B1\nn_values = 1e16\n",                   # exp xi: rate * n * t <= 2^40
     "target = B1\nxi_param = 4\nn_values = 1e12\ngrid = 0.5\n",  # rate * n * t = 2e12
+    # walks that hold their path, of about 3e11, 7e9 and 1e8 steps (at most 2^24)
+    "target = B3\nxi = pareto\nxi_param = 1.5\nn_values = 1e12\n",
+    "target = B4\nxi = pareto\nxi_param = 0.9\nn_values = 1e12\n",
+    "target = P33\nx_values = 1e8\ny_values = 1\n",
 ], ids=["A3_beta_stick", "B3_exp_steps", "B4_index_1", "A1_n_below_1", "P21_no_n",
         "A1_no_n", "mode_typo", "centering_typo", "dependence_typo", "xi_unknown",
         "P33_no_x", "P33_one_replicate", "P32_negative_b", "P41_n_below_3",
@@ -187,7 +191,7 @@ _VALUE_ERROR_LINE = {"target = B1\nn_values = 100\nreplicates = 2.7\n": 3,
         "B1_grid_decreasing", "P21_n_1", "replicates_2.7", "seed_1.9", "threshold_misspelt",
         "threshold_nan", "B3_mode_ratio", "ESF_FLT_mode_ratio", "A1_n_1e19", "P21_n_1e19",
         "key_repeated", "threshold_repeated", "A2_log_n_below_e", "B1_n_1e16",
-        "B1_rate_n_t_2e12"])
+        "B1_rate_n_t_2e12", "B3_path_1e12", "B4_path_1e12", "P33_path_1e8"])
 def test_bad_spec_exits_2_before_any_replicate(tmp_path, capsys, monkeypatch, spec_text):
     def no_replicates(*args):
         raise AssertionError("a replicate was drawn")

@@ -1,3 +1,4 @@
+import json
 import math
 from functools import partial
 
@@ -14,39 +15,41 @@ from conftest import (
     exact_cycle_type_probs,
     partitions,
     sample_cycles_crp,
+    sample_cycles_feller_scalar,
 )
 from sievesim import ewens
+from sievesim.cli import main
 from sievesim.ewens import (
     CycleCounts,
     _log_gap_remainder,
     _next_indicator,
+    _next_indicators,
     c_process,
+    c_process_block,
     sample_cycles_feller,
 )
 from sievesim.harness import (
     DEFAULT_THRESHOLDS,
-    _cycle_stat,
-    _run_replicates,
-    _sieve_columns,
+    _block_columns,
     _sieve_stat,
-    _stat_replicate,
     ks_two_sample,
 )
 from sievesim.sampling import RngStream, StickLaw
 
 
 def _cycle_columns(n, theta, grid, seed, stream_base, reps):
-    """C_n(t) of replicates 0..reps-1, as the harness draws them for EQ and ESF_FLT."""
-    stat = partial(_cycle_stat, n, theta, grid)
-    return np.asarray(_run_replicates(partial(_stat_replicate, stat, seed, stream_base),
-                                      reps, 1, None), float)
+    """C_n(t) of replicates 0..reps-1, drawn in blocks as the harness draws
+    them for EQ and ESF_FLT."""
+    rows, _ = _block_columns(partial(c_process_block, n, theta, grid), seed, stream_base,
+                             reps, 1, None)
+    return rows.astype(float)
 
 
 def _box_columns(n, theta, grid, seed, stream_base, reps):
     """K_n(t) of replicates 0..reps-1 of the beta(theta) sieve, drawn in
     blocks as the harness draws them."""
     stat = partial(_sieve_stat, StickLaw.beta(theta), n, grid, False)
-    rows, _ = _sieve_columns(stat, seed, stream_base, reps, 1, None)
+    rows, _ = _block_columns(stat, seed, stream_base, reps, 1, None)
     return rows[:, :len(grid)].astype(float)
 
 
@@ -273,3 +276,80 @@ def test_sampler_validation():
         sample_cycles_crp(0, 1.0, RngStream(0, 0))
     with pytest.raises(ValueError):
         sample_cycles_feller(5, -1.0, RngStream(0, 0))
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+def test_blocks_of_one_draw_as_the_scalar_sampler(theta):
+    # a block of one draws one uniform per round, so it takes the scalar
+    # loop's uniforms in the scalar loop's order: the same cycles bit for bit,
+    # and one uniform per cycle
+    grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+    for n in (1, 2, 7, 1000, 10**5, 10**12, 2**53):
+        for r in range(300 if n <= 10**5 else 30):
+            scalar = sample_cycles_feller_scalar(n, theta, RngStream(41, r))
+            assert sample_cycles_feller(n, theta, RngStream(41, r)).counts == scalar.counts
+            rows, uniforms = c_process_block(n, theta, grid, 1, RngStream(41, r))
+            assert rows[0].tolist() == c_process(scalar, grid).tolist(), (n, r)
+            assert uniforms == sum(scalar.counts.values())
+
+
+def test_theta_1_indicators_take_the_exact_ceiling():
+    # J = ceil(i 2^53 / k) with u = k 2^-53.  For odd m and i = 2^-53 mod m
+    # (+1) or -2^-53 mod m (-1), k = (i 2^53 -+ 1)/m puts the quotient
+    # within a relative 2^-53 above (below) the integer m, where the double
+    # quotient rounds to m itself: the exact ceiling is m + 1 (m)
+    n = 2**53
+    for m in (3, 999, 10**6 + 3, 2**40 + 1, 2**52 + 1):
+        for side in (1, -1):
+            i = side * pow(2**53, -1, m) % m
+            k = (i * 2**53 - side) // m
+            assert (i * 2**53 - side) % m == 0 and 0 < k < 2**53 and 1 <= i < m
+            u = k / 2**53
+            assert math.ceil(i / u) == m  # the float-only ceiling
+            exact = -(-(i << 53) // k)
+            assert exact == (m + 1 if side == 1 else m)
+            j = _next_indicators(np.array([i, i, 1], dtype=np.int64), n, 1.0,
+                                 np.array([u, u, 0.0]))
+            assert j.tolist() == [exact, exact, n + 1]
+    # random pairs against the integer rule, capped at n + 1 (k = 0 included)
+    gen = np.random.default_rng(42)
+    for n in (10, 10**5, 2**53):
+        i = gen.integers(1, n + 1, 20000)
+        # k 2^-53, as the stream's uniforms are, with many quotients beyond n + 1
+        k = np.floor(gen.random(20000) ** 4 * 2.0**53)
+        k[:3] = 0.0
+        assert _next_indicators(i, n, 1.0, k / 2.0**53).tolist() == \
+            [n + 1 if b == 0 else min(-(-(int(a) << 53) // int(b)), n + 1) for a, b in zip(i, k)]
+
+
+@pytest.mark.parametrize("theta", [1.0, 2.0])
+def test_blocks_and_blocks_of_one_share_a_law_at_n_1e5(theta):
+    # two-sample KS of C_n(t) in blocks of 1,024 against blocks of one, at
+    # 10,240 replicates a side, below the Kolmogorov 1e-3 quantile
+    n, reps, grid = 10**5, 10240, (0.25, 0.5, 1.0)
+    blocks = _cycle_columns(n, theta, grid, 43, 0, reps)
+    ones = np.array([c_process_block(n, theta, grid, 1, RngStream(43, 1 << 16 | r))[0][0]
+                     for r in range(reps)], float)
+    bound = kstwobign.isf(1e-3) * math.sqrt(2 / reps)
+    for j in range(len(grid)):
+        assert ks_two_sample(blocks[:, j], ones[:, j]) < bound, grid[j]
+
+
+@pytest.mark.parametrize("target, theta", [("ESF_FLT", 1.5), ("EQ", 1.0)])
+def test_feller_targets_over_1024_replicates_are_the_same_on_two_workers(tmp_path, target,
+                                                                          theta):
+    # 2,100 replicates make three Feller blocks and three sieve blocks per n,
+    # the last ones short; two workers take them in a different split
+    spec = tmp_path / "esf.cfg"
+    spec.write_text(f"target = {target}\ntheta = {theta}\nn_values = 1e3, 1e5\n"
+                    "grid = 0.0, 0.5, 1.0\nreplicates = 2100\nseed = 44\n")
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", "--spec", str(spec), "--out", str(out), "--no-timestamp",
+                     "--jobs", jobs]) in (0, 1)
+        report = json.loads((out / "esf.json").read_text())
+        outs.append(((out / "esf.csv").read_bytes(), report["rows"], report["metadata"]["feller"],
+                     report["metadata"]["sieve"]))
+    assert outs[0] == outs[1]
+    assert outs[0][2]["uniforms"] > 2 * 2100

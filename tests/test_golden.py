@@ -60,11 +60,13 @@ GOLDEN = {
         "f203f70e81cd99c91e924e30f9ecbc19234c85244c95b00e244437df54f7d782"),
     # re-recorded on purpose when the Feller coupling began to jump from one
     # indicator to the next: one uniform per cycle instead of one per position
-    # changes its draws; its sieve half and every other digest stayed put
+    # changes its draws; its sieve half and every other digest stayed put.
+    # Re-recorded with EQ_deep when the Feller coupling began to draw blocks of
+    # up to 1,024 replicates from one stream, a round of uniforms per cycle
     "ESF_FLT": (
         "target = ESF_FLT\ntheta = 1.0\nn_values = 1000, 5000\ngrid = 0.5, 1.0\n"
         "replicates = 40\nseed = 7\n",
-        "5e23ed100e5b85351d5ef6ae5677964ac2ab351b92e8d821686fc914a1073280"),
+        "b0ece7a9c8c272d9e7e1302ded2b33064454471e8e66cd2cea430470f95edbbc"),
     # A1, P21_sup, T22_ratio_exppareto, A3_exppareto, EQ_deep, A1_wide_seed,
     # A1_theta2_deep and A1_decimal_tier were re-recorded when the sieve began
     # to thin blocks of up to 1,024 replicates together from one stream,
@@ -89,11 +91,12 @@ GOLDEN = {
         "58bc0069b608648482c4c724563b4406d7074dbe4889b8d2e05a5902c09d572c"),
     # recorded when EQ began to draw its cycles with the Feller coupling
     # instead of the Chinese restaurant, whose n uniforms per replicate put
-    # n = 1e12 out of reach
+    # n = 1e12 out of reach; re-recorded with ESF_FLT when the Feller coupling
+    # began to draw its replicates in blocks
     "EQ_deep": (
         "target = EQ\ntheta = 1.5\nn_values = 1e12\ngrid = 0.5, 1.0\n"
         "replicates = 40\nseed = 14\n",
-        "90bb71a0b7ec7c8a7e50144f5a0cef3bc8f9da14561af2b8a14378491ae78358"),
+        "9598e0764a520e3d819b4ea3b5bd7098fcc6c2326b159b507f2f76e78c78b66c"),
     # first recorded with numpy's SeedSequence building every stream, before
     # the seeding words were hashed a block of ids at a time: a two-word seed.
     # The sieve blocks took it from 600 to 1,100 replicates, so that its two

@@ -177,22 +177,24 @@ def test_worker_pool_never_outnumbers_the_replicates(monkeypatch):
             return [fn(x) for x in iterable]
 
     monkeypatch.setattr("multiprocessing.get_context", lambda method: SimpleNamespace(Pool=Pool))
-    spec = ExperimentSpec(target="ESF_FLT", n_values=(100.0, 1000.0), replicates=5,
+    spec = ExperimentSpec(target="ESF_FLT", n_values=(100.0, 1000.0), replicates=2100,
                           grid=(0.5, 1.0), seed=3)
     serial = csv_lines(run_experiment(spec, jobs=1))
-    for jobs, size in ((8, 5), (2, 2)):
+    for jobs, size in ((8, 3), (2, 2)):
         sizes.clear(), closed.clear()
         assert csv_lines(run_experiment(spec, jobs=jobs)) == serial
         # one pool serves all four draws (the cycles and the sieve half of each
-        # n) and is closed with the run
+        # n, each in three blocks) and is closed with the run
         assert sizes == [size] and len(closed) == 1
-    # a sieve target's units of work are its blocks of 1,024 replicates: three
-    # for 2,100 replicates, and one, which needs no pool, for 1,024
-    for replicates, expected in ((2100, [3]), (1024, [])):
+    # a walk's units of work are its replicates; a sieve or Feller target's
+    # are its blocks of 1,024 replicates: three for 2,100 replicates, and one,
+    # which needs no pool, for 1,024
+    for target, replicates, expected in (("B1", 5, [5]), ("A1", 2100, [3]), ("A1", 1024, []),
+                                         ("EQ", 1024, [])):
         sizes.clear()
-        run_experiment(ExperimentSpec(target="A1", n_values=(100.0,), replicates=replicates,
+        run_experiment(ExperimentSpec(target=target, n_values=(100.0,), replicates=replicates,
                                       grid=(1.0,), seed=3), jobs=8)
-        assert sizes == expected
+        assert sizes == expected, target
     # a draw that raises still closes the pool
     monkeypatch.setattr(Pool, "map", lambda self, *args, **kwargs: 1 / 0)
     closed.clear()
@@ -408,9 +410,14 @@ def test_dispatcher_covers_every_target(monkeypatch):
             assert sum(at_p_1) or spec.target != "T22"  # its alpha = 0.5 sticks have some
         else:
             assert sieve == {"boxes_resolved": 0}, spec.target
+        # one Feller uniform per cycle: C_n(1) summed over the replicates
+        feller = spec.target in ("EQ", "ESF_FLT")
+        cycles = sum(raw.sum() for _, _, t, raw, _ in rep.raw if t == 1.0) if feller else 0
+        assert rep.metadata["feller"] == {"uniforms": int(cycles)}, spec.target
+        assert cycles > 0 or not feller
     assert {spec.target for spec in specs} == set(TARGETS)
-    assert metadata_keys == {("phases_s", "replicates", "replicates_per_s", "runtime_s", "seed",
-                              "sieve", "version")}
+    assert metadata_keys == {("feller", "phases_s", "replicates", "replicates_per_s",
+                              "runtime_s", "seed", "sieve", "version")}
 
 
 def test_ratio_t22_smoke():

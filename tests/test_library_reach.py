@@ -46,10 +46,11 @@ EXTRA_SPECS = {
 }
 BAD_SPEC = "target = A1\nn_values = 1e19\nreplicates = 5\n"
 
-# what bench/tracing.py calls outside its bindings, and the per-replicate
-# sieve path's lazy extension, which only the bound occupy_sieve reaches
+# what bench/tracing.py calls outside its bindings, the per-replicate sieve
+# path's lazy extension, which only the bound occupy_sieve reaches, and the
+# cycle-type check, which only the bound sample_cycles_feller reaches
 BENCH_CALLS = {"sampling.binomial_regime", "occupancy.OccupancyResult.total",
-               "occupancy.SieveEnvironment._extend"}
+               "occupancy.SieveEnvironment._extend", "ewens.CycleCounts.__post_init__"}
 
 _TRACE = """\
 import json, sys

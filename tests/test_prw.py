@@ -471,3 +471,20 @@ def test_walk_down_stops_at_an_underflowed_or_saturated_bound():
         ref.gen.geometric(math.exp(-500.0))
         ref.gen.random(1)
         assert rng.gen.random() == ref.gen.random()
+
+
+@pytest.mark.parametrize("xi", [("pareto", 0.5), ("pareto", 1.0), ("pareto", 1.5),
+                                ("logstick", StickLaw.exp_pareto(0.8)), ("exp", 2.0)])
+def test_mean_steps_brackets_the_mean_renewal_count(xi):
+    # U(x) = E #{k >= 0 : S_k <= x} lies in [x/m(x), 2 x/m(x)], m(x) = E min(xi, x)
+    # (Erickson 1973), which mean_steps is for an infinite mean; for a finite
+    # mean m it is x/m, and U(x) >= x/m.  Each mean is over 4,000 walks; the
+    # margins of 5% are several of its standard errors
+    law = StepLaw(xi, ("exp", 1.0))
+    rng = RngStream(61, 0)
+    for x in (10.0, 1e4):
+        mean = np.mean([simulate_path(law, x, rng).count_renewals(x) for _ in range(4000)])
+        steps = law.mean_steps(x)
+        assert 0.95 * steps <= mean, (x, mean, steps)
+        if not math.isfinite(law.mean_xi()):
+            assert mean <= 2.0 * 1.05 * steps, (x, mean, steps)
