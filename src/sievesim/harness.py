@@ -239,7 +239,8 @@ class ExperimentSpec:
             raise ConfigurationError("P33 needs x_values and y_values >= 0")
         if self.target in _WALK + ("P31", "P32", "P33"):
             # the horizon is n (P31), n + b (P32), max x + y (P33) or n t; an exp
-            # xi walk target counts its steps by Poisson draws, any other walk holds them
+            # xi walk target counts its visits by Poisson draws of mean at most its
+            # mean step count, any other walk holds its steps
             n = max(self.n_values, default=0.0)
             horizon = {"P31": n, "P32": n + self.b, "P33": max(self.x_values, default=0.0)
                        + max(self.y_values, default=0.0)}.get(self.target, n * max(self.grid))

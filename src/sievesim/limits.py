@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from .prw import StepLaw
 from .sampling import (
     RngStream,
     StickLaw,
@@ -126,21 +127,6 @@ def centering_u_v(stick: StickLaw, n, t: float):
 
 
 def centering_prw(eta_spec, n, t: float, m: float) -> float:
-    """Visit-count centering m^-1 * integral_0^{nt} F_eta(u) du.
-
-    Closed forms for exponential and constant perturbations; the stick-driven
-    perturbation reuses the stick law's integral helper.
-    """
+    """Visit-count centering m^-1 * integral_0^{nt} F_eta(u) du."""
     x = float(n) * t
-    if x <= 0.0:
-        return 0.0
-    kind, par = eta_spec
-    if kind == "exp":
-        val = x - (-math.expm1(-par * x)) / par
-    elif kind == "const":
-        val = max(0.0, x - par)
-    elif kind == "log1mstick":
-        val = par.integral_cdf_abs_log1m(0.0, x)
-    else:
-        raise ValueError(f"unknown eta spec: {kind!r}")
-    return val / m
+    return StepLaw.integral_eta_cdf(eta_spec, 0.0, x) / m if x > 0.0 else 0.0

@@ -4,7 +4,7 @@ large numbers and window-growth checks."""
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -127,14 +127,17 @@ class StepLaw:
             return 1.0 if y < par else 0.0
         return par.tail_abs_log1m(y)
 
-    def _eta_reach(self) -> float:
-        """The first y in 1, 2, 4, ... with P{eta > y} == 0.0.  Every tail
-        is nonincreasing, so a step starting y or further below x has
-        T_k <= x surely."""
-        y = 1.0
-        while self._eta_tail(y) > 0.0:
-            y *= 2.0
-        return y
+    @staticmethod
+    def integral_eta_cdf(eta, a: float, b: float) -> float:
+        """The integral of eta's CDF over [a, b], 0 <= a <= b, taken over the
+        interval itself: a difference of two integrals from 0 would cancel
+        between close points far from 0."""
+        kind, par = eta
+        if kind == "exp":
+            return (b - a) + math.exp(-par * a) * math.expm1(-par * (b - a)) / par
+        if kind == "const":
+            return max(0.0, b - max(a, par))
+        return par.integral_cdf_abs_log1m(a, b)
 
     def _eta_above(self, y, tail, gen) -> np.ndarray:
         """eta given eta > y, elementwise, where tail = P{eta > y}.  A
@@ -308,33 +311,38 @@ def path_from_sticks(sticks) -> PrwPath:
     return PrwPath(s, t, horizon=float(s[-1]))
 
 
+@lru_cache(maxsize=64)
+def _poisson_means(law: StepLaw, n: float, grid: tuple) -> list:
+    """The means rate * integral of F_eta over [x_{i-1}, x_i], x_i = n t_i and
+    x_{-1} = 0, of an exp(rate) xi walk's Poisson counts."""
+    xs = (n * np.asarray(grid, dtype=float)).tolist()
+    return [law.xi[1] * StepLaw.integral_eta_cdf(law.eta, a, b) for a, b in zip([0.0] + xs, xs)]
+
+
 def visit_process(law: StepLaw, n: float, grid, rng: RngStream) -> np.ndarray:
     """One path of (N(n t)) along the grid, which must be nondecreasing (the
     walk targets' specs check it), from a single walk realisation.
 
-    With independent eta, eta is drawn only where it can move a count:
-    N(x) = L(x) - D(x), where L(x) = #{k >= 1 : S_{k-1} <= x} and D(x)
-    counts those k with eta_k > x - S_{k-1}.  Given S these events are
-    independent, with probability p_k = P{eta > x - S_{k-1}}, which falls as
-    k falls.  At each grid point the indices the one below left undecided
-    are thinned exactly, walking down from k = L(x): skip a Geometric(pbar)
-    number, propose the index reached and set pbar = p_k (from pbar = 1).
-    Then each proposal is accepted with probability p_k / pbar, by a uniform
-    unless that is 0 or 1, and each accepted step draws eta given
-    eta > x - S_{k-1}; its T_k counts in D at every grid point below it.
+    An exp(rate) xi makes S_1, S_2, ... a Poisson process, so by the
+    displacement theorem (Kingman, Poisson Processes, 1993, 5.2) the points
+    T_k, k >= 2, of an independent eta form a Poisson process of mean
+    measure rate * integral_0^x F_eta, independent of T_1 = eta_1.  Such a
+    walk draws eta_1 and then one Poisson count per grid interval, in grid
+    order, and N(x) = 1{eta_1 <= x} plus the counts up to x.  The walk
+    targets' specs keep each mean within POISSON_MEAN_MAX.
 
-    An exp(rate) xi makes S_1, S_2, ... the points of a Poisson process, so
-    the walk needs no path: at each grid point x it draws the sums in
-    (x - reach, x] and above the grid point below, backwards from x by
-    exp(rate) gaps, where reach is the first power of two with
-    P{eta > reach} == 0.0.  The number of sums further below, down to the
-    grid point below, is one Poisson variate (the walk targets' specs keep
-    its mean within POISSON_MEAN_MAX); the first grid point adds S_0 = 0.
-    A proposal among those sums has p_k exactly 0, as the tail does not
-    rise.  Any other xi draws the partial sums up to the last grid point
-    first.  So a grid point draws its
-    backward gaps and its Poisson count (exp xi only), then its geometric
-    skips, its acceptance uniforms and its accepted eta.
+    Any other xi draws the partial sums up to the last grid point first,
+    and eta only where it can move a count: N(x) = L(x) - D(x), where L(x) =
+    #{k >= 1 : S_{k-1} <= x} and D(x) counts those k with eta_k > x -
+    S_{k-1}.  Given S these events are independent, with probability p_k =
+    P{eta > x - S_{k-1}}, which falls as k falls.  At each grid point the
+    indices the one below left undecided are thinned exactly, walking down
+    from k = L(x): skip a Geometric(pbar) number, propose the index reached
+    and set pbar = p_k (from pbar = 1).  Then each proposal is accepted with
+    probability p_k / pbar, by a uniform unless that is 0 or 1, and each
+    accepted step draws eta given eta > x - S_{k-1}; its T_k counts in D at
+    every grid point below it.  So a grid point draws its geometric skips,
+    its acceptance uniforms and its accepted eta.
 
     The walk down stops when pbar underflows to 0, so it drops at most the
     sum of the underflowed tails of the indices left, each below 2^-1074
@@ -344,38 +352,24 @@ def visit_process(law: StepLaw, n: float, grid, rng: RngStream) -> np.ndarray:
     xs = n * np.asarray(grid, dtype=float)
     if law.dependence == "sharedstick":
         return np.searchsorted(simulate_path(law, xs[-1], rng)._t_sorted, xs, side="right")
-    poisson = law.xi[0] == "exp"
-    if poisson:
-        reach = law._eta_reach()
-    else:
-        s, _ = _walk(law, float(xs[-1]), rng, False)
+    if law.xi[0] == "exp":
+        eta_1 = np.empty(1)
+        StepLaw._draw_one(law.eta, rng, eta_1)
+        counts = [rng.gen.poisson(mean) for mean in _poisson_means(law, float(n), tuple(grid))]
+        return np.cumsum(counts) + (eta_1[0] <= xs)
+    s, _ = _walk(law, float(xs[-1]), rng, False)
     counts = np.empty(len(xs), dtype=np.intp)
     gen, tail = rng.gen, law._eta_tail
     carried = np.empty(0)  # the T_k above the last grid point, of accepted steps
-    lo = base = 0  # s[k - base] is S_k
-    prev = 0.0
+    lo = 0
     for i, x in enumerate(xs.tolist()):
-        if poisson:
-            # the sums at distance <= h below x, ascending, then a count of
-            # the sums further below, down to prev
-            h = min(reach, x - prev)
-            s = np.subtract(x, _walk(law, h, rng, False)[0][-2:0:-1])
-            base = lo + int(gen.poisson(law.xi[1] * (x - prev - h)))
-            if i == 0:  # S_0 = 0, at distance x
-                if h < x:
-                    base += 1
-                else:
-                    s = np.concatenate(([0.0], s))
-            hi, prev = base + len(s), x
-        else:
-            hi = int(np.searchsorted(s, x, side="right"))
-        k = hi
+        k = hi = int(np.searchsorted(s, x, side="right"))
         ks, ps, pbar = [], [], 1.0
         while pbar > 0.0:
             k -= 1 if pbar == 1.0 else gen.geometric(pbar)
             if k < lo:
                 break
-            pbar = tail(x - s[k - base]) if k >= base else 0.0
+            pbar = tail(x - s[k])
             ks.append(k)
             ps.append(pbar)
         p = np.array(ps)
@@ -383,7 +377,7 @@ def visit_process(law: StepLaw, n: float, grid, rng: RngStream) -> np.ndarray:
         coin = (ratio > 0.0) & (ratio < 1.0)
         accept = ratio == 1.0
         accept[coin] = gen.random(np.count_nonzero(coin)) < ratio[coin]
-        s_acc = s[np.array(ks, dtype=np.intp)[accept] - base]
+        s_acc = s[np.array(ks, dtype=np.intp)[accept]]
         t_new = s_acc + law._eta_above(x - s_acc, p[accept], gen)
         carried = np.concatenate((carried[carried > x], t_new[t_new > x]))
         counts[i] = hi - len(carried)

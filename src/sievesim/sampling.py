@@ -277,42 +277,36 @@ class StickLaw:
         return -math.expm1(-self.alpha * math.log(g)) if g > 1.0 else 0.0
 
     def integral_cdf_abs_log1m(self, a: float, b: float) -> float:
-        """Integral of F_eta over [a, b], exact where a closed form exists."""
+        """Integral of F_eta over [a, b], to a few ulps: F itself up to eta's
+        median, and above it b less the integral of the tail 1 - F, which is
+        0.0 from s = 38 (beta: 1 - e^-s rounds to 1) or past -log(1 - 1/e)
+        (exppareto).  F is not smooth at 0 only (like s^theta, or
+        |log s|^-alpha), so the panels are graded toward it."""
+        a = max(a, 0.0)
         if b <= a:
             return 0.0
-        a = max(a, 0.0)
-        if self.kind == "beta" and float(self.theta).is_integer():
-            # binomial expansion of (1 - e^{-s})^theta
-            th = int(self.theta)
-            total = b - a
-            for j in range(1, th + 1):
-                cjk = math.comb(th, j) * (-1.0) ** j
-                total += cjk * (math.exp(-j * a) - math.exp(-j * b)) / j
-            return total
-        # smooth laws: composite Gauss-Legendre panels
-        breaks = [a, b]
-        if self.kind == "exppareto":
-            # F_eta has a kink where the Pareto tail saturates at 1
-            s_star = -math.log(-math.expm1(-1.0))
-            if a < s_star < b:
-                breaks = [a, s_star, b]
-        return _gauss_legendre_panels(self.cdf_abs_log1m, breaks)
+        mid = min(max(-math.log1p(-float(self.from_unit(np.array([0.5]))[0])), a), b)
+        cut = 38.0 if self.kind == "beta" else -math.log(-math.expm1(-1.0))
+        return (_graded_panels(self.cdf_abs_log1m, a, mid) + (b - mid)
+                - _graded_panels(lambda s: 1.0 - self.cdf_abs_log1m(s), mid, min(b, cut)))
 
 
-_GL_PANELS = 24  # panels per piece between breaks
-_GL_ORDER = 24   # Gauss-Legendre nodes per panel
-
-
-def _gauss_legendre_panels(fn, breaks):
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
-    total = 0.0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        edges = np.linspace(lo, hi, _GL_PANELS + 1)
-        for p0, p1 in zip(edges[:-1], edges[1:]):
-            mid = 0.5 * (p0 + p1)
-            half = 0.5 * (p1 - p0)
-            total += half * float(np.sum(weights * fn(mid + half * nodes)))
-    return total
+def _graded_panels(fn, lo, hi):
+    """Integral over [lo, hi] (0 <= lo) of a function smooth but at 0, by
+    24-node Gauss-Legendre panels whose right ends double from hi 2^-60 (or
+    lo) up to 8 and then step by 8.  A panel no wider than its distance from
+    0 converges geometrically; the first, [0, hi 2^-60] when lo is 0, holds
+    at most 2^-60 of an increasing fn's integral."""
+    if hi <= lo:
+        return 0.0
+    start = max(lo, hi * 2.0**-60, 1e-300)
+    geo = start * 2.0 ** np.arange(max(0, math.ceil(3.0 - math.log2(start))) + 1)
+    edges = np.concatenate(([lo], geo[geo < hi], np.arange(min(geo[-1], hi) + 8.0, hi, 8.0), [hi]))
+    mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    # numpy.polynomial loads here, on the first integral, not with the package
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    values = fn((mid[:, None] + half[:, None] * nodes).ravel())
+    return float(half @ (values.reshape(len(mid), -1) @ weights))
 
 
 # ---------------------------------------------------------------------------

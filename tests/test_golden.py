@@ -27,21 +27,27 @@ GOLDEN = {
     # point); B4_pareto_const's const eta draws nothing, so its digest held.
     # B1_exp was re-recorded again when an exp xi walk stopped drawing its
     # path: per grid point it draws the sums within eta's reach backwards
-    # and counts those further below with one Poisson draw
+    # and counts those further below with one Poisson draw.  Re-recorded
+    # when it began to draw the displaced Poisson law itself: eta_1, then
+    # one Poisson count per grid interval
     "B1_exp": (
         "target = B1\nxi = exp\nxi_param = 1.0\neta = exp\neta_param = 2.0\n"
         "n_values = 100, 1000\ngrid = 0.25, 0.5, 1.0\nreplicates = 60\nseed = 3\n",
-        "b8b21f70810b3a081e1e6d7f0f0549faaa525b7ae32f920cb79b3da766832b26"),
+        "1e13ad4e59d22803c187050c30fffe8a66f69534e19097b806a354a2f0754c12"),
     "B3_pareto": (
         "target = B3\nxi = pareto\nxi_param = 1.5\neta = exp\n"
         "n_values = 300\ngrid = 0.5, 1.0\nreplicates = 60\nseed = 4\n",
         "6021113dc6cf743d48090414052406cbc303d0ee18cc08a2265bea45aaff26d5"),
     # re-recorded when log_normalizer became Newton's method: the scale moved
-    # by about 1e-12 relative, to the correctly rounded root
+    # by about 1e-12 relative, to the correctly rounded root.  Re-recorded
+    # with A3_exppareto and A1_theta2_deep when the integral of F_eta became
+    # graded quadrature: the centering of its exppareto eta moved by 1e-8
+    # (2e-10 relative; the old panels missed F's |log s|^-alpha edge at 0),
+    # its counts held
     "B2_shared_stick": (
         "target = B2\ndependence = sharedstick\nstick = exppareto\nalpha = 2.0\n"
         "n_values = 200\ngrid = 0.5, 1.0\nreplicates = 60\nseed = 5\n",
-        "45d25669e2791d5c74a40f7b59bb18d1acc466737569acd3544321f8a5cad071"),
+        "e980807f342fe6d83d83afd6b91fa9ebd066f61626fff9a6df3164d973f22cbc"),
     "B4_pareto_const": (
         "target = B4\nxi = pareto\nxi_param = 0.9\neta = const\neta_param = 0.5\n"
         "n_values = 5000\ngrid = 0.5, 1.0\nreplicates = 60\nseed = 9\n",
@@ -85,10 +91,13 @@ GOLDEN = {
         "target = T22\nmode = ratio\nstick = exppareto\nalpha = 0.5\nn_values = 1e12\n"
         "grid = 0.5, 1.0\nreplicates = 40\nseed = 12\n",
         "ab6117e87c17cc99b0d18cfa58c37021eebe832eb594e1179fcdea53714aa1b2"),
+    # re-recorded again when the integral of F_eta in its centering u_n(t)
+    # became graded quadrature: the old panels missed F's |log s|^-alpha edge
+    # at 0: u_n(1) moved by 2e-8 (3e-9 relative), the counts held
     "A3_exppareto": (
         "target = A3\nstick = exppareto\nalpha = 1.5\nn_values = 1e8, 1e12\n"
         "grid = 0.5, 1.0\nreplicates = 40\nseed = 13\n",
-        "58bc0069b608648482c4c724563b4406d7074dbe4889b8d2e05a5902c09d572c"),
+        "05585a22c3e77775bbdd317811f0fe0e23e06564484808b93d4589787de771d0"),
     # recorded when EQ began to draw its cycles with the Feller coupling
     # instead of the Chinese restaurant, whose n uniforms per replicate put
     # n = 1e12 out of reach; re-recorded with ESF_FLT when the Feller coupling
@@ -107,11 +116,14 @@ GOLDEN = {
         "centering = linear\nreplicates = 1100\nseed = 4294967301\n",
         "8d982fc5162c1a18ecbfc828d81beef996f4a2ec5ed191144c716f63df55e41e"),
     # theta = 2 thins about 2 log n = 74 boxes deep at n = 1e16, through BTPE
-    # and inversion binomials
+    # and inversion binomials.  Re-recorded, with A3_exppareto, when the
+    # centering's integral of F_eta became graded quadrature for every stick:
+    # here it replaced theta = 2's closed form, which it matches to an ulp
+    # (u_n(0.5) moved by one), and the counts held
     "A1_theta2_deep": (
         "target = A1\nstick = beta\ntheta = 2.0\nn_values = 1e16\n"
         "grid = 0.25, 0.5, 0.75, 1.0\nreplicates = 40\nseed = 15\n",
-        "46a8765c6453e6102198fbd860a4ca7eec2f06c4cf6269a8cb6094a6481a80c1"),
+        "334d0349f81436cb7ee0a6490db1203bca7e39d1a37efaea8cbbf19f1f1b0ef0"),
     # the two P41 digests were recorded while floor_power still used mpmath
     # and P41 still rebuilt g's jumps and walked its events in Python, each
     # replicate: at q = 0.5, p_10 = 1/1024 ties 1/n, which g's jumps exclude

@@ -1,8 +1,10 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import chisquare, gamma, poisson
 
 from conftest import full_path_visits
@@ -293,9 +295,9 @@ def test_one_block_path_is_a_read_only_view_until_the_next_call():
 
 
 def test_visit_process_allocates_no_path():
-    # an exp xi walk draws only the sums within eta's reach of each grid
-    # point, so it runs at n = 1e12 too, where a path would take 16 TB; a
-    # const xi walk sums its path in the scratch buffers
+    # an exp xi walk draws eta_1 and one Poisson count per grid point, so it
+    # runs at n = 1e12 too, where a path would take 16 TB; a const xi walk
+    # sums its path in the scratch buffers
     for law, n in ((EXP_EXP, 1e5), (EXP_EXP, 1e12), (StepLaw(("const", 1.0), ("exp", 1.0)), 1e5)):
         rng = RngStream(44, 0)
         visit_process(law, n, [0.5, 1.0], rng)  # sizes the scratch buffers
@@ -326,60 +328,91 @@ def test_returned_path_survives_the_next_call():
 # ---------------------------------------------------------------------------
 
 
-def _exp_exp_joint_pmf(x1, x2, top, lam=1.0, mu=1.0):
-    """Exact P(N(x1) = a, N(x2) - N(x1) = b) for a, b < top, exp(lam) xi and
-    exp(mu) eta.
+def _eta_cdf_and_integral(eta):
+    """P{eta <= x} and the integral of it over [a, b]: closed forms for exp
+    and const eta, scipy's quad over the stick's CDF for a log1mstick."""
+    kind, par = eta
+    if kind == "exp":
+        return (lambda x: -math.expm1(-par * x),
+                lambda a, b: b - a - (math.exp(-par * a) - math.exp(-par * b)) / par)
+    if kind == "const":
+        return lambda x: float(x >= par), lambda a, b: max(0.0, b - max(a, par))
+    cdf = lambda x: float(par.cdf_abs_log1m(x))
+    return cdf, lambda a, b: quad(cdf, a, b, epsabs=1e-12, limit=200)[0]
 
-    S_1, S_2, ... are a rate-lam Poisson process, so the points
-    S_{k-1} + eta_k, k >= 2, form a Poisson process with mean measure
-    Lambda(x) = lam (x - (1 - e^{-mu x}) / mu), independent of eta_1.  So
-    N(x1) is 1{eta_1 <= x1} + Poisson(Lambda(x1)), and the increment is
-    1{x1 < eta_1 <= x2} plus an independent Poisson(Lambda(x2) - Lambda(x1)).
+
+def _joint_pmf(law, x1, x2, top):
+    """Exact P(N(x1) = a, N(x2) - N(x1) = b) for a, b < top, exp(rate) xi and
+    an independent eta.
+
+    S_1, S_2, ... are a Poisson process, so the points S_{k-1} + eta_k,
+    k >= 2, form a Poisson process with mean measure Lambda(x) = rate
+    integral_0^x F_eta, independent of eta_1 (Kingman, Poisson Processes,
+    5.2).  So N(x1) is 1{eta_1 <= x1} + Poisson(Lambda(x1)), and the
+    increment is 1{x1 < eta_1 <= x2} plus an independent
+    Poisson(Lambda(x2) - Lambda(x1)).
     """
-    measure = lambda x: lam * (x + math.expm1(-mu * x) / mu)
-    first = poisson.pmf(np.arange(top), measure(x1))
-    second = poisson.pmf(np.arange(top), measure(x2) - measure(x1))
+    cdf, integral = _eta_cdf_and_integral(law.eta)
+    first = poisson.pmf(np.arange(top), law.xi[1] * integral(0.0, x1))
+    second = poisson.pmf(np.arange(top), law.xi[1] * integral(x1, x2))
     shift = lambda pmf: np.concatenate(([0.0], pmf[:-1]))
-    return (-math.expm1(-mu * x1) * np.outer(shift(first), second)
-            + (math.exp(-mu * x1) - math.exp(-mu * x2)) * np.outer(first, shift(second))
-            + math.exp(-mu * x2) * np.outer(first, second))
+    return (cdf(x1) * np.outer(shift(first), second)
+            + (cdf(x2) - cdf(x1)) * np.outer(first, shift(second))
+            + (1.0 - cdf(x2)) * np.outer(first, second))
 
 
-def _joint_chi_square_p(first, increment, x1, x2, lam=1.0, mu=1.0):
-    """Chi-square p-value of the pairs (N(x1), N(x2) - N(x1)) against the
-    exact pmf, over the cells whose expected count is at least 5, with the
-    rest merged into one cell."""
-    top = max(first.max(), increment.max()) + 2
-    observed = np.zeros((top, top))
-    np.add.at(observed, (first, increment), 1.0)
-    expected = len(first) * _exp_exp_joint_pmf(x1, x2, top, lam, mu)
-    cells = expected >= 5.0
-    obs = np.append(observed[cells], len(first) - observed[cells].sum())
-    exp_ = np.append(expected[cells], len(first) - expected[cells].sum())
-    return chisquare(obs, exp_).pvalue
+def _joint_chi_square_p(law, counts, grid):
+    """Chi-square p-values of each neighbouring pair (N(x1), N(x2) - N(x1))
+    of the grid against the exact pmf, over the cells whose expected count
+    is at least 5, with the rest merged into one cell."""
+    p_values = []
+    for i in range(1, len(grid)):
+        first, increment = counts[:, i - 1], counts[:, i] - counts[:, i - 1]
+        top = max(first.max(), increment.max()) + 2
+        observed = np.zeros((top, top))
+        np.add.at(observed, (first, increment), 1.0)
+        expected = len(first) * _joint_pmf(law, grid[i - 1], grid[i], top)
+        cells = expected >= 5.0
+        obs = np.append(observed[cells], len(first) - observed[cells].sum())
+        exp_ = np.append(expected[cells], len(first) - expected[cells].sum())
+        p_values.append(chisquare(obs, exp_).pvalue)
+    return p_values
 
 
 def test_visit_process_matches_the_exact_exp_exp_joint_law():
-    # 20,000 replicates of N at x = 15, 16 and 30: the close pair checks the
-    # accepted steps carried from one grid point to the next, the far pair
-    # the long walk down
-    counts = np.array([visit_process(EXP_EXP, 1.0, [15.0, 16.0, 30.0], RngStream(50, i))
-                       for i in range(20000)])
-    for (i, x1), (j, x2) in (((0, 15.0), (1, 16.0)), ((1, 16.0), (2, 30.0))):
-        assert _joint_chi_square_p(counts[:, i], counts[:, j] - counts[:, i], x1, x2) > 1e-3
+    # 20,000 replicates of N at x = 15, 16 and 30: the close pair checks one
+    # short grid interval, the far pair a long one
+    grid = (15.0, 16.0, 30.0)
+    counts = np.array([visit_process(EXP_EXP, 1.0, grid, RngStream(50, i)) for i in range(20000)])
+    assert min(_joint_chi_square_p(EXP_EXP, counts, grid)) > 1e-3
 
 
 def test_visit_process_matches_the_exact_joint_law_past_eta_reach():
-    # exp(50) eta's tail is 0.0 past 745.13 / 50, so its reach is 16: at
-    # x = 30 and 60 the walk draws the sums within 16 of x by backward gaps
-    # and counts those further below with one Poisson draw (plus S_0 = 0
-    # at x = 30); with exp(1) eta, reach 1024, x <= 30 never leaves the window
+    # exp(50) eta's tail underflows to 0.0 from x = 745.13 / 50 on: at x = 30
+    # and 60 most of the Poisson counts' mean measure lies where F_eta is 1.0
     law = StepLaw(("exp", 0.5), ("exp", 50.0))
-    assert law._eta_reach() == 16.0
-    counts = np.array([visit_process(law, 1.0, [30.0, 60.0], RngStream(55, i))
-                       for i in range(20000)])
-    p = _joint_chi_square_p(counts[:, 0], counts[:, 1] - counts[:, 0], 30.0, 60.0, 0.5, 50.0)
-    assert p > 1e-3
+    grid = (30.0, 60.0)
+    counts = np.array([visit_process(law, 1.0, grid, RngStream(55, i)) for i in range(20000)])
+    assert min(_joint_chi_square_p(law, counts, grid)) > 1e-3
+
+
+EXACT_LAWS = {
+    # eta_1 <= 2 never holds: N(2) is 0, and N(2.7) is 1 + Poisson(0.2)
+    "const": (StepLaw(("exp", 1.0), ("const", 2.5)), (2.0, 2.7, 12.0)),
+    "log1m_beta": (StepLaw(("exp", 2.0), ("log1mstick", StickLaw.beta(0.7))), (0.3, 0.5, 5.0)),
+    # eta <= -log(1 - 1/e) ~ 0.459
+    "log1m_exppareto": (StepLaw(("exp", 4.0), ("log1mstick", StickLaw.exp_pareto(1.5))),
+                        (0.1, 0.3, 4.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_LAWS))
+def test_visit_process_matches_the_exact_joint_law(name):
+    # 20,000 replicates, each pair of neighbouring grid points against the
+    # displaced Poisson law, as for exp eta above
+    law, grid = EXACT_LAWS[name]
+    counts = np.array([visit_process(law, 1.0, grid, RngStream(57, i)) for i in range(20000)])
+    assert min(_joint_chi_square_p(law, counts, grid)) > 1e-3
 
 
 def test_visit_process_has_the_exact_moments_at_depth():
@@ -407,24 +440,63 @@ ETA_LAWS = {
 
 @pytest.mark.parametrize("name", list(ETA_LAWS))
 def test_eta_tail_never_rises_and_is_zero_at_its_reach(name):
-    # visit_process gives a step further than reach below a grid point p_k = 0
-    # without evaluating it: exact only if the tail never rises
+    # the thinning walk down takes p_k to fall as k falls, and stops once
+    # pbar is 0.0: exact only if the tail never rises.  Every tail here is
+    # 0.0 within 2048, where the walk down ends
     law = StepLaw(("exp", 1.0), ETA_LAWS[name])
-    reach = law._eta_reach()
-    ys = np.linspace(0.0, 2.0 * reach, 200001)
-    tails = np.array([law._eta_tail(y) for y in ys.tolist()])
-    assert tails[0] == 1.0 and np.all(np.diff(tails) <= 0.0)
-    assert law._eta_tail(reach) == 0.0 and (reach == 1.0 or law._eta_tail(reach / 2) > 0.0)
+    tails = np.array([law._eta_tail(y) for y in np.linspace(0.0, 2048.0, 200001).tolist()])
+    assert tails[0] == 1.0 and np.all(np.diff(tails) <= 0.0) and tails[-1] == 0.0
+
+
+INTEGRAL_ETA_LAWS = {
+    "exp_0.5": ("exp", 0.5), "exp_3": ("exp", 3.0), "const_2.5": ("const", 2.5),
+    **{f"log1m_beta_{theta:g}": ("log1mstick", StickLaw.beta(theta)) for theta in (0.5, 0.7, 2.0, 2.5)},
+    **{f"log1m_exppareto_{alpha:g}": ("log1mstick", StickLaw.exp_pareto(alpha))
+       for alpha in (0.5, 1.5, 2.0)},
+}
+
+
+@pytest.mark.parametrize("name", list(INTEGRAL_ETA_LAWS))
+def test_integral_eta_cdf_matches_40_digit_quadrature(name):
+    # against mpmath's tanh-sinh quadrature of F_eta at 40 digits up to 200
+    # (with the kinks of const and exppareto eta as break points), plus b -
+    # 200 past it, where 1 - F_eta < 1e-21; from [0, 0.3], where a stick's F
+    # is s^theta or |log s|^-alpha, to [0, 2^40] and a close pair at 1e12
+    eta = INTEGRAL_ETA_LAWS[name]
+    kind, par = eta
+    with mpmath.workdps(40):
+        if kind == "exp":
+            cdf = lambda s: -mpmath.expm1(-par * s)
+        elif kind == "const":
+            cdf = lambda s: mpmath.mpf(s >= par)
+        elif par.kind == "beta":
+            cdf = lambda s: (-mpmath.expm1(-s)) ** par.theta
+        else:
+            cdf = lambda s: (-mpmath.log(-mpmath.expm1(-s))) ** -par.alpha if s < kink else 1
+        kink = par if kind == "const" else -mpmath.log(-mpmath.expm1(-1))
+        for a, b in ((0.0, 0.3), (0.0, 1.0), (0.2, 0.9), (0.0, 7.0), (3.0, 40.0), (0.0, 1e5),
+                     (0.0, 1e12), (0.0, 2.0**40), (1e12, 1e12 + 0.5)):
+            hi = min(b, 200.0)
+            breaks = [a] + sorted(p for p in (kink, 1.0, 10.0, 50.0) if a < p < hi) + [hi]
+            exact = (mpmath.quad(cdf, breaks) if a < hi else 0) + max(0.0, b - max(a, 200.0))
+            got = StepLaw.integral_eta_cdf(eta, a, b)
+            assert abs(got - exact) <= 1e-10 * exact, (a, b, got, exact)
 
 
 SPARSE_LAWS = {
+    # exp xi: the displaced Poisson counts
     "exp_rate_0.5": (StepLaw(("exp", 2.0), ("exp", 0.5)), 20.0, 0.55),
     "const": (StepLaw(("exp", 1.0), ("const", 2.5)), 20.0, 0.55),
-    "log1m_beta": (StepLaw(("logstick", StickLaw.beta(2.0)), ("log1mstick", StickLaw.beta(0.7))),
-                   20.0, 0.55),
     # eta <= -log(1 - 1/e) ~ 0.459, so the close grid points are 0.2 apart
     "log1m_exppareto": (StepLaw(("exp", 4.0), ("log1mstick", StickLaw.exp_pareto(1.5))), 20.0,
                         0.51),
+    # any other xi: the thinning walk down, with each eta law's conditional draw
+    "log1m_beta": (StepLaw(("logstick", StickLaw.beta(2.0)), ("log1mstick", StickLaw.beta(0.7))),
+                   20.0, 0.55),
+    "pareto_exp_rate_0.5": (StepLaw(("pareto", 2.5), ("exp", 0.5)), 20.0, 0.55),
+    "pareto_const": (StepLaw(("pareto", 2.5), ("const", 2.5)), 20.0, 0.55),
+    "const_log1m_exppareto": (StepLaw(("const", 0.25), ("log1mstick", StickLaw.exp_pareto(1.5))),
+                              20.0, 0.51),
     # no mean: the walk to 5000 takes about 15 blocks of 64 steps
     "pareto_no_mean": (StepLaw(("pareto", 0.8), ("exp", 0.2)), 5000.0, 0.501),
 }
