@@ -46,6 +46,7 @@ from .prw import (
     lln_sup_deviation,
     max_window_count,
     simulate_path,
+    visit_block,
     visit_process,
 )
 from .sampling import (
@@ -76,9 +77,9 @@ _WALK = ("B1", "B2", "B3", "B4")
 
 # Stream layout and its limits: README, Reproducibility.  Replicate r of the
 # i-th n (of the i-th y for P33) draws from stream i * replicates + r, but the
-# sieve and the Feller coupling draw block b of _BLOCK replicates from stream
-# i * replicates + _BLOCK * b (+ 2^20 for the sieve half of ESF_FLT and EQ);
-# reference draws take _GRID_STREAMS streams per n.
+# sieve, the Feller coupling and the exp xi walks draw block b of _BLOCK
+# replicates from stream i * replicates + _BLOCK * b (+ 2^20 for the sieve
+# half of ESF_FLT and EQ); reference draws take _GRID_STREAMS streams per n.
 _SIEVE_STREAM_BASE = 1 << 20
 _REFERENCE_STREAM_BASE = 1 << 40
 _GRID_STREAMS = 64
@@ -120,13 +121,16 @@ DEFAULT_THRESHOLDS = {
 
 
 def ks_one_sample(values, cdf) -> float:
-    """Exact sup-distance between the empirical CDF of values and cdf."""
+    """Exact sup-distance between the empirical CDF of values and cdf, an
+    elementwise function of the value: it is evaluated once per run of ties
+    (a column of counts holds a few dozen distinct values) and repeated."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("ks_one_sample needs at least one value")
     x = np.sort(values)
     m = len(x)
-    f = np.asarray(cdf(x), dtype=float)
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    f = np.repeat(np.asarray(cdf(x[starts]), dtype=float), np.diff(np.append(starts, m)))
     ranks = np.arange(1, m + 1, dtype=float)
     return float(max(np.max(ranks / m - f), np.max(f - (ranks - 1.0) / m), 0.0))
 
@@ -370,7 +374,7 @@ def _normalize(raw, center: float, scale: float) -> np.ndarray:
 
 
 def _run_replicates(worker, units: int, jobs: int, pool) -> list:
-    """worker(u) for u = 0 .. units - 1, each a replicate or a block of sieve
+    """worker(u) for u = 0 .. units - 1, each a replicate or a block of
     replicates: serially, or on `pool`, whose `jobs` workers take them in
     chunks of an eighth of a worker's share."""
     if pool is None:
@@ -381,8 +385,9 @@ def _run_replicates(worker, units: int, jobs: int, pool) -> list:
 # ---------------------------------------------------------------------------
 # per-replicate statistics (module level so they pickle for worker pools):
 # replicate r of a column computes stat(RngStream(seed, stream_base + r)),
-# and block b of a sieve or Feller column stat(size, RngStream(seed,
-# stream_base + 1024 b)) for its replicates 1024 b .. 1024 b + size - 1
+# and block b of a sieve, Feller or exp xi walk column stat(size,
+# RngStream(seed, stream_base + 1024 b)) for its replicates 1024 b ..
+# 1024 b + size - 1
 # ---------------------------------------------------------------------------
 
 
@@ -408,7 +413,8 @@ def _sieve_stat(law: StickLaw, n: int, grid: tuple, sup: bool, size: int, rng: R
 def _block_columns(stat: partial, seed: int, stream_base: int, replicates: int, jobs: int,
                    pool) -> tuple:
     """A block statistic's rows for replicates 0 .. replicates - 1, drawn in
-    blocks of _BLOCK, and its draws (boxes thinned, Feller uniforms) over all."""
+    blocks of _BLOCK, and its draws (boxes thinned, Feller uniforms, Poisson
+    variates) over all."""
     blocks = _run_replicates(partial(_stat_block, stat, seed, stream_base, replicates),
                              -(-replicates // _BLOCK), jobs, pool)
     return np.concatenate([rows for rows, _ in blocks]), sum(drawn for _, drawn in blocks)
@@ -570,7 +576,7 @@ def _process_step(spec, law, i_n, nf, draw, report):
     if walk:
         n = x = float(nf)
         mean, var, alpha = law.mean_xi(), law.var_xi(), spec.xi_param
-        stat = partial(visit_process, law, n, grid)
+        stat = partial(visit_block if law.xi[0] == "exp" else visit_process, law, n, grid)
     else:
         n = int(nf)
         x = math.log(n)
@@ -735,13 +741,16 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
         raise ConfigurationError(f"{target} needs n_values")
     report = ExperimentReport(spec)
     phases = report.metadata["phases_s"] = dict.fromkeys(_PHASES, 0.0)
-    # the draws of each block statistic: boxes thinned, Feller uniforms
-    drawn = {_sieve_stat: 0, c_process_block: 0}
+    # the draws of each block statistic: boxes thinned, Feller uniforms,
+    # Poisson variates
+    drawn = {_sieve_stat: 0, c_process_block: 0, visit_block: 0}
     replicates = 0
+    law, n_values, step = spec.law(), spec.n_values, _process_step
     # a worker beyond the units of work (replicates, or the blocks of them of
-    # the sieve and Feller targets) would idle
-    units = (-(-spec.replicates // _BLOCK) if target in _SIEVE + ("P21", "ESF_FLT", "EQ")
-             else spec.replicates)
+    # the sieve, Feller and exp xi walk targets) would idle
+    blocked = (target in _SIEVE + ("P21", "ESF_FLT", "EQ")
+               or (target in _WALK and law.xi[0] == "exp"))
+    units = -(-spec.replicates // _BLOCK) if blocked else spec.replicates
     workers = min(jobs, units)
     t_start = time.perf_counter()
 
@@ -760,7 +769,6 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
         phases["simulate"] += time.perf_counter() - start
         return np.asarray(rows, dtype=float)
 
-    law, n_values, step = spec.law(), spec.n_values, _process_step
     if target == "P41":
         x0 = BOUND_CONSTANT_X0
         report.rows.append({"stat": "x0_equation", "value": x0, "threshold": 1e-10,
@@ -798,5 +806,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentReport:
     report.metadata = {"seed": spec.seed, "runtime_s": runtime, "phases_s": phases,
                        "replicates": replicates, "replicates_per_s": replicates / runtime,
                        "sieve": {"boxes_resolved": drawn[_sieve_stat]},
-                       "feller": {"uniforms": drawn[c_process_block]}, "version": __version__}
+                       "feller": {"uniforms": drawn[c_process_block]},
+                       "walk": {"poisson": drawn[visit_block]}, "numpy": np.__version__,
+                       "version": __version__}
     return report

@@ -16,6 +16,7 @@ __all__ = [
     "simulate_path",
     "path_from_sticks",
     "visit_process",
+    "visit_block",
     "lln_sup_deviation",
     "max_window_count",
 ]
@@ -312,24 +313,46 @@ def path_from_sticks(sticks) -> PrwPath:
 
 
 @lru_cache(maxsize=64)
-def _poisson_means(law: StepLaw, n: float, grid: tuple) -> list:
+def _poisson_means(law: StepLaw, n: float, grid: tuple) -> np.ndarray:
     """The means rate * integral of F_eta over [x_{i-1}, x_i], x_i = n t_i and
-    x_{-1} = 0, of an exp(rate) xi walk's Poisson counts."""
+    x_{-1} = 0, of an exp(rate) xi walk's Poisson counts, read-only."""
     xs = (n * np.asarray(grid, dtype=float)).tolist()
-    return [law.xi[1] * StepLaw.integral_eta_cdf(law.eta, a, b) for a, b in zip([0.0] + xs, xs)]
+    means = np.array([law.xi[1] * StepLaw.integral_eta_cdf(law.eta, a, b)
+                      for a, b in zip([0.0] + xs, xs)])
+    means.flags.writeable = False
+    return means
+
+
+def visit_block(law: StepLaw, n: float, grid, size: int, rng: RngStream) -> tuple:
+    """(N(n t)) along the nondecreasing grid for `size` replicates of a walk
+    with exp(rate) xi and an independent eta, a row each, all from one
+    stream, and the number of Poisson variates drawn.
+
+    S_1, S_2, ... are then a Poisson process, so by the displacement theorem
+    (Kingman, Poisson Processes, 1993, 5.2) the points T_k, k >= 2, form a
+    Poisson process of mean measure rate * integral_0^x F_eta, independent
+    of T_1 = eta_1.  The block draws eta_1 of every replicate, in replicate
+    order (nothing for const eta), and then one Poisson count per replicate
+    and grid interval, row by row in grid order, in one call; N(x) is a
+    row's running sum plus 1{eta_1 <= x}.  A block of one draws exactly
+    what visit_process draws for one replicate.  The walk targets' specs
+    keep each mean within POISSON_MEAN_MAX.
+    """
+    eta_1 = np.empty(size)
+    StepLaw._draw_one(law.eta, rng, eta_1)
+    means = _poisson_means(law, float(n), tuple(grid))
+    counts = rng.gen.poisson(means, size=(size, len(means)))
+    np.cumsum(counts, axis=1, out=counts)
+    counts += eta_1[:, None] <= n * np.asarray(grid, dtype=float)
+    return counts, counts.size
 
 
 def visit_process(law: StepLaw, n: float, grid, rng: RngStream) -> np.ndarray:
     """One path of (N(n t)) along the grid, which must be nondecreasing (the
     walk targets' specs check it), from a single walk realisation.
 
-    An exp(rate) xi makes S_1, S_2, ... a Poisson process, so by the
-    displacement theorem (Kingman, Poisson Processes, 1993, 5.2) the points
-    T_k, k >= 2, of an independent eta form a Poisson process of mean
-    measure rate * integral_0^x F_eta, independent of T_1 = eta_1.  Such a
-    walk draws eta_1 and then one Poisson count per grid interval, in grid
-    order, and N(x) = 1{eta_1 <= x} plus the counts up to x.  The walk
-    targets' specs keep each mean within POISSON_MEAN_MAX.
+    An exp(rate) xi walk is visit_block's block of one: eta_1, then one
+    Poisson count per grid interval.
 
     Any other xi draws the partial sums up to the last grid point first,
     and eta only where it can move a count: N(x) = L(x) - D(x), where L(x) =
@@ -353,10 +376,7 @@ def visit_process(law: StepLaw, n: float, grid, rng: RngStream) -> np.ndarray:
     if law.dependence == "sharedstick":
         return np.searchsorted(simulate_path(law, xs[-1], rng)._t_sorted, xs, side="right")
     if law.xi[0] == "exp":
-        eta_1 = np.empty(1)
-        StepLaw._draw_one(law.eta, rng, eta_1)
-        counts = [rng.gen.poisson(mean) for mean in _poisson_means(law, float(n), tuple(grid))]
-        return np.cumsum(counts) + (eta_1[0] <= xs)
+        return visit_block(law, n, grid, 1, rng)[0][0]
     s, _ = _walk(law, float(xs[-1]), rng, False)
     counts = np.empty(len(xs), dtype=np.intp)
     gen, tail = rng.gen, law._eta_tail

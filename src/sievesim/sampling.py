@@ -10,7 +10,6 @@ sampler; binomials come from numpy's generator at every depth.
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,102 +30,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-# numpy's SeedSequence (NEP 19): a pool of four uint32 words, filled and
-# mixed by these hash constants, then hashed out into the generator's state
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_MASK32 = 0xFFFFFFFF
-_STREAM_BLOCK = 1024  # consecutive stream ids whose seeding words are hashed together
-
-
-def _uint32_words(n: int) -> list:
-    """Little-endian 32-bit words of a non-negative integer, one word for 0."""
-    if n < 0:
-        raise ValueError("seed and stream_id must be non-negative")
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _hashmix(value, const: int, mult: int):
-    """One hash step on a uint32 array; returns it and the next hash constant."""
-    value = value ^ np.uint32(const)
-    const = const * mult & _MASK32
-    value = value * np.uint32(const)
-    return value ^ (value >> np.uint32(16)), const
-
-
-def _mix(x, y):
-    result = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return result ^ (result >> np.uint32(16))
-
-
-def _absorb(pool, const: int, words) -> tuple:
-    """Mix entropy words past the pool size into every pool word in turn.
-
-    Each word is a uint32 array (one entry per stream, or one for all), so
-    one pass handles a spawn key of any length for a whole block of streams.
-    """
-    pool = list(pool)
-    for word in words:
-        for dst in range(_POOL_SIZE):
-            hashed, const = _hashmix(word, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], hashed)
-    return tuple(pool), const
-
-
-@lru_cache(maxsize=8)
-def _block_state(seed: int, block: int) -> np.ndarray:
-    """PCG64 seeding words of streams block * 1024 .. block * 1024 + 1023.
-
-    Row r holds what SeedSequence(entropy=seed, spawn_key=(block * 1024 + r,))
-    .generate_state(4, np.uint64) returns.  The block never crosses a
-    multiple of 2^32, so its ids share every spawn-key word but the lowest.
-    A spawn key makes numpy pad the seed's w words with zeros to the pool
-    size, which mixes the pool as SeedSequence(seed) alone does, after four
-    hash steps per padded word (16 to fill and cross-mix the first four).
-    """
-    from numpy.random import SeedSequence
-
-    base = block * _STREAM_BLOCK
-    high = _uint32_words(base)[1:]
-    low = np.arange(_STREAM_BLOCK, dtype=np.uint32) + np.uint32(base & _MASK32)
-    steps = _POOL_SIZE * max(_POOL_SIZE, len(_uint32_words(seed)))
-    pool, _ = _absorb(SeedSequence(seed).pool.reshape(_POOL_SIZE, 1),
-                      _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32,
-                      [low] + [np.array([w], dtype=np.uint32) for w in high])
-    const = _INIT_B
-    state = []
-    for i in range(2 * _POOL_SIZE):
-        hashed, const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
-        state.append(hashed.astype(np.uint64))
-    words = np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(state[::2], state[1::2])],
-                     axis=1)
-    words.flags.writeable = False
-    return words
-
-
-@lru_cache(maxsize=1)
-def _seed_words_type() -> type:
-    """A minimal ISeedSequence that hands PCG64 its precomputed words; built
-    on first use, so that importing sievesim does not import numpy.random."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        __slots__ = ("words",)
-
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return SeedWords
-
-
 class RngStream:
     """Reproducible random stream addressed by (seed, stream_id).
 
@@ -134,17 +37,18 @@ class RngStream:
     seeded by SeedSequence(entropy=seed, spawn_key=(stream_id,)).  Distinct
     stream_ids map to distinct spawn keys, which numpy documents as
     statistically independent streams, so replicate workers can each own one
-    stream without coordination.  The SeedSequence hash is computed for a
-    block of 1,024 consecutive ids at once and memoised, which makes a stream
-    several times cheaper to open than through numpy's SeedSequence.
+    stream without coordination.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
+        # numpy.random loads with the first stream, not with the package
+        from numpy.random import PCG64, Generator, SeedSequence
+
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        block, row = divmod(self.stream_id, _STREAM_BLOCK)
-        words = _block_state(self.seed, block)[row]
-        self.gen = np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
+        if self.seed < 0 or self.stream_id < 0:
+            raise ValueError("seed and stream_id must be non-negative")
+        self.gen = Generator(PCG64(SeedSequence(self.seed, spawn_key=(self.stream_id,))))
 
 
 class ScratchSlot(threading.local):

@@ -6,7 +6,8 @@ stable construction, the subordinator marginal, the spectrally negative
 characteristic function, the box scan of P41's window term, the Feller
 coupling drawn one replicate and one uniform at a time, a walk over
 the merged jumps of P41's two step functions, the walk's visit counts on
-its full path, and the null-model calibration guard; and three small readers of library objects that no run
+its full path and an exp xi walk's drawn one replicate and one Poisson
+count at a time, and the null-model calibration guard; and three small readers of library objects that no run
 needs: a cycle type, a report's CSV lines and an environment's JSON.  The
 oracles stay independent of the library code paths they check; the guard
 deliberately pushes the library's own limit-law draws through its KS
@@ -22,7 +23,7 @@ from sievesim.ewens import CycleCounts, _next_indicator
 from sievesim.harness import _REFERENCE_STREAM_BASE, ks_one_sample, ks_two_sample
 from sievesim.limits import normal_cdf, sample_inverse_ratio
 from sievesim.occupancy import rho
-from sievesim.prw import simulate_path
+from sievesim.prw import StepLaw, _poisson_means, simulate_path
 from sievesim.sampling import (
     RngStream,
     _chambers_mallows_stuck,
@@ -345,6 +346,17 @@ def full_path_visits(law, n: float, grid, rng: RngStream) -> np.ndarray:
     visit_process, which draws eta only where it can move a count."""
     t = simulate_path(law, n * float(grid[-1]), rng).t_values
     return np.array([np.count_nonzero(t <= n * g) for g in grid], dtype=np.int64)
+
+
+def visit_process_scalar(law, n: float, grid, rng: RngStream) -> np.ndarray:
+    """An exp xi walk's (N(n t)) drawn one replicate and one scalar Poisson
+    variate at a time: eta_1 into a one-element buffer, then one Poisson
+    count per grid interval, in grid order.  The reference for
+    prw.visit_block's block of one."""
+    eta_1 = np.empty(1)
+    StepLaw._draw_one(law.eta, rng, eta_1)
+    counts = [rng.gen.poisson(mean) for mean in _poisson_means(law, float(n), tuple(grid))]
+    return np.cumsum(counts) + (eta_1[0] <= n * np.asarray(grid, dtype=float))
 
 
 def calibration_guard(seed: int = 0) -> list:

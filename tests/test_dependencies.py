@@ -81,7 +81,6 @@ PINNED_PARAMS = _names({
     "harness.run_experiment": "jobs",
     "occupancy.SieveEnvironment.__init__": "sticks",
     "sampling.RngStream.__init__": "stream_id",
-    "sampling._seed_words_type.SeedWords.generate_state": "dtype",
 })
 PINNED_FIELDS = _names({
     "ewens.CycleCounts": "counts n theta",
@@ -103,4 +102,4 @@ def test_settable_option_count_is_pinned():
     params, fields = _settable_options()
     assert params == PINNED_PARAMS
     assert fields == PINNED_FIELDS
-    assert (len(params), len(fields)) == (9, 40)
+    assert (len(params), len(fields)) == (8, 40)

@@ -11,8 +11,7 @@ theta = 1, with theta = 2 about 74 boxes deep, and on a grid that reaches
 both its integer square-root and its decimal tier), P21's and P41's exact
 sup paths (P41 also where a box probability ties 1/n exactly), exppareto
 sticks in both the ratio (T22) and the process (A3) mode, and a seed above
-2^32 whose sieve blocks' streams cross the edge of a 1,024-id block of
-`RngStream` seeding words.
+2^32 whose columns span two sieve blocks each.
 """
 
 import hashlib
@@ -29,11 +28,13 @@ GOLDEN = {
     # path: per grid point it draws the sums within eta's reach backwards
     # and counts those further below with one Poisson draw.  Re-recorded
     # when it began to draw the displaced Poisson law itself: eta_1, then
-    # one Poisson count per grid interval
+    # one Poisson count per grid interval.  Re-recorded when exp xi walks
+    # began to draw blocks of up to 1,024 replicates from one stream: every
+    # replicate's eta_1, then one Poisson count per replicate and grid interval
     "B1_exp": (
         "target = B1\nxi = exp\nxi_param = 1.0\neta = exp\neta_param = 2.0\n"
         "n_values = 100, 1000\ngrid = 0.25, 0.5, 1.0\nreplicates = 60\nseed = 3\n",
-        "1e13ad4e59d22803c187050c30fffe8a66f69534e19097b806a354a2f0754c12"),
+        "75e8e8047180c6373049dc351d78f62c2c7ee4e908a4eeab020b7790c23ac762"),
     "B3_pareto": (
         "target = B3\nxi = pareto\nxi_param = 1.5\neta = exp\n"
         "n_values = 300\ngrid = 0.5, 1.0\nreplicates = 60\nseed = 4\n",
@@ -106,11 +107,8 @@ GOLDEN = {
         "target = EQ\ntheta = 1.5\nn_values = 1e12\ngrid = 0.5, 1.0\n"
         "replicates = 40\nseed = 14\n",
         "9598e0764a520e3d819b4ea3b5bd7098fcc6c2326b159b507f2f76e78c78b66c"),
-    # first recorded with numpy's SeedSequence building every stream, before
-    # the seeding words were hashed a block of ids at a time: a two-word seed.
-    # The sieve blocks took it from 600 to 1,100 replicates, so that its two
-    # columns draw from streams 0, 1024, 1100 and 2124, which still cross the
-    # edges of the 1,024-id seeding blocks, and --jobs 2 splits each column
+    # a two-word seed, with 1,100 replicates, so that its two columns draw
+    # from streams 0, 1024, 1100 and 2124, and --jobs 2 splits each column
     "A1_wide_seed": (
         "target = A1\nstick = beta\ntheta = 1.0\nn_values = 1e4, 1e9\ngrid = 0.5, 1.0\n"
         "centering = linear\nreplicates = 1100\nseed = 4294967301\n",
@@ -158,7 +156,6 @@ def test_cli_csv_matches_pinned_digest(tmp_path, name):
 
 
 def test_workers_starting_mid_block_reproduce_the_serial_csv(tmp_path):
-    """At --jobs 2 the two workers take a sieve block each, and the worker
-    with the second block of a column builds its own seeding words for ids
-    1024 and 2124."""
+    """At --jobs 2 the two workers take a sieve block each: the worker with
+    the second block of a column opens streams 1024 and 2124 itself."""
     assert _run_csv(tmp_path, "A1_wide_seed", "--jobs", "2") == _run_csv(tmp_path, "A1_wide_seed")

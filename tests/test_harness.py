@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from conftest import calibration_guard, csv_lines
+from sievesim.cli import main
 from sievesim.harness import (
     ConfigurationError,
     TARGETS,
@@ -50,6 +51,37 @@ def test_ks_one_sample_rank_invariance():
     base = ks_one_sample(vals, normal_cdf)
     transformed = ks_one_sample(np.exp(vals), lambda y: normal_cdf(np.log(y)))
     assert abs(base - transformed) < 1e-12
+
+
+def _ks_one_sample_every_value(values, cdf) -> float:
+    """The one-sample KS with the cdf taken at every sorted value, as it was
+    before a run of ties shared one cdf value."""
+    x = np.sort(np.asarray(values, dtype=float))
+    m = len(x)
+    f = np.asarray(cdf(x), dtype=float)
+    ranks = np.arange(1, m + 1, dtype=float)
+    return float(max(np.max(ranks / m - f), np.max(f - (ranks - 1.0) / m), 0.0))
+
+
+def test_ks_one_sample_takes_the_cdf_once_per_distinct_value():
+    # tied counts (as sieve_deep's columns), heavy ties, no ties, a single
+    # value, signed zeros; the statistic keeps its bits, and the cdf sees each
+    # distinct value once
+    rng = np.random.default_rng(3)
+    samples = [rng.poisson(6.0, 1200) - 6.0, rng.poisson(0.3, 1200), np.zeros(7),
+               rng.normal(size=1200), (rng.integers(0, 38, 1200) - 19) / 4.2, [1.5],
+               [-0.0, 0.0, 0.0, 2.0, 2.0], rng.poisson(40.0, 50) / 7.0]
+    for values in samples:
+        for sd in (1.0, 0.7, 3.0):
+            seen = []
+
+            def cdf(x):
+                seen.append(len(x))
+                return normal_cdf(x / sd)
+
+            got = ks_one_sample(values, cdf)
+            assert got == _ks_one_sample_every_value(values, lambda x: normal_cdf(x / sd))
+            assert seen == [len(np.unique(values))]
 
 
 def test_ks_two_sample_hand_values():
@@ -186,14 +218,15 @@ def test_worker_pool_never_outnumbers_the_replicates(monkeypatch):
         # one pool serves all four draws (the cycles and the sieve half of each
         # n, each in three blocks) and is closed with the run
         assert sizes == [size] and len(closed) == 1
-    # a walk's units of work are its replicates; a sieve or Feller target's
-    # are its blocks of 1,024 replicates: three for 2,100 replicates, and one,
-    # which needs no pool, for 1,024
-    for target, replicates, expected in (("B1", 5, [5]), ("A1", 2100, [3]), ("A1", 1024, []),
-                                         ("EQ", 1024, [])):
+    # a pareto xi walk's units of work are its replicates; a sieve, Feller or
+    # exp xi walk target's are its blocks of 1,024 replicates: three for 2,100
+    # replicates, and one, which needs no pool, for 1,024 or fewer
+    for target, replicates, expected in (("B3", 5, [5]), ("B1", 5, []), ("B1", 2100, [3]),
+                                         ("A1", 2100, [3]), ("A1", 1024, []), ("EQ", 1024, [])):
         sizes.clear()
+        xi = {"xi": "pareto", "xi_param": 1.5} if target == "B3" else {}
         run_experiment(ExperimentSpec(target=target, n_values=(100.0,), replicates=replicates,
-                                      grid=(1.0,), seed=3), jobs=8)
+                                      grid=(1.0,), seed=3, **xi), jobs=8)
         assert sizes == expected, target
     # a draw that raises still closes the pool
     monkeypatch.setattr(Pool, "map", lambda self, *args, **kwargs: 1 / 0)
@@ -342,7 +375,7 @@ def test_dispatcher_covers_every_target(monkeypatch):
     # the sieve counter against a count taken outside the harness: every
     # numpy binomial variate drawn on a replicate or block stream (a box with
     # 1 - W_k == 1 draws one too, which takes every remaining ball)
-    placed, at_p_1 = [], []
+    placed, at_p_1, poisson_drawn = [], [], []
 
     class CountingGenerator:
         def __init__(self, gen):
@@ -355,6 +388,11 @@ def test_dispatcher_covers_every_target(monkeypatch):
             z = self._gen.binomial(n, p, size)
             placed.append(np.size(z))
             at_p_1.append(np.count_nonzero(np.asarray(p) == 1.0))
+            return z
+
+        def poisson(self, lam, size=None):
+            z = self._gen.poisson(lam, size)
+            poisson_drawn.append(np.size(z))
             return z
 
     class CountingStream(RngStream):
@@ -394,7 +432,7 @@ def test_dispatcher_covers_every_target(monkeypatch):
     ]
     metadata_keys = set()
     for spec in specs:
-        placed.clear(), at_p_1.clear()
+        placed.clear(), at_p_1.clear(), poisson_drawn.clear()
         rep = run_experiment(spec)
         assert rep.rows, spec.target
         metadata_keys.add(tuple(sorted(rep.metadata)))
@@ -415,9 +453,15 @@ def test_dispatcher_covers_every_target(monkeypatch):
         cycles = sum(raw.sum() for _, _, t, raw, _ in rep.raw if t == 1.0) if feller else 0
         assert rep.metadata["feller"] == {"uniforms": int(cycles)}, spec.target
         assert cycles > 0 or not feller
+        # one Poisson variate per exp xi walk replicate and grid point (B1, the
+        # only exp xi walk here): its blocks draw them all
+        walk = rep.metadata["walk"]
+        assert walk == {"poisson": sum(poisson_drawn)}, spec.target
+        assert walk["poisson"] == (spec.replicates * len(spec.grid) if spec.target == "B1" else 0)
+        assert rep.metadata["numpy"] == np.__version__
     assert {spec.target for spec in specs} == set(TARGETS)
-    assert metadata_keys == {("feller", "phases_s", "replicates", "replicates_per_s",
-                              "runtime_s", "seed", "sieve", "version")}
+    assert metadata_keys == {("feller", "numpy", "phases_s", "replicates", "replicates_per_s",
+                              "runtime_s", "seed", "sieve", "version", "walk")}
 
 
 def test_ratio_t22_smoke():
@@ -558,6 +602,30 @@ def test_sieve_replicates_are_addressable_by_block():
     cycles = next(column[3] for column in esf.raw if column[1] == 1000).tolist()
     assert [row["value"] for row in esf.rows if row["stat"] == "ks_sieve_equality"][1] == \
         ks_two_sample(cycles, boxes)
+
+
+def test_walk_blocks_run_on_workers_as_serially(tmp_path):
+    # 1,025 replicates: one full block of an exp xi walk and a block of one,
+    # which the two workers take one each
+    spec = tmp_path / "b1.cfg"
+    spec.write_text("target = B1\nxi = exp\neta = exp\neta_param = 2.0\nn_values = 300, 1e5\n"
+                    "grid = 0.5, 1.0\nreplicates = 1025\nseed = 26\n")
+    csv = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", "--spec", str(spec), "--out", str(out), "--no-timestamp",
+                     "--jobs", jobs]) in (0, 1)
+        csv.append((out / "b1.csv").read_bytes())
+    assert csv[0] == csv[1] and csv[0].count(b"\n") == 1 + 2 * 2 * 1025
+
+
+def test_a_one_block_walk_starts_no_worker_pool(monkeypatch):
+    def no_pool(method):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr("multiprocessing.get_context", no_pool)
+    spec = ExperimentSpec(target="B1", n_values=(1e5,), replicates=200, grid=(0.5, 1.0), seed=27)
+    assert csv_lines(run_experiment(spec, jobs=2)) == csv_lines(run_experiment(spec))
 
 
 def test_sieve_blocks_run_on_workers_as_serially():

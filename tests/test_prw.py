@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -7,8 +8,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import chisquare, gamma, poisson
 
-from conftest import full_path_visits
-from sievesim.harness import ConfigurationError, ExperimentSpec, ks_two_sample, run_experiment
+from conftest import full_path_visits, visit_process_scalar
+from sievesim.harness import (
+    ConfigurationError,
+    ExperimentSpec,
+    _block_columns,
+    ks_two_sample,
+    run_experiment,
+)
 from sievesim.occupancy import build_environment, rho
 from sievesim.prw import (
     StepLaw,
@@ -16,6 +23,7 @@ from sievesim.prw import (
     max_window_count,
     path_from_sticks,
     simulate_path,
+    visit_block,
     visit_process,
 )
 from sievesim.sampling import RngStream, StickLaw
@@ -361,22 +369,26 @@ def _joint_pmf(law, x1, x2, top):
             + (1.0 - cdf(x2)) * np.outer(first, second))
 
 
+def _pair_chi_square_p(first, second, pmf) -> float:
+    """Chi-square p-value of the pairs (first, second) against pmf(top), the
+    exact probabilities of the cells below top, over the cells whose expected
+    count is at least 5, with the rest merged into one cell."""
+    top = max(first.max(), second.max()) + 2
+    observed = np.zeros((top, top))
+    np.add.at(observed, (first, second), 1.0)
+    expected = len(first) * pmf(top)
+    cells = expected >= 5.0
+    obs = np.append(observed[cells], len(first) - observed[cells].sum())
+    exp_ = np.append(expected[cells], len(first) - expected[cells].sum())
+    return chisquare(obs, exp_).pvalue
+
+
 def _joint_chi_square_p(law, counts, grid):
     """Chi-square p-values of each neighbouring pair (N(x1), N(x2) - N(x1))
-    of the grid against the exact pmf, over the cells whose expected count
-    is at least 5, with the rest merged into one cell."""
-    p_values = []
-    for i in range(1, len(grid)):
-        first, increment = counts[:, i - 1], counts[:, i] - counts[:, i - 1]
-        top = max(first.max(), increment.max()) + 2
-        observed = np.zeros((top, top))
-        np.add.at(observed, (first, increment), 1.0)
-        expected = len(first) * _joint_pmf(law, grid[i - 1], grid[i], top)
-        cells = expected >= 5.0
-        obs = np.append(observed[cells], len(first) - observed[cells].sum())
-        exp_ = np.append(expected[cells], len(first) - expected[cells].sum())
-        p_values.append(chisquare(obs, exp_).pvalue)
-    return p_values
+    of the grid against the exact joint pmf."""
+    return [_pair_chi_square_p(counts[:, i - 1], counts[:, i] - counts[:, i - 1],
+                               partial(_joint_pmf, law, grid[i - 1], grid[i]))
+            for i in range(1, len(grid))]
 
 
 def test_visit_process_matches_the_exact_exp_exp_joint_law():
@@ -413,6 +425,63 @@ def test_visit_process_matches_the_exact_joint_law(name):
     law, grid = EXACT_LAWS[name]
     counts = np.array([visit_process(law, 1.0, grid, RngStream(57, i)) for i in range(20000)])
     assert min(_joint_chi_square_p(law, counts, grid)) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# visit_block: an exp xi walk's replicates drawn 1,024 to a stream
+# ---------------------------------------------------------------------------
+
+BLOCK_LAWS = {"exp": (EXP_EXP, (15.0, 16.0, 30.0)), **EXACT_LAWS}
+
+
+def _block_counts(law, grid, seed, replicates):
+    """(N(t)) on the grid for replicates 0 .. replicates - 1 of a column,
+    drawn as the harness draws it: blocks of 1,024, each from the stream of
+    its first replicate, one Poisson variate per replicate and grid point."""
+    counts, poisson_drawn = _block_columns(partial(visit_block, law, 1.0, grid), seed, 0,
+                                           replicates, 1, None)
+    assert poisson_drawn == replicates * len(grid)
+    return counts
+
+
+@pytest.mark.parametrize("name", list(BLOCK_LAWS))
+def test_visit_block_matches_the_exact_joint_law(name):
+    # 20,000 replicates, 19 full blocks and one of 544, each pair of
+    # neighbouring grid points against the displaced Poisson law
+    law, grid = BLOCK_LAWS[name]
+    counts = _block_counts(law, grid, 58, 20000)
+    assert min(_joint_chi_square_p(law, counts, grid)) > 1e-3
+
+
+@pytest.mark.parametrize("name", ["exp", "log1m_beta"])
+def test_visit_block_replicates_are_independent(name):
+    # the 10,000 pairs of neighbours in a block, (N(x) of replicate 2k, of
+    # 2k + 1), against the product of N(x)'s exact marginal law,
+    # 1{eta_1 <= x} + Poisson(rate integral_0^x F_eta), at the grid's middle
+    law, grid = BLOCK_LAWS[name]
+    x = grid[1]
+    counts = _block_counts(law, (x,), 59, 20000)[:, 0]
+    cdf, integral = _eta_cdf_and_integral(law.eta)
+
+    def product(top):
+        pois = poisson.pmf(np.arange(top), law.xi[1] * integral(0.0, x))
+        marginal = cdf(x) * np.concatenate(([0.0], pois[:-1])) + (1.0 - cdf(x)) * pois
+        return np.outer(marginal, marginal)
+
+    assert _pair_chi_square_p(counts[0::2], counts[1::2], product) > 1e-3
+
+
+@pytest.mark.parametrize("name", list(BLOCK_LAWS))
+def test_block_of_one_draws_what_one_replicate_drew(name):
+    # visit_process is visit_block's block of one: the same counts, bit for
+    # bit, as the scalar loop of one replicate, and the stream ends where it did
+    law, grid = BLOCK_LAWS[name]
+    for n, g in ((1.0, grid), (1e5, (0.0, 0.5, 1.0)), (1e12, (0.25, 1.0))):
+        for i in range(100):
+            rng, ref = RngStream(60, i), RngStream(60, i)
+            got, want = visit_process(law, n, g, rng), visit_process_scalar(law, n, g, ref)
+            assert got.tolist() == want.tolist(), (n, i)
+            assert rng.gen.random() == ref.gen.random()
 
 
 def test_visit_process_has_the_exact_moments_at_depth():

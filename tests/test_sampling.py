@@ -17,7 +17,6 @@ from conftest import (
 from sievesim.harness import ks_one_sample, ks_two_sample
 from sievesim.sampling import (
     RngStream,
-    _block_state,
     ScratchSlot,
     StickLaw,
     binomial_regime,
@@ -56,21 +55,12 @@ def _same_draws(seed, stream_id):
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 1])
 def test_stream_draws_what_seedsequence_seeds(seed):
-    # block edges, one- and two-word ids, the reference base 2^40 and a
-    # three-word id; seeds of one to five words
+    # ids on both sides of a 1,024-replicate block edge, the sieve half's
+    # base 2^20, two-word ids, the reference base 2^40 and a three-word id;
+    # seeds of one to five words
     for stream_id in (0, 1023, 1024, 2**20 + 7, 2**32 - 1, 2**32, 2**40 + 4096 + 65,
                       2**64 - 1):
         assert _same_draws(seed, stream_id), (seed, stream_id)
-
-
-def test_evicted_stream_blocks_are_rebuilt():
-    blocks = _block_state.cache_info().maxsize + 3
-    pairs = [(seed, 1024 * block + offset) for block in range(blocks)
-             for seed in (5, 2**33 + 1) for offset in (0, 517, 1023)]
-    _block_state.cache_clear()
-    for seed, stream_id in pairs[::2] + pairs[1::2] + pairs[::-1]:
-        assert _same_draws(seed, stream_id), (seed, stream_id)
-    assert _block_state.cache_info().misses > 2 * blocks  # some blocks were built twice
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
