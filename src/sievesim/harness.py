@@ -403,7 +403,8 @@ def _stat_block(stat: partial, seed: int, stream_base: int, replicates: int, blo
 def _sieve_stat(law: StickLaw, n: int, grid: tuple, sup: bool, size: int, rng: RngStream):
     """One block of sieve replicates: a row per replicate holding K_n(t) on the
     grid and then K_n, or with sup (P21) only the exact sup_t |K_n(t)/K_n - t|;
-    and the boxes the block thinned (a stick and a binomial variate each)."""
+    and the boxes the block thinned (a stick and a binomial variate each, or
+    for beta(1) sticks one bounded integer)."""
     rows, last = occupy_sieve_block(law, n, size, rng, None if sup else grid)
     if sup:  # rows holds each replicate's occupied counts
         rows = np.array([[_ratio_sup_deviation(counts, n)] for counts in rows])

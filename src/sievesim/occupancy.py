@@ -282,7 +282,12 @@ def occupy_sieve_block(law: StickLaw, n: int, size: int, rng: RngStream, grid):
     every remaining ball and consumes one uniform, which is exact in law.
     Sticks are drawn only for the boxes thinning reaches.
 
-    Returns each replicate's last box (the binomials its thinning drew) and,
+    A law equal to StickLaw.beta(1.0) draws neither: with 1 - W uniform,
+    Binomial(m, 1 - W) is uniform on {0, ..., m} (Bayes' billiard), so each
+    depth is one exact `integers(0, remaining, endpoint=True)` call over the
+    same replicates, in the same order, with no chunk rule up to 2^62.
+
+    Returns each replicate's last box (the depths its thinning drew) and,
     for grid None, the list of its occupied counts; for a grid, a
     (size, len(grid) + 1) array whose row holds K_n(t) at each t, counted
     against floor_power(n, t), and then K_n.
@@ -293,18 +298,19 @@ def occupy_sieve_block(law: StickLaw, n: int, size: int, rng: RngStream, grid):
     rep = np.arange(size)
     rem = np.full(size, n, dtype=np.int64)
     reps, counts = [rep[:0]], [rem[:0]]
-    binomial = rng.gen.binomial
+    uniform = law == StickLaw.beta(1.0)  # not .kind: other law objects draw sticks
     chunked = n > BINOMIAL_CHUNK
     while rep.size:
-        p = 1.0 - law.sample(rng, rep.size)
-        if chunked:
-            z = binomial(np.minimum(rem, BINOMIAL_CHUNK), p)
-            over = np.flatnonzero(rem > BINOMIAL_CHUNK).tolist()
-            for i in over:
-                z[i] += sample_binomial(int(rem[i]) - BINOMIAL_CHUNK, float(p[i]), rng)
-            chunked = bool(over)
+        if uniform:
+            z = rng.gen.integers(0, rem, endpoint=True)
         else:
-            z = binomial(rem, p)
+            p = 1.0 - law.sample(rng, rep.size)
+            z = rng.gen.binomial(np.minimum(rem, BINOMIAL_CHUNK) if chunked else rem, p)
+            if chunked:
+                over = np.flatnonzero(rem > BINOMIAL_CHUNK).tolist()
+                for i in over:
+                    z[i] += sample_binomial(int(rem[i]) - BINOMIAL_CHUNK, float(p[i]), rng)
+                chunked = bool(over)
         reps.append(rep)
         counts.append(z)
         rem -= z

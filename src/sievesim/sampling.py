@@ -241,7 +241,8 @@ def sample_binomial(n: int, p: float, rng: RngStream) -> int:
     takes one per full chunk of 2^60 trials, then one for the rest.  The
     degenerate cases draw nothing.  This is the one definition of the rule:
     occupancy.occupy_sieve and occupy_scheme call it for every box, and
-    occupy_sieve_block adds it over the trials past 2^60 to its array draw.
+    occupy_sieve_block adds it over the trials past 2^60 to its array draw
+    (for every stick law but beta(1), whose blocks draw no binomial).
     """
     n = int(n)
     if n < 0:

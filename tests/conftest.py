@@ -1,6 +1,7 @@
 """Shared test oracles: exact PMF recursions, the Ewens sampling formula and
 partition enumeration, the Chinese-restaurant Ewens sampler, a per-ball
-placement reference, the exact expected occupancy of the geometric scheme,
+placement reference, the sieve's stick-and-binomial thinning of uniform
+sticks, the exact expected occupancy of the geometric scheme,
 the lattice inverse-subordinator path, the Chambers-Mallows-Stuck positive
 stable construction, the subordinator marginal, the spectrally negative
 characteristic function, the box scan of P41's window term, the Feller
@@ -26,6 +27,7 @@ from sievesim.occupancy import rho
 from sievesim.prw import StepLaw, _poisson_means, simulate_path
 from sievesim.sampling import (
     RngStream,
+    StickLaw,
     _chambers_mallows_stuck,
     sample_inverse_subordinator_marginal,
     sample_spectrally_negative_stable,
@@ -160,6 +162,16 @@ def naive_placement(cutpoints: np.ndarray, n: int, gen: np.random.Generator,
         idx = boxes - np.searchsorted(edges, u, side="left") + 1
         np.add.at(out[r], np.clip(idx, 1, boxes) - 1, 1)
     return out
+
+
+class StickBinomialUniform:
+    """Uniform sticks W = U under a law object that is not StickLaw.beta(1.0),
+    so occupancy.occupy_sieve_block thins with them as with every other law:
+    each depth's sticks, then one array binomial.  The reference for the one
+    uniform integer per box that StickLaw.beta(1.0) draws instead."""
+
+    def sample(self, rng, size):
+        return StickLaw.beta(1.0).sample(rng, size)
 
 
 def empirical_type_tv(samples, exact_probs: dict) -> float:

@@ -79,15 +79,21 @@ GOLDEN = {
     # to thin blocks of up to 1,024 replicates together from one stream,
     # drawing each depth's sticks and then one array binomial for the block.
     # ESF_FLT's CSV holds only its cycle counts, so its digest held, while its
-    # sieve half moved.
+    # sieve half moved.  A1, P21_sup, A1_wide_seed and A1_decimal_tier were
+    # re-recorded again when beta(1) sticks stopped drawing sticks and
+    # binomials: with 1 - W uniform, Binomial(m, 1 - W) is uniform on
+    # {0, ..., m}, so each depth draws one bounded integer per replicate.
+    # The other digests held: ESF_FLT's CSV again holds only its cycle
+    # counts, EQ_deep is theta = 1.5, and A1_theta2_deep, T22, A3, the walks
+    # and P41 draw no beta(1) sieve.
     "A1": (
         "target = A1\nstick = beta\ntheta = 1.0\nn_values = 1e8, 1e12\n"
         "grid = 0.25, 0.5, 0.75, 1.0\ncentering = linear\nreplicates = 40\nseed = 8\n",
-        "80ed7c9f8987509e0d167951f6ed70e0b0c6e5f0ed80aaa1a78a70915f291f5d"),
+        "3fb7db2a806aeed17b2681c8759718f181865d81d6db3f4e57941d80b1f26242"),
     "P21_sup": (
         "target = P21\nstick = beta\ntheta = 1.0\nn_values = 1e4, 1e12\ngrid = 1.0\n"
         "replicates = 40\nseed = 11\n",
-        "7c2f0ac6492fa6201ed1f4d2db35de6c33263a3b1f6f950e855843a10367e1d2"),
+        "afc8681090ad4d23ccf05a3e09828dbaf4fc15981cf7d04586011c374a6058b2"),
     "T22_ratio_exppareto": (
         "target = T22\nmode = ratio\nstick = exppareto\nalpha = 0.5\nn_values = 1e12\n"
         "grid = 0.5, 1.0\nreplicates = 40\nseed = 12\n",
@@ -112,7 +118,7 @@ GOLDEN = {
     "A1_wide_seed": (
         "target = A1\nstick = beta\ntheta = 1.0\nn_values = 1e4, 1e9\ngrid = 0.5, 1.0\n"
         "centering = linear\nreplicates = 1100\nseed = 4294967301\n",
-        "8d982fc5162c1a18ecbfc828d81beef996f4a2ec5ed191144c716f63df55e41e"),
+        "0640d67b102f708709b385852a3c7fdfdf08cb8b03e00987042b4b60e2fc4c4b"),
     # theta = 2 thins about 2 log n = 74 boxes deep at n = 1e16, through BTPE
     # and inversion binomials.  Re-recorded, with A3_exppareto, when the
     # centering's integral of F_eta became graded quadrature for every stick:
@@ -137,7 +143,7 @@ GOLDEN = {
         "target = A1\nstick = beta\ntheta = 1.0\nn_values = 1e12\n"
         "grid = 0.25, 0.3333333333333333, 0.5, 1.0\ncentering = linear\n"
         "replicates = 40\nseed = 18\n",
-        "5b6088eeb5c5c0a09c72e9301311b60fd88494f63521329f3713d2aab7c724a2"),
+        "b10a2750aba86f04da6b68eb768b94b3d1b73e4796dc83aacfbf9c841622700d"),
 }
 
 

@@ -374,7 +374,8 @@ def test_t22_runner_smoke():
 def test_dispatcher_covers_every_target(monkeypatch):
     # the sieve counter against a count taken outside the harness: every
     # numpy binomial variate drawn on a replicate or block stream (a box with
-    # 1 - W_k == 1 draws one too, which takes every remaining ball)
+    # 1 - W_k == 1 draws one too, which takes every remaining ball), and every
+    # bounded integer, which a beta(1) box draws instead
     placed, at_p_1, poisson_drawn = [], [], []
 
     class CountingGenerator:
@@ -388,6 +389,11 @@ def test_dispatcher_covers_every_target(monkeypatch):
             z = self._gen.binomial(n, p, size)
             placed.append(np.size(z))
             at_p_1.append(np.count_nonzero(np.asarray(p) == 1.0))
+            return z
+
+        def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+            z = self._gen.integers(low, high, size, dtype, endpoint)
+            placed.append(np.size(z))
             return z
 
         def poisson(self, lam, size=None):
@@ -442,8 +448,8 @@ def test_dispatcher_covers_every_target(monkeypatch):
         sieve = rep.metadata["sieve"]
         assert set(sieve) == {"boxes_resolved"}
         if spec.target in _SIEVE + ("P21", "EQ", "ESF_FLT"):
-            # one binomial variate per box thinned, and thinning ends at the
-            # last box
+            # one binomial variate or bounded integer per box thinned, and
+            # thinning ends at the last box
             assert sieve["boxes_resolved"] == sum(placed) > 0, spec.target
             assert sum(at_p_1) or spec.target != "T22"  # its alpha = 0.5 sticks have some
         else:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2, chi2_contingency
 
 from conftest import (
+    StickBinomialUniform,
     environment_json,
+    exact_cycle_type_probs,
     expected_occupancy_oracle,
     naive_placement,
     ratio_sup_walk,
@@ -474,6 +477,59 @@ def test_block_array_binomial_at_p_1_takes_the_rest_with_one_draw():
         ref = RngStream(49, 0)
         ref.gen.random(5)
         assert rng.gen.random() == ref.gen.random()
+
+
+class _IntegersOnly:
+    """A generator that draws bounded integers and nothing else: a stick or
+    a binomial drawn through it raises AttributeError."""
+
+    def __init__(self, gen):
+        self.integers = gen.integers
+
+
+def test_uniform_block_partition_has_the_exact_ewens_law():
+    # the theta = 1 sieve's box counts of n balls are the cycle type of a
+    # uniform permutation (the paper's Ewens identity); 200 blocks of 1,024,
+    # chi-square over the 11 partitions of 6 (10 df)
+    n, blocks = 6, 200
+    probs = exact_cycle_type_probs(n, 1.0)
+    seen = Counter(tuple(sorted(Counter(c.tolist()).items()))
+                   for b in range(blocks)
+                   for c in occupy_sieve_block(StickLaw.beta(1.0), n, 1024,
+                                               RngStream(52, 1024 * b), None)[0])
+    assert set(seen) == set(probs)
+    reps = 1024 * blocks
+    stat = sum((seen[key] - reps * p) ** 2 / (reps * p) for key, p in probs.items())
+    assert chi2.sf(stat, len(probs) - 1) > 1e-3
+
+
+@pytest.mark.parametrize("n", [10**8, 2**62])
+def test_uniform_block_matches_stick_and_binomial_thinning(n):
+    # one uniform integer per box against uniform sticks thinned by array
+    # binomials (and the 2^60 chunk rule at 2^62), 20,000 replicates a side:
+    # the two-sample KS has 99.9% null level 1.95 sqrt(2/20000) = 0.0195
+    grid, reps = (0.25, 0.5, 0.75, 1.0), 20000
+    uniform = _block_rows(StickLaw.beta(1.0), n, reps, 53, grid)
+    sticks = _block_rows(StickBinomialUniform(), n, reps, 54, grid)
+    for j in range(len(grid) + 1):
+        assert ks_two_sample(uniform[:, j], sticks[:, j]) < 1.95 * math.sqrt(2.0 / reps)
+
+
+@pytest.mark.parametrize("n", [1, 7, (1 << 60) + 1, 2**62])
+def test_uniform_block_draws_only_bounded_integers(n):
+    # beta(1) sticks, however the law object was built, draw no stick, no
+    # array binomial and no chunked sample_binomial, even past 2^60, and
+    # every replicate keeps all n balls; any other law object draws sticks
+    for law in (StickLaw.beta(1.0), StickLaw(kind="beta", theta=1)):
+        rng = RngStream(55, 0)
+        rng.gen = _IntegersOnly(rng.gen)
+        counts, _ = occupy_sieve_block(law, n, 300, rng, None)
+        assert all(sum(c.tolist()) == n for c in counts)
+    for law in (StickBinomialUniform(), StickLaw.beta(1.0 + 2.0**-52)):
+        rng = RngStream(55, 0)
+        rng.gen = _IntegersOnly(rng.gen)
+        with pytest.raises(AttributeError):
+            occupy_sieve_block(law, n, 300, rng, None)
 
 
 # ---------------------------------------------------------------------------
