@@ -299,13 +299,23 @@ class ExperimentSpec:
 _FINITE = tuple(f.name for f in fields(ExperimentSpec) if f.type in (float, tuple))
 
 
-def _reprs(values):
-    """repr of each float64 in values, called once per distinct bit pattern:
-    a column of counts holds a few dozen distinct values, and keying on bits
-    keeps -0.0 apart from 0.0 (and one NaN payload from another)."""
-    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    text = [repr(v) for v in bits.view(np.float64).tolist()]
-    return [text[i] for i in inverse.tolist()]
+def _pair_texts(raw, normalized):
+    """f"{a!r},{b!r}" of each row, calling repr once per distinct pair of bit
+    patterns (bits keep -0.0 apart from 0.0, and NaN payloads apart).  One
+    quicksort, keyed on the raw bits xor the normalized bits turned by 32,
+    puts equal pairs side by side and keeps any two pairs of counts apart
+    (their low 32 bits are 0); a run ends wherever the pair changes, so a
+    key collision costs a repr, never a wrong line."""
+    rb, nb = raw.view(np.uint64), normalized.view(np.uint64)
+    order = np.argsort(rb ^ (nb << np.uint64(32) | nb >> np.uint64(32)))
+    rs, ns = rb[order], nb[order]
+    new = np.concatenate(([True], (rs[1:] != rs[:-1]) | (ns[1:] != ns[:-1])))
+    first = order[new]
+    text = np.array([f"{a!r},{b!r}" for a, b in zip(raw[first].tolist(),
+                                                    normalized[first].tolist())], dtype=object)
+    texts = np.empty(len(raw), dtype=object)
+    texts[order] = text[np.cumsum(new) - 1]
+    return tuple(texts.tolist())
 
 
 @dataclass
@@ -341,14 +351,18 @@ class ExperimentReport:
         return json.dumps(body, indent=2, default=float)
 
     def _csv_blocks(self, timestamp: bool):
-        """The CSV's lines in blocks: the header, then one block per column."""
+        """The CSV in blocks of whole lines, each a string with no final
+        newline: the header, then one block per column, formatted by one `%`
+        whose format holds the column's prefix and replicate numbers."""
         if timestamp:
-            yield [f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')} sievesim {__version__}"]
-        yield ["target,n,t,replicate,raw,normalized"]
+            yield f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')} sievesim {__version__}"
+        yield "target,n,t,replicate,raw,normalized"
+        heads = [f"{r},%s" for r in range(max((len(column[3]) for column in self.raw), default=0))]
         for target, n, t, raw, normalized in self.raw:
-            prefix = f"{target},{n!r},{t!r},"
-            yield [f"{prefix}{r},{rv},{nv}"
-                   for r, rv, nv in zip(range(len(raw)), _reprs(raw), _reprs(normalized))]
+            if len(raw):
+                prefix = f"{target},{n!r},{t!r},"
+                fmt = prefix + ("\n" + prefix).join(heads[:len(raw)])
+                yield fmt % _pair_texts(raw, normalized)
 
     def write(self, out_dir, stem: str, timestamp: bool = True):
         out = pathlib.Path(out_dir)
@@ -357,7 +371,7 @@ class ExperimentReport:
         start = time.perf_counter()
         with csv_path.open("w") as csv:
             for block in self._csv_blocks(timestamp):
-                csv.write("\n".join(block) + "\n")
+                csv.write(block + "\n")
         self.metadata.setdefault("phases_s", {})["write"] = time.perf_counter() - start
         json_path.write_text(self.to_json() + "\n")
         return csv_path, json_path
@@ -545,14 +559,16 @@ def _limit_row(report, ratio, i_n, j, n, t, sample):
 
 
 def _covariance_rows(n, grid, normalized_by_t, tol):
-    """Pairwise covariance/correlation of normalized values vs the limit."""
+    """Pairwise covariance/correlation of normalized values vs the limit;
+    each column is centred, and its variance taken, once."""
     rows = []
     usable = [t for t in grid if 0.0 < t <= 1.0]
+    centred = {t: a - a.mean() for t, a in normalized_by_t.items()}
+    var = {t: a.var() for t, a in normalized_by_t.items()}
     for i, s in enumerate(usable):
         for t in usable[i + 1:]:
-            a, b = normalized_by_t[s], normalized_by_t[t]
-            cov = float(np.mean((a - a.mean()) * (b - b.mean())))
-            corr = cov / math.sqrt(max(a.var() * b.var(), 1e-300))
+            cov = float(np.mean(centred[s] * centred[t]))
+            corr = cov / math.sqrt(max(var[s] * var[t], 1e-300))
             expected_cov = min(s, t)
             expected_corr = expected_cov / math.sqrt(s * t)
             rows.append({"n": n, "t": (s, t), "stat": "cov",

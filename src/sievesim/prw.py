@@ -426,15 +426,18 @@ def max_window_count(path: PrwPath, b: float, n: float) -> int:
 
     The supremum over window positions a = nt in [0, n] is attained with a
     just below some point T_i (window [T_i, T_i+b)) or at a = 0; ties have
-    probability zero for continuous laws.
+    probability zero for continuous laws.  The starts T_i are the sorted
+    points i0 .. i1 - 1 themselves, so the i-th window's left index is taken
+    as i: that undercounts only the later points of a tied run, whose first
+    point's window counts them all, so the max holds with one search.
     """
     t_sorted = path._t_sorted
     if len(t_sorted) == 0:
         return 0
     best = int(np.searchsorted(t_sorted, b, side="right"))  # a = 0 window (0, b]
-    starts = t_sorted[(t_sorted >= 0.0) & (t_sorted <= n)]
-    if len(starts):
-        lo = np.searchsorted(t_sorted, starts, side="left")
-        hi = np.searchsorted(t_sorted, starts + b, side="left")
-        best = max(best, int(np.max(hi - lo)))
+    i0 = int(np.searchsorted(t_sorted, 0.0, side="left"))
+    i1 = int(np.searchsorted(t_sorted, n, side="right"))
+    if i1 > i0:
+        hi = np.searchsorted(t_sorted, t_sorted[i0:i1] + b, side="left")
+        best = max(best, int(np.max(hi - np.arange(i0, i1))))
     return best

@@ -6,13 +6,14 @@ the lattice inverse-subordinator path, the Chambers-Mallows-Stuck positive
 stable construction, the subordinator marginal, the spectrally negative
 characteristic function, the box scan of P41's window term, the Feller
 coupling drawn one replicate and one uniform at a time, a walk over
-the merged jumps of P41's two step functions, the walk's visit counts on
-its full path and an exp xi walk's drawn one replicate and one Poisson
-count at a time, and the null-model calibration guard; and three small readers of library objects that no run
-needs: a cycle type, a report's CSV lines and an environment's JSON.  The
-oracles stay independent of the library code paths they check; the guard
-deliberately pushes the library's own limit-law draws through its KS
-statistics.  `sievesim run` reaches none of them."""
+the merged jumps of P41's two step functions, P32's window sup searched
+from both ends of each window, the walk's visit counts on its full path
+and an exp xi walk's drawn one replicate and one Poisson count at a time,
+and the null-model calibration guard; and three small readers of library
+objects that no run needs: a cycle type, a report's CSV lines and an
+environment's JSON.  The oracles stay independent of the library code paths
+they check; the guard deliberately pushes the library's own limit-law draws
+through its KS statistics.  `sievesim run` reaches none of them."""
 
 import json
 import math
@@ -42,7 +43,7 @@ def cycle_type(counts) -> tuple:
 
 def csv_lines(report, timestamp: bool = False) -> list:
     """The lines of the CSV that report.write writes."""
-    return [line for block in report._csv_blocks(timestamp) for line in block]
+    return [line for block in report._csv_blocks(timestamp) for line in block.split("\n")]
 
 
 def environment_json(env) -> str:
@@ -350,6 +351,21 @@ def ratio_sup_walk(k_locs, k_total: int) -> float:
         prev_ratio = c / k_total
         best = max(best, abs(prev_ratio - loc))
     return max(best, abs(prev_ratio - 1.0))
+
+
+def max_window_count_two_search(path, b: float, n: float) -> int:
+    """P32's sup of N(a + b) - N(a) over a in [0, n], searching each start's
+    left index as well as its right one: the reference for
+    prw.max_window_count, which takes the left index from the start's own
+    position in the sorted points."""
+    t_sorted = np.sort(path.t_values)
+    best = int(np.searchsorted(t_sorted, b, side="right"))
+    starts = t_sorted[(t_sorted >= 0.0) & (t_sorted <= n)]
+    if len(starts):
+        lo = np.searchsorted(t_sorted, starts, side="left")
+        hi = np.searchsorted(t_sorted, starts + b, side="left")
+        best = max(best, int(np.max(hi - lo)))
+    return best
 
 
 def full_path_visits(law, n: float, grid, rng: RngStream) -> np.ndarray:

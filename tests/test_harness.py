@@ -1,5 +1,6 @@
 import json
 import math
+import tempfile
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from sievesim.harness import (
     ExperimentReport,
     ExperimentSpec,
     _SIEVE,
+    _covariance_rows,
     _normalize,
     ks_one_sample,
     ks_two_sample,
@@ -249,8 +251,9 @@ def test_csv_format():
 
 
 def test_csv_formats_each_value_as_its_repr(tmp_path):
-    # the writer formats each distinct bit pattern of a column once; a
-    # per-row repr is the reference, on columns where values collide
+    # the writer formats each distinct (raw, normalized) pair of bit patterns
+    # of a column once; a per-row repr is the reference, on columns where
+    # values collide
     x = 0.1 + 0.2
     payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
     raw = np.array([0.0, -0.0, 0.0, -0.0, np.nan, payload, np.inf, -np.inf, 5e-324,
@@ -271,6 +274,107 @@ def test_csv_formats_each_value_as_its_repr(tmp_path):
     csv_path, _ = rep.write(tmp_path, "report", timestamp=False)
     assert csv_path.read_text() == "\n".join(expected) + "\n"
     assert expected[1] == "P31,10000,0.5,0,0.0,-0.0" and expected[16] == "P31,10000.0,1.0,0,-0.0,0.0"
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+# float64 bit patterns: signed zeros, infinities, subnormals, 1e16 (the first
+# float repr writes with an exponent) and 1e22, any float, and NaNs with any
+# sign and payload
+_FLOAT_BITS = st.one_of(
+    st.sampled_from(_bits([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072e-308,
+                           1e16, 1e22, -1e22, 0.1 + 0.2, 3.0, 1200.0])),
+    st.floats(allow_subnormal=True).map(lambda v: _bits([v])[0]),
+    st.builds(lambda sign, payload: sign << 63 | 0x7FF << 52 | payload,
+              st.integers(0, 1), st.integers(1, 2**52 - 1)))
+
+
+@st.composite
+def _csv_columns(draw):
+    """Up to four columns of 0 to 40 rows whose values repeat: each row picks
+    raw from a small pool of bit patterns, and normalized either as a function
+    of raw's pool entry (the sieve and walk shapes) or freely (EQ, P33)."""
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        pool = draw(st.lists(_FLOAT_BITS, min_size=1, max_size=6))
+        rows = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+        if draw(st.booleans()):
+            paired = draw(st.lists(_FLOAT_BITS, min_size=len(pool), max_size=len(pool)))
+            normalized = [paired[i] for i in rows]
+        else:
+            normalized = draw(st.lists(st.sampled_from(pool) | _FLOAT_BITS,
+                                       min_size=len(rows), max_size=len(rows)))
+        n = draw(st.sampled_from([10**4, 1e4, 1e16, 2**62, 7.5]))
+        t = draw(st.floats(0.0, 1.0))
+        columns.append((n, t, np.array([pool[i] for i in rows], dtype=np.uint64).view(np.float64),
+                        np.array(normalized, dtype=np.uint64).view(np.float64)))
+    return columns
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_csv_columns(), st.sampled_from(["P31", "EQ", "A1"]))
+def test_csv_writer_matches_the_per_row_repr(columns, target):
+    # the writer formats each distinct (raw, normalized) pair once and each
+    # column with one format call; a per-row repr is the reference
+    spec = ExperimentSpec(target=target, n_values=(50,), grid=(1.0,))
+    rep = ExperimentReport(spec)
+    for n, t, raw, normalized in columns:
+        rep.add_raw(n, t, raw, normalized)
+    expected = ["target,n,t,replicate,raw,normalized"]
+    for n, t, raw, normalized in columns:
+        prefix = f"{target},{n!r},{t!r},"
+        expected += [f"{prefix}{r},{a!r},{b!r}"
+                     for r, (a, b) in enumerate(zip(raw.tolist(), normalized.tolist()))]
+    assert csv_lines(rep) == expected
+    with tempfile.TemporaryDirectory() as out:
+        csv_path, _ = rep.write(out, "report", timestamp=False)
+        assert csv_path.read_text() == "\n".join(expected) + "\n"
+
+
+def _covariance_rows_per_pair(n, grid, normalized_by_t, tol):
+    """The covariance rows with each pair's columns centred, and their
+    variances taken, inside the pair loop: the reference for
+    _covariance_rows, which does both once per column."""
+    rows = []
+    usable = [t for t in grid if 0.0 < t <= 1.0]
+    for i, s in enumerate(usable):
+        for t in usable[i + 1:]:
+            a, b = normalized_by_t[s], normalized_by_t[t]
+            cov = float(np.mean((a - a.mean()) * (b - b.mean())))
+            corr = cov / math.sqrt(max(a.var() * b.var(), 1e-300))
+            expected_cov = min(s, t)
+            expected_corr = expected_cov / math.sqrt(s * t)
+            rows.append({"n": n, "t": (s, t), "stat": "cov",
+                         "value": cov, "corr": corr,
+                         "expected_cov": expected_cov, "expected_corr": expected_corr,
+                         "threshold": tol,
+                         "passed": bool(abs(cov - expected_cov) < tol)})
+    return rows
+
+
+@pytest.mark.parametrize("spec", [
+    ExperimentSpec(target="A1", n_values=(10**8, 10**12), grid=(0.25, 0.5, 0.75, 1.0),
+                   replicates=300, seed=31, centering="linear"),
+    ExperimentSpec(target="B1", n_values=(1e3, 1e5), grid=(0.0, 0.25, 0.5, 1.0),
+                   replicates=300, seed=32),
+    ExperimentSpec(target="A1", n_values=(10**6,), grid=(0.5, 0.25, 0.5, 1.0, 0.25),
+                   replicates=300, seed=33),
+], ids=["A1", "B1", "A1_repeated_t"])
+def test_covariance_rows_match_the_per_pair_formula_bit_for_bit(spec):
+    rep = run_experiment(spec)
+    tol = spec.threshold("cov_tol")
+    cov_rows = [row for row in rep.rows if row["stat"] == "cov"]
+    usable = [t for t in spec.grid if t > 0.0]
+    assert len(cov_rows) == len(spec.n_values) * len(usable) * (len(usable) - 1) // 2
+    for n in {row["n"] for row in cov_rows}:
+        normalized_by_t = {t: normalized for _, m, t, _, normalized in rep.raw if m == n}
+        expected = _covariance_rows_per_pair(n, spec.grid, normalized_by_t, tol)
+        got = _covariance_rows(n, spec.grid, normalized_by_t, tol)
+        # repr tells every float's bits apart, -0.0 from 0.0 included
+        assert repr(got) == repr(expected)
+        assert repr([row for row in cov_rows if row["n"] == n]) == repr(expected)
 
 
 # ---------------------------------------------------------------------------

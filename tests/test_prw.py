@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import chisquare, gamma, poisson
 
-from conftest import full_path_visits, visit_process_scalar
+from conftest import full_path_visits, max_window_count_two_search, visit_process_scalar
 from sievesim.harness import (
     ConfigurationError,
     ExperimentSpec,
@@ -18,6 +18,7 @@ from sievesim.harness import (
 )
 from sievesim.occupancy import build_environment, rho
 from sievesim.prw import (
+    PrwPath,
     StepLaw,
     lln_sup_deviation,
     max_window_count,
@@ -151,6 +152,32 @@ def test_window_growth_examples():
     assert rep2.all_passed() and qs[-1] < qs[0]
     with pytest.raises(ConfigurationError):
         ExperimentSpec(target="P32", n_values=(100,), replicates=10, seed=10, b=-1.0, c=0.5)
+
+
+@pytest.mark.parametrize("law", [
+    StepLaw(("const", 1.0), ("const", 0.5)),
+    StepLaw(("const", 0.25), ("exp", 1.0)),
+    StepLaw(("pareto", 1.5), ("const", 1.0)),
+    EXP_EXP,
+], ids=["const_const", "const_exp", "pareto_const", "exp_exp"])
+def test_max_window_count_equals_the_two_search_reference(law):
+    # 450 walks a law; const steps put window edges on the points themselves
+    rng = RngStream(12, 0)
+    for k in range(450):
+        n, b = (20.0, 60.0, 200.0)[k % 3], (0.5, 1.0, 2.5)[k // 3 % 3]
+        path = simulate_path(law, n + b, rng)
+        assert max_window_count(path, b, n) == max_window_count_two_search(path, b, n)
+
+
+def test_max_window_count_with_tied_points():
+    # integer points tie in runs, and an integer b puts window edges on points
+    gen = np.random.default_rng(13)
+    for _ in range(300):
+        t = gen.integers(-2, 12, size=gen.integers(1, 30)).astype(float)
+        path = PrwPath(np.zeros(1), t, 20.0)
+        for b in (0.5, 1.0, 3.0):
+            for n in (0.0, 4.0, 10.0):
+                assert max_window_count(path, b, n) == max_window_count_two_search(path, b, n)
 
 
 def test_visit_increment_bound_examples():
